@@ -192,7 +192,7 @@ def cmd_layer(args) -> int:
     order = cfg.order()
     model = HalfLineModel(order, cfg.quad)
     ts = np.geomspace(args.t_min, args.t_max, args.points)
-    ks = [model.boundary_layer(t) for t in ts]
+    ks = model.boundary_layer(ts)
     cum = 0.0
     rows = []
     prev_t, prev_k = 0.0, ks[0]

@@ -123,7 +123,7 @@ def _layer_t_integral(layer_fn, t_hi: float = 60.0):
     edges = np.concatenate([np.linspace(0.0, 10.0, 26),
                             np.linspace(10.0, t_hi, 2 * int(t_hi - 10.0) // 3 + 2)[1:]])
     t, w = _panel_quad(edges, 8)
-    vals = np.array([layer_fn(ti) for ti in t])
+    vals = layer_fn(t)
     main = float(np.dot(w, vals))
     # tail fit |K| ~ c t^-p on the last stretch
     sel = t > 0.55 * t_hi

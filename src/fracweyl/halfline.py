@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .quadcore import QuadratureSpec
+from .quadcore import QuadratureSpec, sphere_area
 
 __all__ = [
     "FractionalOrder",
@@ -172,10 +172,33 @@ def _geometric_edges(lo: float, hi: float, ratio: float = 3.0):
     return np.array(edges)
 
 
+def _osc_panels(total_phase, base: int = 6, cap: int = 600):
+    """Panel count that resolves a given phase sweep; elementwise on arrays."""
+    sweeps = np.asarray(total_phase, dtype=float) / (2.0 * math.pi) * 1.6
+    return np.minimum(cap, base + sweeps.astype(int))
+
+
 def _osc_edges(hi: float, total_phase: float, base: int = 6, cap: int = 600):
     """Uniform panels over (0, hi) sized to resolve a given phase sweep."""
-    panels = min(cap, base + int(total_phase / (2.0 * math.pi) * 1.6))
-    return np.linspace(0.0, hi, panels + 1)
+    return np.linspace(0.0, hi, int(_osc_panels(total_phase, base, cap)) + 1)
+
+
+# tangential-frequency nodes r in (0, 1) of the boundary-layer integral
+_LAYER_R, _LAYER_W = _panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
+                                           0.5, 0.7, 0.85, 0.95, 1.0]), 8)
+
+
+def _layer_profile(kernel_gap, t, s: float, d: int):
+    """Boundary-layer profile: the kernel deficit at depth t*r and energy
+    mu = r^-2s, integrated over the tangential frequency r in (0, 1) with
+    weight r^(d-1+2s).  One kernel_gap call per r node covers every t."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise ValueError(f"boundary_layer requires t > 0, got {t}")
+    pref = sphere_area(d - 2) / (2.0 * math.pi) ** (d - 1)
+    gaps = np.stack([kernel_gap(t * r, r ** (-2.0 * s)) for r in _LAYER_R], axis=-1)
+    out = pref * ((_LAYER_R ** (d - 1.0 + 2.0 * s) * gaps) @ _LAYER_W)
+    return float(out) if out.ndim == 0 else out
 
 
 def _spectral_edge(mu: float, s: float) -> float:
@@ -209,7 +232,6 @@ class HalfLineModel:
         self.quad = quad
         self.gamma_reading = gamma_reading
         self._gamma_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._gap_r_cache: dict[int, dict] = {}
         self._xi_nodes, self._xi_weights = self._build_xi_quadrature()
         grid = np.logspace(math.log10(self.THETA_LO), math.log10(self.THETA_HI),
                            self.THETA_NODES)
@@ -326,13 +348,15 @@ class HalfLineModel:
         return out
 
     def gamma_table(self, lam: float):
-        """(nodes, density*weights) quadrature table for tail integrals."""
-        key = round(lam, 12)
-        tab = self._gamma_cache.get(key)
+        """(nodes, density*weights) quadrature table for tail integrals.
+
+        Cached under the exact float lam: every lam grid is deterministic,
+        so a repeated grid finds its tables again."""
+        tab = self._gamma_cache.get(lam)
         if tab is None:
             xi = self._xi_nodes
             tab = (xi, self._xi_weights * self.gamma_values(lam, xi))
-            self._gamma_cache[key] = tab
+            self._gamma_cache[lam] = tab
         return tab
 
     def laplace_tail(self, lam: float, x):
@@ -395,38 +419,61 @@ class HalfLineModel:
         lam = edge * np.sin(phi)
         return lam, edge * np.cos(phi) * w, edge
 
-    def kernel_gap(self, x: float, mu: float) -> float:
+    def kernel_gap(self, x, mu: float):
         """Diagonal deficit a(mu) - a_half(x, mu) of the Riesz-mean kernels.
 
         Decomposed through 1 - 2 F^2 = cos(2 lam x + 2 phase)
         + 4 sin(lam x + phase) G - 2 G^2: the cosine sweep is integrated on
         an oscillation-resolving grid, the tail terms on a smooth edge
         grid, interpolated where the sine factor oscillates.
+
+        ``x`` may be an array: the density tables of the edge grid are
+        stacked once, the tails G for all x are matrix products with
+        exp(-x xi), and depths whose sweeps need the same panel count
+        share one dense grid, phase lookup and interpolant.  A scalar x
+        gives a float.
         """
-        if mu <= 1.0:
-            return 0.0
-        s = self.order.s
-        lam_g, w_g, edge = self._g_grid(mu)
-        dense = _osc_edges(edge, 2.0 * x * edge)
-        lam_d, w_d = _panel_quad(dense, 8)
-        th_d = self.phase_vec(lam_d)
-        wt_d = mu - (1.0 + lam_d ** 2) ** s
-        total = float(np.dot(w_d, wt_d * np.cos(2.0 * lam_d * x + 2.0 * th_d)))
-        g_vals = np.array([self.laplace_tail(l, x) for l in lam_g])
-        if x <= 12.0:
-            lam_aug = np.concatenate([[0.0], lam_g, [edge]])
-            g_aug = np.concatenate([[0.0], g_vals,
-                                    [self.laplace_tail(edge, x)]])
-            g_interp = PchipInterpolator(lam_aug, g_aug)
-            gd = g_interp(lam_d)
-            total += float(np.dot(w_d, wt_d * (4.0 * np.sin(lam_d * x + th_d) * gd
-                                               - 2.0 * gd * gd)))
+        x = np.asarray(x, dtype=float)
+        if mu > 1.0:
+            out = self._kernel_gap_flat(x.ravel(), mu).reshape(x.shape)
         else:
+            out = np.zeros(x.shape)
+        return float(out) if out.ndim == 0 else out
+
+    def _kernel_gap_flat(self, x: np.ndarray, mu: float) -> np.ndarray:
+        s = self.order.s
+        out = np.zeros(x.size)
+        lam_g, w_g, edge = self._g_grid(mu)
+        lam_aug = np.concatenate([[0.0], lam_g, [edge]])
+        tables = np.array([self.gamma_table(l)[1] for l in lam_aug[1:]])
+        # blocks of 64 depths keep the exp(-x xi) matrix small for any x.size
+        g = np.empty((x.size, tables.shape[0]))
+        for i in range(0, x.size, 64):
+            e = np.multiply.outer(-x[i:i + 64], self._xi_nodes)
+            g[i:i + 64] = np.exp(e, out=e) @ tables.T
+        g_aug = np.concatenate([np.zeros((x.size, 1)), g], axis=1)
+        far = x > 12.0
+        if far.any():
             th_g = self.phase_vec(lam_g)
             wt_g = mu - (1.0 + lam_g ** 2) ** s
-            total += float(np.dot(w_g, wt_g * (4.0 * np.sin(lam_g * x + th_g) * g_vals
-                                               - 2.0 * g_vals * g_vals)))
-        return total / math.pi
+            gf = g[far, :-1]
+            sf = np.sin(np.multiply.outer(x[far], lam_g) + th_g)
+            out[far] = (wt_g * (4.0 * sf * gf - 2.0 * gf * gf)) @ w_g
+        panels = _osc_panels(2.0 * x * edge)
+        for p in np.unique(panels):
+            sel = np.nonzero(panels == p)[0]
+            lam_d, w_d = _panel_quad(np.linspace(0.0, edge, p + 1), 8)
+            th_d = self.phase_vec(lam_d)
+            wt_d = mu - (1.0 + lam_d ** 2) ** s
+            arg = np.multiply.outer(x[sel], lam_d)
+            out[sel] += (wt_d * np.cos(2.0 * arg + 2.0 * th_d)) @ w_d
+            near = ~far[sel]
+            if near.any():
+                rows = sel[near]
+                gd = PchipInterpolator(lam_aug, g_aug[rows].T, axis=0)(lam_d).T
+                sd = np.sin(arg[near] + th_d)
+                out[rows] += (wt_d * (4.0 * sd * gd - 2.0 * gd * gd)) @ w_d
+        return out / math.pi
 
     def riesz_kernel_line(self, mu: float) -> float:
         """Diagonal of the whole-line Riesz-mean kernel (t-independent)."""
@@ -480,7 +527,6 @@ class HalfLineModel:
                              [self.laplace_tail(l, t) for l in lam_g],
                              [self.laplace_tail(edge, t)]])
         ft = np.sin(lam_d * t + th_d) - PchipInterpolator(lam_aug, gt)(lam_d)
-        xi, c = zip(*(self.gamma_table(l) for l in lam_g))
         g_cols = np.empty((lam_aug.size, u.size))
         g_cols[0] = 0.0
         for i, l in enumerate(lam_g):
@@ -499,27 +545,11 @@ class HalfLineModel:
 
     # -- boundary layer -------------------------------------------------
 
-    def _layer_r_quad(self):
-        cached = self._gap_r_cache.get(0)
-        if cached is None:
-            r, w = _panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
-                                         0.5, 0.7, 0.85, 0.95, 1.0]), 8)
-            cached = (r, w)
-            self._gap_r_cache[0] = cached
-        return cached
-
-    def boundary_layer(self, t: float) -> float:
+    def boundary_layer(self, t):
         """Boundary-layer profile K(t): tangential-frequency integral of the
         kernel deficit, vanishing as t -> inf; integrates to the surface
-        coefficient."""
-        if not t > 0:
-            raise ValueError(f"boundary_layer requires t > 0, got {t}")
-        s, d = self.order.s, self.order.d
-        from .quadcore import sphere_area
-        pref = sphere_area(d - 2) / (2.0 * math.pi) ** (d - 1)
-        r, w = self._layer_r_quad()
-        vals = np.array([self.kernel_gap(t * ri, ri ** (-2.0 * s)) for ri in r])
-        return pref * float(np.dot(w, r ** (d - 1.0 + 2.0 * s) * vals))
+        coefficient.  Takes an array of depths; a scalar gives a float."""
+        return _layer_profile(self.kernel_gap, t, self.order.s, self.order.d)
 
     # -- integrated t-densities and shifts ------------------------------
 
@@ -613,16 +643,19 @@ class DirichletLineModel:
         self.exponent = 1.0  # plays the role of s in the layer reduction
 
     @staticmethod
-    def kernel_gap(x: float, mu: float) -> float:
-        if mu <= 1.0:
-            return 0.0
-        edge = math.sqrt(mu - 1.0)
-        u = 2.0 * edge * x
-        if u < 1e-3:
-            j = 1.0 / 3.0 - u * u / 30.0 + u ** 4 / 840.0
-        else:
-            j = (math.sin(u) - u * math.cos(u)) / u ** 3
-        return 2.0 * edge ** 3 * j / math.pi
+    def kernel_gap(x, mu: float):
+        """Closed-form kernel deficit; ``x`` may be an array, a scalar
+        gives a float."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        if mu > 1.0:
+            edge = math.sqrt(mu - 1.0)
+            u = 2.0 * edge * x
+            with np.errstate(divide="ignore", invalid="ignore"):
+                j = np.where(u < 1e-3, 1.0 / 3.0 - u * u / 30.0 + u ** 4 / 840.0,
+                             (np.sin(u) - u * np.cos(u)) / u ** 3)
+            out = 2.0 * edge ** 3 * j / math.pi
+        return float(out) if out.ndim == 0 else out
 
     @staticmethod
     def energy_shift(mu: float) -> float:
@@ -630,16 +663,8 @@ class DirichletLineModel:
             raise ValueError("energy_shift requires mu > 1")
         return (mu - 1.0) / (4.0 * mu)
 
-    def boundary_layer(self, t: float) -> float:
-        if not t > 0:
-            raise ValueError("boundary_layer requires t > 0")
-        from .quadcore import sphere_area
-        d = self.d
-        pref = sphere_area(d - 2) / (2.0 * math.pi) ** (d - 1)
-        r, w = _panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
-                                     0.5, 0.7, 0.85, 0.95, 1.0]), 8)
-        vals = np.array([self.kernel_gap(t * ri, ri ** -2.0) for ri in r])
-        return pref * float(np.dot(w, r ** (d + 1.0) * vals))
+    def boundary_layer(self, t):
+        return _layer_profile(self.kernel_gap, t, self.exponent, self.d)
 
 
 # -- module-level operation surface over shared default models ----------

@@ -407,15 +407,14 @@ def halfspace_kernel_check(s: float, h: float, mx: int = 64, my: int = 64,
     dens = ((v[:, neg] ** 2) @ (-w[neg])) / spacing ** 2
     l1 = bulk_coefficient(order)
     height = my * spacing
-    rows = []
-    for i in np.nonzero(on_col)[0]:
-        xd = coords[i, 1]
-        ratio = xd / h
-        if ratio > height / (2.0 * h):
-            continue
-        predicted = (l1 - model.boundary_layer(ratio)) / h ** 2
-        rel = (dens[i] - predicted) / (l1 / h ** 2)
-        rows.append((xd, ratio, float(dens[i]), predicted, float(rel)))
+    sites = np.nonzero(on_col)[0]
+    ratios = coords[sites, 1] / h
+    keep = ratios <= height / (2.0 * h)
+    sites, ratios = sites[keep], ratios[keep]
+    predicted = (l1 - model.boundary_layer(ratios)) / h ** 2
+    rel = (dens[sites] - predicted) / (l1 / h ** 2)
+    rows = [(coords[i, 1], float(r), float(dens[i]), float(p), float(q))
+            for i, r, p, q in zip(sites, ratios, predicted, rel)]
     worst_window = max((abs(r[4]) for r in rows if 0.5 <= r[1] <= 4.0), default=math.inf)
     deep = [r for r in rows if r[1] >= 0.45 * height / h]
     interior_rel = (abs(float(np.mean([r[2] for r in deep])) * h ** 2 / l1 - 1.0)

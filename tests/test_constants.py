@@ -94,6 +94,29 @@ class TestSurfaceRoutes:
         assert abs(v1 - v2) <= max(e1, 1e-9)
 
 
+# (L2, its err, L2_tilde, its err) from the per-depth evaluation of the
+# boundary layer that the batched engine replaced; the quadrature nodes
+# and weights are unchanged, so only summation order may move the digits
+GOLDEN_SURFACE = {
+    (0.25, 2): (0.01229685454347272, 1.0274151279852357e-05,
+                0.02652596158307536, 1.390544214590397e-05),
+    (0.5, 2): (0.025328216744399893, 1.0753531488161757e-05,
+               0.03978894237461304, 2.0858163218855955e-05),
+    (0.75, 2): (0.03895988852598059, 1.5786105624716057e-05,
+                0.04774673084953565, 2.5029795862627148e-05),
+    (0.5, 3): (0.004659485469817581, 3.204912855288912e-07,
+               0.00663151600090153, 8.128973573631816e-07),
+}
+
+
+class TestGoldenSurface:
+    @pytest.mark.parametrize("s, d", sorted(GOLDEN_SURFACE))
+    def test_layer_and_dirichlet_routes(self, s, d):
+        order = FractionalOrder(s, d)
+        got = surface_via_layer(order) + surface_dirichlet_power(order)
+        np.testing.assert_allclose(got, GOLDEN_SURFACE[(s, d)], rtol=1e-12, atol=0.0)
+
+
 class TestWeylCoefficientsType:
     def test_invariants_enforced(self):
         order = FractionalOrder(0.5, 2)

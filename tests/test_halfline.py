@@ -206,6 +206,43 @@ class TestKernels:
             for mu in (1.5, 3.0, 6.0):
                 assert model_half.riesz_kernel_diag(t, mu) >= 0.0
 
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 1.3, 4.0, 40.0])
+    def test_gap_array_matches_scalar(self, model_half, mu):
+        # depths straddle the x = 12 switch between interpolated and
+        # edge-grid tail terms; mu <= 1 lies below the spectrum
+        xs = np.array([0.0, 0.05, 1.0, 7.5, 11.99, 12.0, 12.01, 20.0, 45.0])
+        arr = model_half.kernel_gap(xs, mu)
+        ref = np.array([model_half.kernel_gap(float(x), mu) for x in xs])
+        assert arr.shape == xs.shape
+        assert all(isinstance(v, float) for v in ref)
+        if mu <= 1.0:
+            assert np.all(arr == 0.0) and np.all(ref == 0.0)
+        np.testing.assert_allclose(arr, ref, rtol=1e-12,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+        grid = model_half.kernel_gap(xs.reshape(3, 3), mu)
+        assert grid.shape == (3, 3)
+        np.testing.assert_array_equal(grid.ravel(), arr)
+
+    def test_local_gap_array_matches_closed_form(self):
+        # the series branch u < 1e-3 and the closed form in one array,
+        # against the per-point formula
+        def ref(x, mu):
+            if mu <= 1.0:
+                return 0.0
+            edge = math.sqrt(mu - 1.0)
+            u = 2.0 * edge * x
+            if u < 1e-3:
+                j = 1.0 / 3.0 - u * u / 30.0 + u ** 4 / 840.0
+            else:
+                j = (math.sin(u) - u * math.cos(u)) / u ** 3
+            return 2.0 * edge ** 3 * j / math.pi
+
+        xs = np.array([0.0, 1e-5, 2e-4, 4.9e-4, 5.1e-4, 0.3, 12.0, 40.0])
+        for mu in (0.9, 1.0, 2.0, 50.0):
+            arr = DirichletLineModel.kernel_gap(xs, mu)
+            np.testing.assert_allclose(arr, [ref(x, mu) for x in xs], rtol=1e-14, atol=0.0)
+        assert isinstance(DirichletLineModel.kernel_gap(0.1, 2.0), float)
+
     def test_diag_approaches_line(self, model_half):
         gap_far = abs(model_half.kernel_gap(50.0, 4.0))
         gap_near = abs(model_half.kernel_gap(0.5, 4.0))
@@ -244,9 +281,25 @@ class TestBoundaryLayer:
         assert abs(model_half.boundary_layer(100.0)) < 1e-3 * abs(
             model_half.boundary_layer(0.1))
 
+    def test_array_matches_scalar(self, model_half):
+        ts = np.array([0.01, 0.7, 5.0, 13.0, 60.0])
+        arr = model_half.boundary_layer(ts)
+        ref = np.array([model_half.boundary_layer(float(t)) for t in ts])
+        assert isinstance(model_half.boundary_layer(0.7), float)
+        np.testing.assert_allclose(arr, ref, rtol=1e-12,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_nonpositive_depth_rejected(self, model_half, bad):
+        for model in (model_half, DirichletLineModel(2)):
+            with pytest.raises(ValueError):
+                model.boundary_layer(bad)
+            with pytest.raises(ValueError):
+                model.boundary_layer(np.array([0.5, bad, 2.0]))
+
     def test_halfpower_moment_finite(self, model_half):
         ts = np.geomspace(1e-3, 60.0, 40)
-        vals = np.array([abs(model_half.boundary_layer(t)) for t in ts])
+        vals = np.abs(model_half.boundary_layer(ts))
         moment = np.trapezoid(np.sqrt(ts) * vals, ts)
         assert np.isfinite(moment)
         assert moment < 1.0
@@ -265,7 +318,7 @@ class TestEnergyShift:
         mu = 4.0
         dt = 0.02
         ts = np.arange(dt / 2.0, 160.0, dt)
-        vals = np.array([model_half.kernel_gap(t, mu) for t in ts])
+        vals = model_half.kernel_gap(ts, mu)
         cum = np.cumsum(vals) * dt
         per = math.pi / math.sqrt(mu ** 2 - 1.0)
 
