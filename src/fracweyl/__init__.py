@@ -3,7 +3,8 @@
 Submodules
 ----------
 quadcore
-    Gamma function, sphere areas, adaptive quadrature, Laplace transforms.
+    Sphere areas, the fractional form constant, and adaptive reference
+    quadrature.
 halfline
     The half-line model operator: phase shift, generalized eigenfunctions,
     kernels, boundary layer, and spectral shifts.

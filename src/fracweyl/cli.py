@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadcore import QuadratureSpec, NonConvergenceError
-from .halfline import (FractionalOrder, HalfLineModel, KernelValue,
-                       TruncationUnstableError)
+from .quadcore import NonConvergenceError
+from .halfline import (FractionalOrder, HalfLineModel, TruncationUnstableError,
+                       _spectral_edge)
 from . import constants as consts
 from . import lattice
 from . import localization as loc
@@ -44,7 +44,6 @@ class RunConfig:
     """Validated run configuration shared by every command."""
 
     command: str
-    quad: QuadratureSpec
     output: str | None
     format: str
     s: float | None = None
@@ -115,26 +114,44 @@ def _table_write(path: str | None, fmt: str, columns, rows):
         _emit(path, "\n".join(lines) + "\n")
 
 
+def _float_list(admissible=lambda v: True, what: str = "numbers"):
+    """argparse type: a comma list of finite floats, each ``admissible``."""
+    def parse(text: str) -> list[float]:
+        try:
+            vals = [float(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
+        if not all(math.isfinite(v) and admissible(v) for v in vals):
+            raise argparse.ArgumentTypeError(f"values must be {what} and finite: {text!r}")
+        return vals
+    return parse
+
+
+def _positive(kind):
+    """argparse type: a finite number of type ``kind`` above zero."""
+    def parse(text: str):
+        try:
+            val = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        if not (math.isfinite(val) and val > 0):
+            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        return val
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser, with_order=True):
     if with_order:
         p.add_argument("--s", type=float, required=True,
                        help="fractional exponent in (0,1)")
         p.add_argument("--d", type=int, default=2, help="ambient dimension >= 2")
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--max-subdivisions", type=int, default=2000)
     p.add_argument("--output", type=str, default=None,
                    help="output file (stdout when omitted)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _config(args) -> RunConfig:
-    try:
-        quad = QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                              max_subdivisions=args.max_subdivisions)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return RunConfig(command=args.command, quad=quad, output=args.output,
+    return RunConfig(command=args.command, output=args.output,
                      format=args.format, s=getattr(args, "s", None),
                      d=getattr(args, "d", 2))
 
@@ -142,7 +159,7 @@ def _config(args) -> RunConfig:
 def cmd_constants(args) -> int:
     cfg = _config(args)
     order = cfg.order()
-    wc = consts.compute_weyl_coefficients(order, cfg.quad)
+    wc = consts.compute_weyl_coefficients(order)
     rec = ReportRecord()
     rec.add("L1", wc.bulk, wc.err_estimates["L1"], "closed_radial_form")
     rec.add("L2", wc.surface, wc.err_estimates["L2:K_integral"], "L2:K_integral")
@@ -168,18 +185,15 @@ def cmd_constants(args) -> int:
 def cmd_kernels(args) -> int:
     cfg = _config(args)
     order = cfg.order()
-    model = HalfLineModel(order, cfg.quad)
-    mus = [float(v) for v in args.mu.split(",")]
-    ts = [float(v) for v in args.t.split(",")]
+    model = HalfLineModel(order)
     rows = []
-    for mu in mus:
+    for mu in args.mu:
         a_line = model.riesz_kernel_line(mu)
-        edge = math.sqrt(math.expm1(math.log(mu) / order.s)) if mu > 1 else 0.0
+        edge = _spectral_edge(mu, order.s)
         phase = model.phase(edge) if edge > 0 else 0.0
-        for t in ts:
-            diag = KernelValue(t, t, mu, model.riesz_kernel_diag(t, mu))
-            proj = KernelValue(t, t, mu, model.projector_kernel(t, t, mu))
-            rows.append((mu, t, edge, phase, a_line, diag.value, proj.value))
+        for t in args.t:
+            rows.append((mu, t, edge, phase, a_line, model.riesz_kernel_diag(t, mu),
+                         model.projector_kernel(t, t, mu)))
     _table_write(cfg.output, cfg.format,
                  ("mu", "t", "spectral_edge", "phase_at_edge", "a_line",
                   "a_diag", "proj_diag"),
@@ -190,7 +204,7 @@ def cmd_kernels(args) -> int:
 def cmd_layer(args) -> int:
     cfg = _config(args)
     order = cfg.order()
-    model = HalfLineModel(order, cfg.quad)
+    model = HalfLineModel(order)
     ts = np.geomspace(args.t_min, args.t_max, args.points)
     ks = model.boundary_layer(ts)
     cum = 0.0
@@ -200,7 +214,7 @@ def cmd_layer(args) -> int:
         cum += 0.5 * (k + prev_k) * (t - prev_t)
         rows.append((t, k, cum))
         prev_t, prev_k = t, k
-    total, err = consts.surface_via_layer(order, cfg.quad, model)
+    total, err = consts.surface_via_layer(order, model)
     rows.append((math.inf, 0.0, total))
     _table_write(cfg.output, cfg.format, ("t", "K", "cumulative"), rows)
     if args.plot_script and args.output:
@@ -229,10 +243,13 @@ def cmd_verify_square(args) -> int:
     spec = lattice.eigenvalues_sym(lattice.build_restricted_fractional(dom, order.s))
     hs = np.geomspace(4.0 * dom.spacing, args.h_max, args.h_count)
     samples = [(h, lattice.riesz_mean(spec, h, order.s)) for h in hs]
-    fit = lattice.two_term_fit(samples, 2)
-    model = HalfLineModel(order, cfg.quad)
+    try:
+        fit = lattice.two_term_fit(samples, 2)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    model = HalfLineModel(order)
     l1 = consts.bulk_coefficient(order)
-    l2, l2_err = consts.surface_via_layer(order, cfg.quad, model)
+    l2, l2_err = consts.surface_via_layer(order, model)
     c0_target = l1 * dom.volume
     c1_target = -l2 * dom.surface
     rel0 = abs(fit.c0 - c0_target) / abs(c0_target)
@@ -269,10 +286,9 @@ def cmd_verify_halfspace(args) -> int:
 
 def cmd_order_check(args) -> int:
     cfg = _config(args)
-    svals = [float(v) for v in args.s_list.split(",")]
     rec = ReportRecord()
     ok = True
-    for s in svals:
+    for s in args.s_list:
         if not 0.0 < s < 1.0:
             raise UsageError(f"fractional exponent must lie in (0,1), got {s}")
         r1 = lattice.operator_order_check(lattice.interval_domain(args.interval_points), s)
@@ -296,7 +312,10 @@ def cmd_localization_check(args) -> int:
         geom = loc.rectangle_geometry(args.extent, args.extent)
     else:
         geom = loc.disk_geometry(args.extent / 2.0)
-    fam = loc.LocalizationFamily(geom, args.l0)
+    try:
+        fam = loc.LocalizationFamily(geom, args.l0)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rng = np.random.default_rng(args.seed)
     lo, hi = geom.interior_box()
     rec = ReportRecord()
@@ -355,21 +374,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernels", help="tabulate half-line kernels")
     _add_common(p)
-    p.add_argument("--mu", type=str, default="2.0,4.0")
-    p.add_argument("--t", type=str, default="0.5,1.0,2.0")
+    p.add_argument("--mu", type=_float_list(lambda v: v > 0, "positive"),
+                   default="2.0,4.0")
+    p.add_argument("--t", type=_float_list(lambda v: v >= 0, "nonnegative"),
+                   default="0.5,1.0,2.0")
     p.set_defaults(fn=cmd_kernels)
 
     p = sub.add_parser("layer", help="tabulate the boundary layer profile")
     _add_common(p)
-    p.add_argument("--t-min", type=float, default=0.05)
-    p.add_argument("--t-max", type=float, default=40.0)
-    p.add_argument("--points", type=int, default=60)
+    p.add_argument("--t-min", type=_positive(float), default=0.05)
+    p.add_argument("--t-max", type=_positive(float), default=40.0)
+    p.add_argument("--points", type=_positive(int), default=60)
     p.add_argument("--plot-script", action="store_true")
     p.set_defaults(fn=cmd_layer)
 
     p = sub.add_parser("verify-square", help="two-term fit on the unit square")
     _add_common(p)
-    p.add_argument("--lattice-points", type=int, default=64)
+    p.add_argument("--lattice-points", type=_positive(int), default=64)
     p.add_argument("--h-max", type=float, default=0.25)
     p.add_argument("--h-count", type=int, default=6)
     p.add_argument("--c0-tol", type=float, default=0.03)
@@ -383,19 +404,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order-check", help="operator ordering on lattice masks")
     _add_common(p, with_order=False)
-    p.add_argument("--s-list", type=str, default="0.25,0.5,0.75")
-    p.add_argument("--interval-points", type=int, default=64)
-    p.add_argument("--square-points", type=int, default=20)
+    p.add_argument("--s-list", type=_float_list(), default="0.25,0.5,0.75")
+    p.add_argument("--interval-points", type=_positive(int), default=64)
+    p.add_argument("--square-points", type=_positive(int), default=20)
     p.set_defaults(fn=cmd_order_check)
 
     p = sub.add_parser("localization-check", help="partition of unity checks")
     _add_common(p, with_order=False)
     p.add_argument("--shape", choices=("interval", "rectangle", "disk"),
                    default="interval")
-    p.add_argument("--extent", type=float, default=4.0)
+    p.add_argument("--extent", type=_positive(float), default=4.0)
     p.add_argument("--l0", type=float, default=0.25)
-    p.add_argument("--resolution", type=int, default=8)
-    p.add_argument("--points", type=int, default=8)
+    p.add_argument("--resolution", type=_positive(int), default=8)
+    p.add_argument("--points", type=_positive(int), default=8)
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_localization_check)

@@ -30,7 +30,6 @@ from .halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
 
 __all__ = [
     "WeylCoefficients",
-    "RieszCoefficients",
     "bulk_coefficient",
     "bulk_coefficient_quadrature",
     "surface_via_layer",
@@ -73,23 +72,6 @@ class WeylCoefficients:
                              "Dirichlet-power comparison constant")
 
 
-@dataclass(frozen=True)
-class RieszCoefficients:
-    """Coefficient pairs related by the partial-sum <-> Riesz-mean map."""
-
-    A: float
-    B: float
-    a: float
-    b: float
-    C: float
-    D: float
-
-    def __post_init__(self):
-        _check_exponents(self.a, self.b)
-        if not (self.A > 0 and self.C > 0):
-            raise ValueError("leading coefficients must be positive")
-
-
 def _check_exponents(a: float, b: float):
     # boundary case b = a-1 is admitted: the subleading term then carries
     # no N-growth and the conversion formulas remain the right limits
@@ -104,12 +86,11 @@ def bulk_coefficient(order: FractionalOrder) -> float:
     return sphere_area(d - 1) / (2.0 * math.pi) ** d * 2.0 * s / (d * (d + 2.0 * s))
 
 
-def bulk_coefficient_quadrature(order: FractionalOrder,
-                                quad: QuadratureSpec = QuadratureSpec()) -> float:
+def bulk_coefficient_quadrature(order: FractionalOrder) -> float:
     """Direct quadrature of the defining momentum integral (cross-check)."""
     s, d = order.s, order.d
     val = integrate(lambda r: (1.0 - r ** (2.0 * s)) * r ** (d - 1.0),
-                    0.0, 1.0, quad).value
+                    0.0, 1.0, QuadratureSpec()).value
     return sphere_area(d - 1) / (2.0 * math.pi) ** d * val
 
 
@@ -140,15 +121,13 @@ def _layer_t_integral(layer_fn, t_hi: float = 60.0):
 
 
 def surface_via_layer(order: FractionalOrder,
-                      quad: QuadratureSpec = QuadratureSpec(),
                       model: HalfLineModel | None = None):
     """Surface coefficient as the depth integral of the boundary layer."""
-    model = model or HalfLineModel(order, quad)
+    model = model or HalfLineModel(order)
     return _layer_t_integral(model.boundary_layer)
 
 
 def surface_via_eigenfunctions(order: FractionalOrder,
-                               quad: QuadratureSpec = QuadratureSpec(),
                                model: HalfLineModel | None = None):
     """Surface coefficient from the t-integrated eigenfunction density.
 
@@ -160,7 +139,7 @@ def surface_via_eigenfunctions(order: FractionalOrder,
     enough; the remainder goes into the error estimate.
     """
     s, d = order.s, order.d
-    model = model or HalfLineModel(order, quad)
+    model = model or HalfLineModel(order)
     lam_hi = 120.0
     edges = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 4),
                             np.linspace(0.1, 6.0, 13)[1:],
@@ -178,12 +157,11 @@ def surface_via_eigenfunctions(order: FractionalOrder,
 
 
 def surface_via_energy_shift(order: FractionalOrder,
-                             quad: QuadratureSpec = QuadratureSpec(),
                              model: HalfLineModel | None = None):
     """Surface coefficient as the tangential-frequency integral of the
     energy shift."""
     s, d = order.s, order.d
-    model = model or HalfLineModel(order, quad)
+    model = model or HalfLineModel(order)
     r, w = _panel_quad(np.array([0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0]), 10)
     vals = np.array([model.energy_shift(ri ** (-2.0 * s)) for ri in r])
     pref = sphere_area(d - 2) / (2.0 * math.pi) ** (d - 1)
@@ -200,8 +178,7 @@ def surface_local_exact(d: int) -> float:
     return sphere_area(d - 2) / (2.0 * (d - 1) * (d + 1) * (2.0 * math.pi) ** (d - 1))
 
 
-def surface_dirichlet_power(order: FractionalOrder,
-                            quad: QuadratureSpec = QuadratureSpec()):
+def surface_dirichlet_power(order: FractionalOrder):
     """Comparison constant for the fractional power of the Dirichlet
     Laplacian: the local layer integral scaled by s(d+1)/(d-1+2s).
 
@@ -216,15 +193,14 @@ def surface_dirichlet_power(order: FractionalOrder,
     return scale * local, scale * err
 
 
-def compute_weyl_coefficients(order: FractionalOrder,
-                              quad: QuadratureSpec = QuadratureSpec()) -> WeylCoefficients:
+def compute_weyl_coefficients(order: FractionalOrder) -> WeylCoefficients:
     """All coefficient routes for one order, with error estimates."""
-    model = HalfLineModel(order, quad)
+    model = HalfLineModel(order)
     l1 = bulk_coefficient(order)
-    l2_layer, e_layer = surface_via_layer(order, quad, model)
-    l2_eig, e_eig = surface_via_eigenfunctions(order, quad, model)
-    l2_shift, e_shift = surface_via_energy_shift(order, quad, model)
-    l2_tilde, e_tilde = surface_dirichlet_power(order, quad)
+    l2_layer, e_layer = surface_via_layer(order, model)
+    l2_eig, e_eig = surface_via_eigenfunctions(order, model)
+    l2_shift, e_shift = surface_via_energy_shift(order, model)
+    l2_tilde, e_tilde = surface_dirichlet_power(order)
     return WeylCoefficients(
         order=order,
         bulk=l1,
@@ -234,7 +210,7 @@ def compute_weyl_coefficients(order: FractionalOrder,
         surface_shift_route=l2_shift,
         surface_dirichlet=l2_tilde,
         err_estimates={
-            "L1": abs(l1 - bulk_coefficient_quadrature(order, quad)),
+            "L1": abs(l1 - bulk_coefficient_quadrature(order)),
             "L2:K_integral": e_layer,
             "L2:eigenfunction_form": e_eig,
             "L2:energy_shift": e_shift,
@@ -269,8 +245,7 @@ def cesaro_riesz_invert(C: float, D: float, a: float, b: float) -> tuple[float, 
 
 def eigenvalue_sum_coefficients(order: FractionalOrder, volume: float,
                                 surface: float, l1: float | None = None,
-                                l2: float | None = None,
-                                quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
+                                l2: float | None = None) -> tuple[float, float]:
     """Cesaro-mean coefficients (C1, C2) of the averaged eigenvalue sum
 
         N^-1 sum_{n<=N} lam_n = C1 |Omega|^(-2s/d) N^(2s/d)
@@ -285,7 +260,7 @@ def eigenvalue_sum_coefficients(order: FractionalOrder, volume: float,
     if l1 is None:
         l1 = bulk_coefficient(order)
     if l2 is None:
-        l2, _ = surface_via_layer(order, quad)
+        l2, _ = surface_via_layer(order)
     a = 2.0 * s / d
     b = (2.0 * s - 1.0) / d
     A, B = cesaro_riesz_invert(l1 * volume, -l2 * surface, a, b)

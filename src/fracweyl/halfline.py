@@ -41,30 +41,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .quadcore import QuadratureSpec, sphere_area
+from .quadcore import QuadratureSpec, integrate, sphere_area
 
 __all__ = [
     "FractionalOrder",
     "HalfLineModel",
     "DirichletLineModel",
     "CountingShiftResult",
-    "KernelValue",
     "TruncationUnstableError",
     "GAMMA_READINGS",
     "DEFAULT_GAMMA_READING",
     "dispersion",
-    "phase_shift",
-    "spectral_density",
-    "laplace_tail",
-    "eigenfunction",
-    "outer_function",
-    "closed_form_double_laplace",
-    "projector_kernel",
-    "riesz_kernel_diag",
-    "riesz_kernel_line",
-    "boundary_layer",
-    "energy_shift",
-    "counting_shift",
     "gamma_reading_residuals",
 ]
 
@@ -104,22 +91,6 @@ class CountingShiftResult:
     value: float
     t_cut: float
     doubling_delta: float
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """One evaluated kernel entry; kernels vanish below the spectral bottom."""
-
-    t: float
-    u: float
-    mu: float
-    value: float
-
-    def __post_init__(self):
-        if self.t < 0 or self.u < 0 or not self.mu > 0:
-            raise ValueError("kernel arguments need t, u >= 0 and mu > 0")
-        if self.mu < 1.0 and self.value != 0.0:
-            raise ValueError("kernel values must vanish below the spectral bottom")
 
 
 def dispersion(E, s: float):
@@ -214,7 +185,7 @@ class HalfLineModel:
     Construction precomputes a monotone phase-shift table on a log grid;
     the spectral-density tables build lazily, one per requested lam, and
     are pure acceleration: every cached value is reproducible from the
-    order and the quadrature spec alone.  After construction the model is
+    order and the gamma reading alone.  After construction the model is
     immutable apart from that cache; concurrent readers at worst rebuild
     an identical entry.
     """
@@ -224,12 +195,11 @@ class HalfLineModel:
     THETA_HI = 1e4
     THETA_NODES = 400
 
-    def __init__(self, order: FractionalOrder, quad: QuadratureSpec = QuadratureSpec(),
+    def __init__(self, order: FractionalOrder,
                  gamma_reading: str = DEFAULT_GAMMA_READING):
         if gamma_reading not in GAMMA_READINGS:
             raise ValueError(f"unknown gamma reading {gamma_reading!r}")
         self.order = order
-        self.quad = quad
         self.gamma_reading = gamma_reading
         self._gamma_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._xi_nodes, self._xi_weights = self._build_xi_quadrature()
@@ -667,77 +637,13 @@ class DirichletLineModel:
         return _layer_profile(self.kernel_gap, t, self.exponent, self.d)
 
 
-# -- module-level operation surface over shared default models ----------
-
-
-@lru_cache(maxsize=32)
-def _default_model(s: float, d: int = 2) -> HalfLineModel:
-    return HalfLineModel(FractionalOrder(s, d))
-
-
-def phase_shift(lam: float, s: float) -> float:
-    return _default_model(s).phase(lam)
-
-
-def spectral_density(lam: float, xi: float, s: float,
-                     reading: str | None = None) -> float:
-    if not lam > 0:
-        raise ValueError("spectral_density requires lam > 0")
-    if not xi > 0:
-        raise ValueError("spectral_density requires xi > 0")
-    return float(_default_model(s).gamma_values(lam, xi, reading)[0])
-
-
-def laplace_tail(lam: float, x: float, s: float) -> float:
-    return _default_model(s).laplace_tail(lam, x)
-
-
-def eigenfunction(lam: float, x: float, s: float) -> float:
-    return float(_default_model(s).eigenfunction(lam, x))
-
-
-def outer_function(lam: float, t: float, s: float) -> float:
-    return _default_model(s).outer_function(lam, t)
-
-
-def closed_form_double_laplace(lam: float, t: float, s: float) -> float:
-    return _default_model(s).closed_form_double_laplace(lam, t)
-
-
-def projector_kernel(t: float, u: float, mu: float, s: float) -> float:
-    return _default_model(s).projector_kernel(t, u, mu)
-
-
-def riesz_kernel_diag(t: float, mu: float, s: float) -> float:
-    return _default_model(s).riesz_kernel_diag(t, mu)
-
-
-def riesz_kernel_line(mu: float, s: float) -> float:
-    return _default_model(s).riesz_kernel_line(mu)
-
-
-def boundary_layer(t: float, order: FractionalOrder) -> float:
-    return _default_model(order.s, order.d).boundary_layer(t)
-
-
-def energy_shift(mu: float, s: float) -> float:
-    return _default_model(s).energy_shift(mu)
-
-
-def counting_shift(mu: float, s: float, t_cut: float = 40.0,
-                   unstable_tol: float | None = None) -> CountingShiftResult:
-    return _default_model(s).counting_shift(mu, t_cut, unstable_tol)
-
-
-def gamma_reading_residuals(s: float, points=((1.0, 1.0), (2.0, 0.7)),
-                            quad: QuadratureSpec | None = None) -> dict:
+def gamma_reading_residuals(s: float, points=((1.0, 1.0), (2.0, 0.7))) -> dict:
     """Relative residuals of the Laplace-chain closure for every candidate
     denominator reading, plus the worst violation of the unit bound on the
     Laplace tail.  The selected reading is the one with residuals at
     rounding scale; run by the test suite as the documented resolution of
     the denominator ambiguity."""
-    from .quadcore import integrate
-    quad = quad or QuadratureSpec(rel_tol=1e-9)
+    quad = QuadratureSpec(rel_tol=1e-9)
     out = {}
     for reading in GAMMA_READINGS:
         model = HalfLineModel(FractionalOrder(s), gamma_reading=reading)

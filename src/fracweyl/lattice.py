@@ -461,7 +461,7 @@ def ims_defect_check(domain: LatticeDomain, s: float, family,
     rhs = 0.0
     defect = 0.0
     for u, wgt, l in zip(us, wu, ls):
-        phi_u = family.weight_values(xg, u)
+        phi_u = family.weight(xg[:, None], [u])
         if not np.any(phi_u):
             continue
         fac = wgt / l ** domain.dim

@@ -41,76 +41,63 @@ __all__ = [
 @dataclass(frozen=True)
 class DomainGeometry:
     """Shape with distance functions; d(u) vanishes outside the domain and
-    is 1-Lipschitz."""
+    is 1-Lipschitz.
+
+    Points are arrays whose last axis holds the ``dim`` coordinates, so an
+    (N, dim) array gives N values and a single point of shape (dim,) one.
+    """
 
     shape: str
     parameters: tuple
     dim: int
 
-    def distance(self, u) -> float:
-        """Distance from u to the complement of the domain."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self.shape == "interval":
-            (a,) = self.parameters
-            return max(0.0, min(u[0], a - u[0]))
-        if self.shape == "rectangle":
-            a, b = self.parameters
-            return max(0.0, min(u[0], a - u[0], u[1], b - u[1]))
-        r = self.parameters[0]
-        return max(0.0, r - math.hypot(u[0], u[1]))
-
-    def boundary_distance(self, u) -> float:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self.shape == "interval":
-            (a,) = self.parameters
-            return min(abs(u[0]), abs(a - u[0]))
-        if self.shape == "rectangle":
-            a, b = self.parameters
-            inside = 0 <= u[0] <= a and 0 <= u[1] <= b
-            if inside:
-                return min(u[0], a - u[0], u[1], b - u[1])
-            cx = min(max(u[0], 0.0), a)
-            cy = min(max(u[1], 0.0), b)
-            return math.hypot(u[0] - cx, u[1] - cy)
-        r = self.parameters[0]
-        return abs(r - math.hypot(u[0], u[1]))
-
-    def grad_distance(self, u) -> np.ndarray:
-        """Gradient of d at interior non-ridge points; zero outside."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self.distance(u) == 0.0:
-            return np.zeros(self.dim)
-        if self.shape == "interval":
-            (a,) = self.parameters
-            return np.array([1.0 if u[0] < a - u[0] else -1.0])
-        if self.shape == "rectangle":
-            a, b = self.parameters
-            vals = [u[0], a - u[0], u[1], b - u[1]]
-            grads = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
-                     np.array([0.0, 1.0]), np.array([0.0, -1.0])]
-            return grads[int(np.argmin(vals))]
-        rho = math.hypot(u[0], u[1])
-        if rho == 0.0:
-            return np.zeros(2)
-        return -u / rho
-
-    def grad_distance_many(self, pts: np.ndarray) -> np.ndarray:
+    def distance(self, pts) -> np.ndarray:
+        """Distance to the complement of the domain."""
         pts = np.asarray(pts, dtype=float)
-        inside = self.distance_many(pts) > 0.0
         if self.shape == "interval":
             (a,) = self.parameters
-            g = np.where(pts[:, [0]] < a - pts[:, [0]], 1.0, -1.0)
+            return np.clip(np.minimum(pts[..., 0], a - pts[..., 0]), 0.0, None)
+        if self.shape == "rectangle":
+            a, b = self.parameters
+            faces = np.minimum(np.minimum(pts[..., 0], a - pts[..., 0]),
+                               np.minimum(pts[..., 1], b - pts[..., 1]))
+            return np.clip(faces, 0.0, None)
+        r = self.parameters[0]
+        return np.clip(r - np.hypot(pts[..., 0], pts[..., 1]), 0.0, None)
+
+    def boundary_distance(self, pts) -> np.ndarray:
+        """Distance to the boundary, from either side."""
+        pts = np.asarray(pts, dtype=float)
+        if self.shape == "interval":
+            (a,) = self.parameters
+            return np.minimum(np.abs(pts[..., 0]), np.abs(a - pts[..., 0]))
+        if self.shape == "rectangle":
+            a, b = self.parameters
+            cx = np.clip(pts[..., 0], 0.0, a)
+            cy = np.clip(pts[..., 1], 0.0, b)
+            outside = np.hypot(pts[..., 0] - cx, pts[..., 1] - cy)
+            return np.where(outside > 0.0, outside, self.distance(pts))
+        r = self.parameters[0]
+        return np.abs(r - np.hypot(pts[..., 0], pts[..., 1]))
+
+    def grad_distance(self, pts) -> np.ndarray:
+        """Gradient of d at interior non-ridge points; zero outside."""
+        pts = np.asarray(pts, dtype=float)
+        inside = self.distance(pts) > 0.0
+        if self.shape == "interval":
+            (a,) = self.parameters
+            g = np.where(pts[..., :1] < a - pts[..., :1], 1.0, -1.0)
         elif self.shape == "rectangle":
             a, b = self.parameters
-            faces = np.stack([pts[:, 0], a - pts[:, 0], pts[:, 1], b - pts[:, 1]], axis=1)
+            faces = np.stack([pts[..., 0], a - pts[..., 0], pts[..., 1], b - pts[..., 1]],
+                             axis=-1)
             grads = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-            g = grads[np.argmin(faces, axis=1)]
+            g = grads[np.argmin(faces, axis=-1)]
         else:
-            rho = np.hypot(pts[:, 0], pts[:, 1])
+            rho = np.hypot(pts[..., 0], pts[..., 1])[..., None]
             with np.errstate(invalid="ignore", divide="ignore"):
-                g = -pts / rho[:, None]
-            g[rho == 0.0] = 0.0
-        return np.where(inside[:, None], g, 0.0)
+                g = np.where(rho == 0.0, 0.0, -pts / rho)
+        return np.where(inside[..., None], g, 0.0)
 
     def interior_box(self):
         if self.shape == "interval":
@@ -120,36 +107,6 @@ class DomainGeometry:
             return (np.array([0.0, 0.0]), np.array([a, b]))
         r = self.parameters[0]
         return (np.array([-r, -r]), np.array([r, r]))
-
-    def distance_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized distance to the complement over an (N, dim) array."""
-        pts = np.asarray(pts, dtype=float)
-        if self.shape == "interval":
-            (a,) = self.parameters
-            return np.clip(np.minimum(pts[:, 0], a - pts[:, 0]), 0.0, None)
-        if self.shape == "rectangle":
-            a, b = self.parameters
-            faces = np.minimum(np.minimum(pts[:, 0], a - pts[:, 0]),
-                               np.minimum(pts[:, 1], b - pts[:, 1]))
-            return np.clip(faces, 0.0, None)
-        r = self.parameters[0]
-        return np.clip(r - np.hypot(pts[:, 0], pts[:, 1]), 0.0, None)
-
-    def boundary_distance_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.shape == "interval":
-            (a,) = self.parameters
-            return np.minimum(np.abs(pts[:, 0]), np.abs(a - pts[:, 0]))
-        if self.shape == "rectangle":
-            a, b = self.parameters
-            cx = np.clip(pts[:, 0], 0.0, a)
-            cy = np.clip(pts[:, 1], 0.0, b)
-            outside = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
-            inside = np.minimum(np.minimum(pts[:, 0], a - pts[:, 0]),
-                                np.minimum(pts[:, 1], b - pts[:, 1]))
-            return np.where(outside > 0.0, outside, np.abs(inside))
-        r = self.parameters[0]
-        return np.abs(r - np.hypot(pts[:, 0], pts[:, 1]))
 
 
 def interval_geometry(length: float = 4.0) -> DomainGeometry:
@@ -190,18 +147,15 @@ class LocalizationFamily:
 
     # -- scale function ------------------------------------------------
 
-    def scale(self, u) -> float:
-        q = math.hypot(self.geometry.distance(u), self.l0)
+    def scale(self, pts) -> np.ndarray:
+        """l(u) at points u, an array whose last axis holds coordinates."""
+        q = np.hypot(self.geometry.distance(pts), self.l0)
         return q / (2.0 * (q + 1.0))
 
-    def scale_many(self, pts: np.ndarray) -> np.ndarray:
-        q = np.hypot(self.geometry.distance_many(pts), self.l0)
-        return q / (2.0 * (q + 1.0))
-
-    def scale_gradient(self, u) -> np.ndarray:
-        d = self.geometry.distance(u)
-        q = math.hypot(d, self.l0)
-        return self.geometry.grad_distance(u) * (d / (2.0 * q * (q + 1.0) ** 2))
+    def scale_gradient(self, pts) -> np.ndarray:
+        d = self.geometry.distance(pts)
+        q = np.hypot(d, self.l0)
+        return self.geometry.grad_distance(pts) * (d / (2.0 * q * (q + 1.0) ** 2))[..., None]
 
     # -- weights ---------------------------------------------------------
 
@@ -213,42 +167,19 @@ class LocalizationFamily:
         out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
         return _profile_norm(self.geometry.dim) * out
 
-    def weight(self, x, u) -> float:
-        """phi_u(x): profile at the rescaled offset times the Jacobian root."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        l = self.scale(u)
-        y = (x - u) / l
-        r2 = float(np.sum(y * y))
-        if r2 >= 1.0:
-            return 0.0
-        jac = 1.0 + float(np.dot(self.scale_gradient(u), y))
-        return float(self.profile_r2(r2)[0]) * math.sqrt(jac)
+    def weight(self, xs, us) -> np.ndarray:
+        """phi_u(x): profile at the rescaled offset times the Jacobian root.
 
-    def weight_values(self, xs: np.ndarray, u) -> np.ndarray:
-        """Vectorized weights at many 1-D points (lattice support)."""
-        if self.geometry.dim != 1:
-            raise ValueError("weight_values is a 1-D convenience")
-        u = float(np.atleast_1d(u)[0])
-        l = self.scale([u])
-        y = (np.asarray(xs, dtype=float) - u) / l
-        jac = 1.0 + self.scale_gradient([u])[0] * y
-        vals = self.profile_r2(y * y) * np.sqrt(np.clip(jac, 0.0, None))
-        return np.where(np.abs(y) < 1.0, vals, 0.0)
-
-    def weight_many(self, x, us: np.ndarray) -> np.ndarray:
-        """Weights phi_u(x) over an (N, dim) array of centers at fixed x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        ``xs`` and ``us`` hold coordinates on their last axis and broadcast
+        over the others, so one point against many centers, many points
+        against one center, or a grid of pairs are all one call.
+        """
+        xs = np.asarray(xs, dtype=float)
         us = np.asarray(us, dtype=float)
-        ls = self.scale_many(us)
-        y = (x[None, :] - us) / ls[:, None]
-        r2 = np.sum(y * y, axis=1)
-        d = self.geometry.distance_many(us)
-        q = np.hypot(d, self.l0)
-        grad = self.geometry.grad_distance_many(us) * (
-            d / (2.0 * q * (q + 1.0) ** 2))[:, None]
-        jac = 1.0 + np.sum(grad * y, axis=1)
-        vals = self.profile_r2(r2) * np.sqrt(np.clip(jac, 0.0, None))
+        y = (xs - us) / self.scale(us)[..., None]
+        r2 = np.sum(y * y, axis=-1)
+        jac = 1.0 + np.sum(self.scale_gradient(us) * y, axis=-1)
+        vals = self.profile_r2(r2).reshape(r2.shape) * np.sqrt(np.clip(jac, 0.0, None))
         return np.where(r2 < 1.0, vals, 0.0)
 
     # -- center grids ----------------------------------------------------
@@ -268,14 +199,13 @@ class LocalizationFamily:
         gx, gw = np.polynomial.legendre.leggauss(6)
         us, ws = [], []
         while u < end:
-            step = 4.0 * self.scale([u]) / resolution
+            step = 4.0 * float(self.scale([u])) / resolution
             mid, half = u + 0.5 * step, 0.5 * step
             us.extend(mid + half * gx)
             ws.extend(half * gw)
             u += step
         us = np.array(us)
-        ls = np.array([self.scale([v]) for v in us])
-        return us, np.array(ws), ls
+        return us, np.array(ws), self.scale(us[:, None])
 
     def cell_grid(self, center: np.ndarray, halfwidth: float, resolution: int,
                   prune=None):
@@ -295,7 +225,7 @@ class LocalizationFamily:
                 centers, halves = centers[keep], halves[keep]
                 if not centers.size:
                     break
-            done = 2.0 * halves <= self.scale_many(centers) / resolution
+            done = 2.0 * halves <= self.scale(centers) / resolution
             if done.any():
                 out_c.append(centers[done])
                 out_a.append((2.0 * halves[done]) ** 2)
@@ -318,15 +248,12 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
     if family.geometry.dim == 1:
         # centers can only reach x from within max scale 1/2
         us, ws, ls = family.scale_grid(resolution, lo=x[0] - 0.75, hi=x[0] + 0.75)
-        total = 0.0
-        for u, w, l in zip(us, ws, ls):
-            val = family.weight(x, [u])
-            if val:
-                total += val * val / l * w
-        return total
-    centers, areas = family.cell_grid(x, 0.75, resolution)
-    w = family.weight_many(x, centers)
-    return float(np.sum(w * w / family.scale_many(centers) ** 2 * areas))
+        centers = us[:, None]
+    else:
+        centers, ws = family.cell_grid(x, 0.75, resolution)
+        ls = family.scale(centers)
+    w = family.weight(x, centers)
+    return float(np.sum(w * w / ls ** family.geometry.dim * ws))
 
 
 def neighborhood_integrals(geometry: DomainGeometry,
@@ -342,16 +269,9 @@ def neighborhood_integrals(geometry: DomainGeometry,
     bulk_vals, collar_vals = [], []
     for l0 in l0_values:
         fam = LocalizationFamily(geometry, l0)
-        bulk = 0.0
-        collar = 0.0
         if geometry.dim == 1:
             us, ws, ls = fam.scale_grid(resolution, pad=0.6)
-            for u, w, l in zip(us, ws, ls):
-                meets = geometry.boundary_distance([u]) < l
-                if meets:
-                    collar += l ** a_exponent * w
-                elif geometry.distance([u]) > 0.0:
-                    bulk += l ** -2.0 * w
+            centers = us[:, None]
         else:
             lo, hi = geometry.interior_box()
             center = 0.5 * (lo + hi)
@@ -362,19 +282,19 @@ def neighborhood_integrals(geometry: DomainGeometry,
                 # scale is 1/2-Lipschitz, so l inside the cell stays below
                 # l(center) + diag/2
                 diag = hs * math.sqrt(2.0)
-                exterior = geometry.distance_many(cs) == 0.0
-                no_collar = (geometry.boundary_distance_many(cs)
-                             > fam.scale_many(cs) + 1.5 * diag)
+                exterior = geometry.distance(cs) == 0.0
+                no_collar = (geometry.boundary_distance(cs)
+                             > fam.scale(cs) + 1.5 * diag)
                 return exterior & no_collar
 
-            centers, areas = fam.cell_grid(center, half, resolution // 2,
-                                           prune=far_exterior)
-            ls = fam.scale_many(centers)
-            meets = geometry.boundary_distance_many(centers) < ls
-            interior = geometry.distance_many(centers) > 0.0
-            collar = float(np.sum(ls[meets] ** a_exponent * areas[meets]))
-            keep = interior & ~meets
-            bulk = float(np.sum(ls[keep] ** -2.0 * areas[keep]))
+            centers, ws = fam.cell_grid(center, half, resolution // 2,
+                                        prune=far_exterior)
+            ls = fam.scale(centers)
+        meets = geometry.boundary_distance(centers) < ls
+        interior = geometry.distance(centers) > 0.0
+        collar = float(np.sum(ls[meets] ** a_exponent * ws[meets]))
+        keep = interior & ~meets
+        bulk = float(np.sum(ls[keep] ** -2.0 * ws[keep]))
         bulk_vals.append(bulk)
         collar_vals.append(collar)
     logl0 = np.log(np.asarray(l0_values))

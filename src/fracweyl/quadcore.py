@@ -1,11 +1,12 @@
 """Deterministic numerical kernels shared by every other module.
 
-Provides the gamma function, sphere surface areas, the quadratic-form
-constant of the fractional Laplacian, adaptive one-dimensional quadrature
-with error control, and numeric Laplace transforms.
+Provides sphere surface areas, the quadratic-form constant of the
+fractional Laplacian, and adaptive one-dimensional quadrature with error
+control, the reference that the fixed quadrature rules elsewhere are
+checked against.
 
-Integrands passed to :func:`integrate` and :func:`laplace` must accept a
-1-D ``numpy`` array of abscissae and return an array of the same shape.
+Integrands passed to :func:`integrate` must accept a 1-D ``numpy`` array
+of abscissae and return an array of the same shape.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "NonConvergenceError",
-    "gamma_fn",
     "sphere_area",
     "c_sd",
     "integrate",
-    "laplace",
 ]
 
 
@@ -39,20 +38,11 @@ class NonConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error-control contract for adaptive quadrature.
-
-    ``oscillatory_policy`` selects how conditionally convergent tails are
-    treated by the callers that own the analytic structure of their
-    integrands: "closed_form_tail" integrates the oscillatory factor
-    analytically against slowly varying envelopes, "averaged_tail" uses
-    period averaging of the truncated integral, "none" leaves tails to
-    plain adaptive subdivision.
-    """
+    """Error-control contract for adaptive quadrature."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    oscillatory_policy: str = "closed_form_tail"
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -61,8 +51,6 @@ class QuadratureSpec:
             raise ValueError(f"abs_tol must be nonnegative, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
-        if self.oscillatory_policy not in ("none", "closed_form_tail", "averaged_tail"):
-            raise ValueError(f"unknown oscillatory_policy {self.oscillatory_policy!r}")
 
     def tolerance(self, value: float) -> float:
         return max(self.rel_tol * abs(value), self.abs_tol)
@@ -145,52 +133,14 @@ def _gk15(f, a: float, b: float):
     return ik, err
 
 
-def _oscillatory_tail(f, start: float, omega: float, spec: QuadratureSpec):
-    """Sum of half-period segments of a decaying oscillation on [start, inf).
-
-    closed_form_tail: the alternating segment series is collapsed by
-    iterated pairwise averaging (Euler transform), which is the discrete
-    form of integrating the oscillation analytically against a slowly
-    varying envelope; converges geometrically for monotone envelopes.
-    averaged_tail: single Cesaro average of the partial sums over one
-    period, leaving an O(envelope'/omega^2) error that is reported.
-    """
-    half = math.pi / omega
-    nseg = 40 if spec.oscillatory_policy == "closed_form_tail" else 16
-    segs = []
-    evals = 0
-    for k in range(nseg):
-        v, _ = _gk15(f, start + k * half, start + (k + 1) * half)
-        segs.append(v)
-        evals += 15
-    partial = np.cumsum(segs)
-    if spec.oscillatory_policy == "averaged_tail":
-        # average the cumulative integral over the final period
-        value = float(np.mean(partial[-2:]))
-        err = abs(partial[-1] - partial[-2])
-        return value, err, evals
-    rows = [partial]
-    while len(rows[-1]) > 2:
-        rows.append(0.5 * (rows[-1][1:] + rows[-1][:-1]))
-    value = float(rows[-1][-1])
-    err = abs(float(rows[-1][-1] - rows[-2][-1])) + 1e-16 * abs(value)
-    return value, err, evals
-
-
 def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec(), *,
-              lower_singularity: bool = False,
-              upper_singularity: bool = False,
-              oscillation: float | None = None) -> IntegralResult:
+              lower_singularity: bool = False) -> IntegralResult:
     """Adaptive Gauss-Kronrod integration of ``f`` over ``(a, b)``.
 
     ``b`` may be ``math.inf``; a decaying tail is mapped to a finite
-    interval by the substitution x = c/u, while a tail oscillating at a
-    declared asymptotic angular frequency (``oscillation=omega``, meaning
-    f(x) ~ envelope(x) * cos(omega x + phase)) is summed segment by
-    segment under the spec's oscillatory policy. Declared endpoint
-    singularities are softened by the substitution x = a + u**2 (resp.
-    x = b - u**2), which removes inverse-square-root blowups exactly and
-    improves any integrable power.
+    interval by the substitution x = c/u. A declared singularity at ``a``
+    is softened by the substitution x = a + u**2, which removes
+    inverse-square-root blowups exactly and improves any integrable power.
 
     Raises
     ------
@@ -204,47 +154,28 @@ def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec(), *,
     if not (b > a):
         raise ValueError(f"integration bounds must satisfy a < b, got ({a}, {b})")
 
-    osc_value = 0.0
-    osc_err = 0.0
-    osc_evals = 0
     pieces = []  # (g, lo, hi) finite subintervals after substitutions
-    if b == math.inf and oscillation is not None and spec.oscillatory_policy != "none":
-        b = max(a, 0.0) + 8.0 * 2.0 * math.pi / oscillation
-        osc_value, osc_err, osc_evals = _oscillatory_tail(f, b, oscillation, spec)
-        b_fin = b
-    elif b == math.inf:
+    if b == math.inf:
         cut = max(a, 0.0) + 1.0
         # x = cut/u maps u in (0, 1] onto [cut, inf).
         def tail(u, cut=cut):
             x = cut / u
             return f(x) * cut / u ** 2
         pieces.append((tail, 0.0, 1.0))
-        b_fin = cut
-    else:
-        b_fin = b
+        b = cut
 
     core = f
-    lo, hi = a, b_fin
+    lo, hi = a, b
     if lower_singularity:
-        g_prev, lo_prev = core, lo
-        def core(u, g=g_prev, lo=lo_prev):
+        def core(u, g=f, lo=a):
             return g(lo + u ** 2) * 2.0 * u
-        lo, hi = 0.0, math.sqrt(hi - lo_prev)
-        upper = upper_singularity and b == math.inf
-        if upper_singularity and b != math.inf:
-            raise ValueError("cannot substitute both endpoints at once")
-    elif upper_singularity and b != math.inf:
-        g_prev, hi_prev = core, hi
-        def core(u, g=g_prev, hi=hi_prev):
-            return g(hi - u ** 2) * 2.0 * u
-        lo, hi = 0.0, math.sqrt(hi_prev - lo)
-    if hi > lo:
-        pieces.append((core, lo, hi))
+        lo, hi = 0.0, math.sqrt(b - a)
+    pieces.append((core, lo, hi))
 
     heap = []  # (-err, seq, value, err, g, lo, hi)
-    total = osc_value
-    total_err = osc_err
-    evals = osc_evals
+    total = 0.0
+    total_err = 0.0
+    evals = 0
     seq = 0
     for g, lo, hi in pieces:
         v, e = _gk15(g, lo, hi)
@@ -276,52 +207,6 @@ def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec(), *,
     return IntegralResult(total, total_err, evals)
 
 
-def laplace(f, t: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Numeric Laplace transform: int_0^inf exp(-t*xi) f(xi) dxi."""
-    if not t > 0:
-        raise ValueError(f"laplace requires t > 0, got {t}")
-
-    def integrand(xi):
-        return np.exp(-t * xi) * f(xi)
-
-    return integrate(integrand, 0.0, math.inf, spec).value
-
-
-# Lanczos approximation, g = 7, 9 coefficients; relative accuracy near 1e-15
-# on the positive axis, comfortably inside the 12-digit contract.
-_LANCZOS_G = 7.0
-_LANCZOS = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real x > 0."""
-    x = float(x)
-    if not x > 0 or math.isnan(x):
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x > 171.62:
-        raise OverflowError(f"gamma_fn overflows double precision at x={x}")
-    z = x - 1.0
-    series = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        series += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    if x > 25.0:
-        # assemble in log space: t**(z+0.5) overflows long before Gamma does
-        return math.exp(0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t)
-                        - t + math.log(series))
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * series
-
-
 def sphere_area(n: int) -> float:
     """Surface measure of the unit n-sphere embedded in R^(n+1).
 
@@ -330,7 +215,7 @@ def sphere_area(n: int) -> float:
     if n != int(n) or n < 0:
         raise ValueError(f"sphere dimension must be a nonnegative integer, got {n}")
     n = int(n)
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / gamma_fn((n + 1) / 2.0)
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
 def c_sd(s: float, d: int) -> float:
@@ -347,6 +232,6 @@ def c_sd(s: float, d: int) -> float:
     if d != int(d) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d}")
     # |Gamma(-s)| = pi / (sin(pi s) * Gamma(1 + s)) for 0 < s < 1
-    abs_gamma_minus_s = math.pi / (math.sin(math.pi * s) * gamma_fn(1.0 + s))
+    abs_gamma_minus_s = math.pi / (math.sin(math.pi * s) * math.gamma(1.0 + s))
     return (2.0 ** (2.0 * s - 1.0) * math.pi ** (-d / 2.0)
-            * gamma_fn(d / 2.0 + s) / abs_gamma_minus_s)
+            * math.gamma(d / 2.0 + s) / abs_gamma_minus_s)

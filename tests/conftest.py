@@ -1,24 +1,8 @@
 import pytest
 
-from fracweyl.quadcore import QuadratureSpec
 from fracweyl.halfline import FractionalOrder, HalfLineModel
 
 
 @pytest.fixture(scope="session")
 def model_half():
     return HalfLineModel(FractionalOrder(0.5, 2))
-
-
-@pytest.fixture(scope="session")
-def model_quarter():
-    return HalfLineModel(FractionalOrder(0.25, 2))
-
-
-@pytest.fixture(scope="session")
-def model_threequarter():
-    return HalfLineModel(FractionalOrder(0.75, 2))
-
-
-@pytest.fixture(scope="session")
-def default_spec():
-    return QuadratureSpec()

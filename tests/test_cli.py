@@ -6,7 +6,6 @@ import pytest
 
 from fracweyl.cli import (main, RunConfig, UsageError,
                           EXIT_OK, EXIT_USAGE, EXIT_ASSERTION)
-from fracweyl.quadcore import QuadratureSpec
 
 
 def run(args):
@@ -43,14 +42,14 @@ class TestConvertCommand:
 
 class TestRunConfig:
     def test_validation(self):
-        cfg = RunConfig("constants", QuadratureSpec(), None, "csv", s=0.5, d=2)
+        cfg = RunConfig("constants", None, "csv", s=0.5, d=2)
         assert cfg.order().s == 0.5
         with pytest.raises(UsageError):
-            RunConfig("bogus", QuadratureSpec(), None, "csv")
+            RunConfig("bogus", None, "csv")
         with pytest.raises(UsageError):
-            RunConfig("constants", QuadratureSpec(), None, "xml")
+            RunConfig("constants", None, "xml")
         with pytest.raises(UsageError):
-            RunConfig("constants", QuadratureSpec(), None, "csv", s=1.5)
+            RunConfig("constants", None, "csv", s=1.5)
 
 
 class TestUsageErrors:
@@ -62,6 +61,26 @@ class TestUsageErrors:
 
     def test_verify_square_wrong_dimension(self):
         assert run(["verify-square", "--s", "0.5", "--d", "3"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["kernels", "--s", "0.5", "--t", "-1"],
+        ["kernels", "--s", "0.5", "--mu", "-2"],
+        ["kernels", "--s", "0.5", "--mu", "1,abc"],
+        ["layer", "--s", "0.5", "--t-min", "0"],
+        ["layer", "--s", "0.5", "--t-min", "-1"],
+        ["layer", "--s", "0.5", "--points", "0"],
+        ["order-check", "--s-list", "0.5,x"],
+        ["order-check", "--s-list", "0.5", "--interval-points", "0"],
+        ["localization-check", "--l0", "0.9"],
+        ["localization-check", "--resolution", "0"],
+        ["localization-check", "--extent", "-1"],
+        ["localization-check", "--points", "0"],
+        ["verify-square", "--s", "0.5", "--lattice-points", "0"],
+        ["verify-square", "--s", "0.5", "--lattice-points", "8", "--h-count", "2"],
+    ], ids="_".join)
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        assert run(argv) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestKernelsCommand:
@@ -123,6 +142,19 @@ class TestOrderCheckCommand:
         assert rec["interval_min_eig_s=0.5"]["value"] >= -1e-10
 
 
+# every entry of `constants --s 0.5 --d 2 --volume 1 --surface 4` as
+# (value, err), recorded before the quadrature spec was removed
+FULL_RECORD = {
+    "L1": (0.026525823848649228, 0.0),
+    "L2": (0.025328216744399897, 1.0753531488163124e-05),
+    "L2_eigenfunction": (0.02533031604460813, 1.8296498591971806e-08),
+    "L2_energy_shift": (0.02534207202566826, 5.031869846815196e-06),
+    "L2_tilde": (0.03978894237461304, 2.085816321885598e-05),
+    "C1": (2.3632718012073544, 0.0),
+    "C2": (-0.31828375861094677, 0.0),
+}
+
+
 class TestConstantsCommand:
     def test_full_record(self, tmp_path):
         # slow path: all three surface routes plus the comparison constant
@@ -138,6 +170,9 @@ class TestConstantsCommand:
         assert rec["flag_L2_below_tilde"]["value"] == 1.0
         assert rec["C1"]["value"] > 0
         assert rec["C2"]["value"] < 0
+        for name, (value, err) in FULL_RECORD.items():
+            assert rec[name]["value"] == pytest.approx(value, rel=1e-12, abs=0.0), name
+            assert rec[name]["err"] == pytest.approx(err, rel=1e-9, abs=0.0), name
 
 
 class TestVerifySquareCommand:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracweyl.quadcore import QuadratureSpec
 from fracweyl.halfline import FractionalOrder, DirichletLineModel
-from fracweyl.constants import (WeylCoefficients, RieszCoefficients,
+from fracweyl.constants import (WeylCoefficients,
                                 bulk_coefficient, bulk_coefficient_quadrature,
                                 surface_via_layer, surface_via_eigenfunctions,
                                 surface_via_energy_shift, surface_local_exact,
@@ -65,10 +64,9 @@ class TestLocalLayer:
 class TestSurfaceRoutes:
     def test_route_agreement_half(self, model_half):
         order = FractionalOrder(0.5, 2)
-        quad = QuadratureSpec()
-        layer, e1 = surface_via_layer(order, quad, model_half)
-        eig, e2 = surface_via_eigenfunctions(order, quad, model_half)
-        shift, e3 = surface_via_energy_shift(order, quad, model_half)
+        layer, e1 = surface_via_layer(order, model_half)
+        eig, e2 = surface_via_eigenfunctions(order, model_half)
+        shift, e3 = surface_via_energy_shift(order, model_half)
         assert layer == pytest.approx(eig, rel=0.01)
         # the shift route and the depth integral are the same number seen
         # through different integration orders; they agree tightly here
@@ -86,12 +84,6 @@ class TestSurfaceRoutes:
         order = FractionalOrder(0.999, 2)
         tilde, _ = surface_dirichlet_power(order)
         assert tilde == pytest.approx(surface_local_exact(2), rel=2e-3)
-
-    def test_layer_tolerance_tightening(self, model_half):
-        order = FractionalOrder(0.5, 2)
-        v1, e1 = surface_via_layer(order, QuadratureSpec(), model_half)
-        v2, _ = surface_via_layer(order, QuadratureSpec(rel_tol=1e-9), model_half)
-        assert abs(v1 - v2) <= max(e1, 1e-9)
 
 
 # (L2, its err, L2_tilde, its err) from the per-depth evaluation of the
@@ -209,11 +201,3 @@ class TestConversion:
         expo = -2.0 * order.s / order.d
         assert (c1_b * 2.0 ** expo) / c1_a == pytest.approx(2.0 ** expo, rel=1e-10)
 
-
-class TestRieszCoefficientsType:
-    def test_valid(self):
-        RieszCoefficients(A=1.0, B=0.0, a=1.0, b=0.5, C=0.25, D=0.0)
-
-    def test_invalid_exponents(self):
-        with pytest.raises(ValueError):
-            RieszCoefficients(A=1.0, B=0.0, a=1.0, b=1.5, C=0.25, D=0.0)

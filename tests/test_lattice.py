@@ -212,8 +212,8 @@ class TestImsDefect:
             def scale_grid(self, resolution):
                 return np.array([0.5]), np.array([1.0]), np.array([1.0])
 
-            def weight_values(self, xs, u):
-                return np.ones_like(xs)
+            def weight(self, xs, us):
+                return np.ones(len(xs))
 
         rep = ims_defect_check(dom, 0.5, Flat(), resolution=1)
         assert rep.quantities["defect"] == 0.0

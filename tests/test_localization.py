@@ -110,14 +110,49 @@ class TestPartition:
 class TestComparability:
     def test_nearby_scales_commensurate(self):
         fam = LocalizationFamily(interval_geometry(4.0), 0.1)
-        worst = 0.0
-        for u in np.linspace(-0.5, 4.5, 201):
-            lu = fam.scale([u])
-            for up in np.linspace(u - 1.5, u + 1.5, 61):
-                lup = fam.scale([up])
-                if abs(u - up) <= 1.5 * (lu + lup):
-                    worst = max(worst, lup / lu)
-        assert worst <= 4.0
+        us = np.linspace(-0.5, 4.5, 201)[:, None]
+        ups = np.linspace(us - 1.5, us + 1.5, 61, axis=1)
+        lu = fam.scale(us)[:, None]
+        lup = fam.scale(ups)
+        near = np.abs(us - ups[..., 0]) <= 1.5 * (lu + lup)
+        assert np.max(np.where(near, lup / lu, 0.0)) <= 4.0
+
+
+GEOMETRIES = [interval_geometry(4.0), rectangle_geometry(3.0, 2.0), disk_geometry(2.0)]
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("geom", GEOMETRIES, ids=lambda g: g.shape)
+    def test_rows_match_single_points(self, geom):
+        # one call over an (N, dim) array equals N calls on single points
+        lo, hi = geom.interior_box()
+        pts = np.random.default_rng(3).uniform(lo - 0.5, hi + 0.5, size=(50, geom.dim))
+        fam = LocalizationFamily(geom, 0.25)
+        for fn in (geom.distance, geom.boundary_distance, geom.grad_distance,
+                   fam.scale, fam.scale_gradient):
+            np.testing.assert_array_equal(fn(pts), np.array([fn(p) for p in pts]))
+        grid = fam.weight(pts[:, None, :], pts[None, :, :])
+        assert grid.shape == (50, 50)
+        for i in (0, 17):
+            np.testing.assert_array_equal(grid[i], fam.weight(pts[i], pts))
+            np.testing.assert_array_equal(grid[:, i], fam.weight(pts, pts[i]))
+
+    def test_known_values(self):
+        rect, disk = rectangle_geometry(3.0, 2.0), disk_geometry(2.0)
+        pts = np.array([[1.5, 1.0], [0.5, 1.0], [1.5, 1.9], [4.0, 3.0]])
+        np.testing.assert_allclose(rect.distance(pts), [1.0, 0.5, 0.1, 0.0], atol=1e-15)
+        np.testing.assert_allclose(rect.boundary_distance(pts),
+                                   [1.0, 0.5, 0.1, math.sqrt(2.0)], atol=1e-15)
+        np.testing.assert_array_equal(rect.grad_distance(pts)[1:],
+                                      [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
+        pts = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(disk.distance(pts), [1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(disk.boundary_distance(pts), [1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(disk.grad_distance(pts),
+                                      [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        line = interval_geometry(4.0)
+        np.testing.assert_array_equal(line.grad_distance([[1.0], [3.0], [5.0]]),
+                                      [[1.0], [-1.0], [0.0]])
 
 
 class TestNeighborhoodIntegrals:
