@@ -14,11 +14,17 @@ def main() -> int:
     ap.add_argument("--s-list", default="0.25,0.5,0.75")
     ap.add_argument("--d", type=int, default=2)
     args = ap.parse_args()
+    s_strs = args.s_list.split(",")
+    try:
+        orders = [FractionalOrder(float(v), args.d) for v in s_strs]
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'s':>5} {'L1':>12} {'L2(layer)':>12} {'L2(eig)':>12} "
           f"{'L2(shift)':>12} {'tilde-L2':>12} {'worst pair':>11}")
     bad = 0
-    for s_str in args.s_list.split(","):
-        wc = compute_weyl_coefficients(FractionalOrder(float(s_str), args.d))
+    for s_str, order in zip(s_strs, orders):
+        wc = compute_weyl_coefficients(order)
         vals = (wc.surface, wc.surface_eigenfunction_route, wc.surface_shift_route)
         worst = max(abs(a - b) / max(abs(a), abs(b))
                     for i, a in enumerate(vals) for b in vals[i + 1:])

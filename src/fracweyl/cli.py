@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadcore import NonConvergenceError
-from .halfline import (FractionalOrder, HalfLineModel, TruncationUnstableError,
-                       _spectral_edge)
+from .halfline import FractionalOrder, HalfLineModel, _spectral_edge
 from . import constants as consts
 from . import lattice
 from . import localization as loc
@@ -193,7 +191,7 @@ def cmd_kernels(args) -> int:
         phase = model.phase(edge) if edge > 0 else 0.0
         for t in args.t:
             rows.append((mu, t, edge, phase, a_line, model.riesz_kernel_diag(t, mu),
-                         model.projector_kernel(t, t, mu)))
+                         model.projector_profile(t, [t], mu)[0]))
     _table_write(cfg.output, cfg.format,
                  ("mu", "t", "spectral_edge", "phase_at_edge", "a_line",
                   "a_diag", "proj_diag"),
@@ -240,13 +238,14 @@ def cmd_verify_square(args) -> int:
     dom = lattice.square_domain(args.lattice_points)
     if dom.size > lattice.DENSE_LIMIT:
         raise UsageError(f"mask size {dom.size} exceeds dense cap")
-    spec = lattice.eigenvalues_sym(lattice.build_restricted_fractional(dom, order.s))
     hs = np.geomspace(4.0 * dom.spacing, args.h_max, args.h_count)
-    samples = [(h, lattice.riesz_mean(spec, h, order.s)) for h in hs]
     try:
-        fit = lattice.two_term_fit(samples, 2)
+        lattice.check_h_grid(hs)
     except ValueError as exc:
         raise UsageError(str(exc))
+    spec = lattice.eigenvalues_sym(lattice.build_restricted_fractional(dom, order.s))
+    samples = [(h, lattice.riesz_mean(spec, h, order.s)) for h in hs]
+    fit = lattice.two_term_fit(samples, 2)
     model = HalfLineModel(order)
     l1 = consts.bulk_coefficient(order)
     l2, l2_err = consts.surface_via_layer(order, model)
@@ -391,15 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-square", help="two-term fit on the unit square")
     _add_common(p)
     p.add_argument("--lattice-points", type=_positive(int), default=64)
-    p.add_argument("--h-max", type=float, default=0.25)
-    p.add_argument("--h-count", type=int, default=6)
-    p.add_argument("--c0-tol", type=float, default=0.03)
-    p.add_argument("--c1-tol", type=float, default=0.25)
+    p.add_argument("--h-max", type=_positive(float), default=0.25)
+    p.add_argument("--h-count", type=_positive(int), default=6)
+    p.add_argument("--c0-tol", type=_positive(float), default=0.03)
+    p.add_argument("--c1-tol", type=_positive(float), default=0.25)
     p.set_defaults(fn=cmd_verify_square)
 
     p = sub.add_parser("verify-halfspace", help="half-space kernel law")
     _add_common(p)
-    p.add_argument("--h", type=float, default=0.5)
+    p.add_argument("--h", type=_positive(float), default=0.5)
     p.set_defaults(fn=cmd_verify_halfspace)
 
     p = sub.add_parser("order-check", help="operator ordering on lattice masks")
@@ -417,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l0", type=float, default=0.25)
     p.add_argument("--resolution", type=_positive(int), default=8)
     p.add_argument("--points", type=_positive(int), default=8)
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--tolerance", type=_positive(float), default=1e-3)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_localization_check)
 
@@ -443,7 +442,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonConvergenceError, TruncationUnstableError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # NonConvergenceError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

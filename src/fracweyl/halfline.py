@@ -41,33 +41,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .quadcore import QuadratureSpec, integrate, sphere_area
+from .quadcore import sphere_area
 
 __all__ = [
     "FractionalOrder",
     "HalfLineModel",
     "DirichletLineModel",
     "CountingShiftResult",
-    "TruncationUnstableError",
-    "GAMMA_READINGS",
-    "DEFAULT_GAMMA_READING",
     "dispersion",
-    "gamma_reading_residuals",
 ]
-
-# Candidate algebraic forms of the spectral-density denominator; they
-# differ in which powers of (xi^2-1) enter and whether the dispersion
-# shift is included.  The resolution procedure (gamma_reading_residuals)
-# selects the modulus-squared form
-# "shifted_modulus" = |(xi^2-1)^s e^{i pi s} - (1+lam^2)^s|^2, the only
-# candidate whose double Laplace transform reproduces the closed form and
-# whose Laplace tail stays within [0, 1].
-GAMMA_READINGS = ("unshifted_linear", "unshifted_power", "shifted_modulus")
-DEFAULT_GAMMA_READING = "shifted_modulus"
-
-
-class TruncationUnstableError(ArithmeticError):
-    """Truncated shift integral moved too much when the cutoff doubled."""
 
 
 @dataclass(frozen=True)
@@ -185,9 +167,8 @@ class HalfLineModel:
     Construction precomputes a monotone phase-shift table on a log grid;
     the spectral-density tables build lazily, one per requested lam, and
     are pure acceleration: every cached value is reproducible from the
-    order and the gamma reading alone.  After construction the model is
-    immutable apart from that cache; concurrent readers at worst rebuild
-    an identical entry.
+    order alone.  After construction the model is immutable apart from
+    that cache; concurrent readers at worst rebuild an identical entry.
     """
 
     #: log-spaced phase table range and size
@@ -195,12 +176,8 @@ class HalfLineModel:
     THETA_HI = 1e4
     THETA_NODES = 400
 
-    def __init__(self, order: FractionalOrder,
-                 gamma_reading: str = DEFAULT_GAMMA_READING):
-        if gamma_reading not in GAMMA_READINGS:
-            raise ValueError(f"unknown gamma reading {gamma_reading!r}")
+    def __init__(self, order: FractionalOrder):
         self.order = order
-        self.gamma_reading = gamma_reading
         self._gamma_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._xi_nodes, self._xi_weights = self._build_xi_quadrature()
         grid = np.logspace(math.log10(self.THETA_LO), math.log10(self.THETA_HI),
@@ -284,10 +261,15 @@ class HalfLineModel:
         out[mask] = (xv[:, None] / (xv[:, None] ** 2 + z[None, :] ** 2) @ nw)
         return out
 
-    def gamma_values(self, lam: float, xi, reading: str | None = None) -> np.ndarray:
-        """Spectral density of the Laplace tail; zero below xi = 1."""
+    def gamma_values(self, lam: float, xi) -> np.ndarray:
+        """Spectral density of the Laplace tail; zero below xi = 1.
+
+        The denominator is the modulus squared
+        |(xi^2-1)^s e^{i pi s} - (1+lam^2)^s|^2: of the algebraic forms the
+        density could take, it is the one whose double Laplace transform
+        reproduces the closed form (see test_reading_selection).
+        """
         s = self.order.s
-        reading = reading or self.gamma_reading
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         out = np.zeros_like(xi)
         m = xi > 1.0
@@ -295,18 +277,11 @@ class HalfLineModel:
             return out
         xv = xi[m]
         lam2 = lam * lam
-        psi_l = float(dispersion(lam2, s))
-        xi2m1 = (xv - 1.0) * (xv + 1.0)
-        pow_s = xi2m1 ** s
+        pow_s = ((xv - 1.0) * (xv + 1.0)) ** s
         cos_pi_s = math.cos(math.pi * s)
         sin_pi_s = math.sin(math.pi * s)
         shift_s = (1.0 + lam2) ** s
-        if reading == "unshifted_linear":
-            den = psi_l ** 2 + pow_s - 2.0 * psi_l * xi2m1 * cos_pi_s
-        elif reading == "unshifted_power":
-            den = (pow_s - psi_l * cos_pi_s) ** 2 + (psi_l * sin_pi_s) ** 2
-        else:  # shifted_modulus
-            den = (pow_s - shift_s) ** 2 + 2.0 * shift_s * pow_s * (1.0 - cos_pi_s)
+        den = (pow_s - shift_s) ** 2 + 2.0 * shift_s * pow_s * (1.0 - cos_pi_s)
         q = self._poisson_decay(lam, xv)
         expfac = ((1.0 + xv) ** (s - 1.0)
                   * math.sqrt((1.0 + lam2) ** (1.0 - s) / s)
@@ -329,12 +304,22 @@ class HalfLineModel:
             self._gamma_cache[lam] = tab
         return tab
 
+    def _tails(self, x: np.ndarray, lams) -> np.ndarray:
+        """G(lam, x) for every depth of the 1-D array x (rows) and every lam
+        (columns): exp(-x xi) @ tables.T over the stacked density tables.
+        Blocks of 64 depths keep the exp(-x xi) matrix small."""
+        tables = np.array([self.gamma_table(l)[1] for l in lams])
+        g = np.empty((x.size, tables.shape[0]))
+        for i in range(0, x.size, 64):
+            e = np.multiply.outer(-x[i:i + 64], self._xi_nodes)
+            g[i:i + 64] = np.exp(e, out=e) @ tables.T
+        return g
+
     def laplace_tail(self, lam: float, x):
         """G(lam, x) = int_1^inf exp(-x*xi) gamma(xi) dxi, in [0, 1]."""
-        xi, c = self.gamma_table(lam)
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.exp(-x_arr[:, None] * xi[None, :]) @ c
-        return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
+        x_arr = np.asarray(x, dtype=float)
+        vals = self._tails(x_arr.ravel(), [lam])[:, 0]
+        return float(vals[0]) if x_arr.ndim == 0 else vals.reshape(x_arr.shape)
 
     def eigenfunction(self, lam: float, x):
         """Generalized eigenfunction F(lam, x) = sin(lam x + phase) - tail;
@@ -415,12 +400,7 @@ class HalfLineModel:
         out = np.zeros(x.size)
         lam_g, w_g, edge = self._g_grid(mu)
         lam_aug = np.concatenate([[0.0], lam_g, [edge]])
-        tables = np.array([self.gamma_table(l)[1] for l in lam_aug[1:]])
-        # blocks of 64 depths keep the exp(-x xi) matrix small for any x.size
-        g = np.empty((x.size, tables.shape[0]))
-        for i in range(0, x.size, 64):
-            e = np.multiply.outer(-x[i:i + 64], self._xi_nodes)
-            g[i:i + 64] = np.exp(e, out=e) @ tables.T
+        g = self._tails(x, lam_aug[1:])
         g_aug = np.concatenate([np.zeros((x.size, 1)), g], axis=1)
         far = x > 12.0
         if far.any():
@@ -458,31 +438,12 @@ class HalfLineModel:
             return 0.0
         return self.riesz_kernel_line(mu) - self.kernel_gap(t, mu)
 
-    def projector_kernel(self, t: float, u: float, mu: float) -> float:
-        """Kernel of the spectral projector below mu; zero for mu <= 1."""
-        if mu <= 1.0:
-            return 0.0
-        lam_g, _, edge = self._g_grid(mu)
-        dense = _osc_edges(edge, (abs(t) + abs(u)) * edge)
-        lam_d, w_d = _panel_quad(dense, 8)
-        th_d = self.phase_vec(lam_d)
-        gt = np.array([self.laplace_tail(l, t) for l in lam_g])
-        gu = np.array([self.laplace_tail(l, u) for l in lam_g])
-        lam_aug = np.concatenate([[0.0], lam_g, [edge]])
-        gt_i = PchipInterpolator(lam_aug, np.concatenate(
-            [[0.0], gt, [self.laplace_tail(edge, t)]]))(lam_d)
-        gu_i = PchipInterpolator(lam_aug, np.concatenate(
-            [[0.0], gu, [self.laplace_tail(edge, u)]]))(lam_d)
-        ft = np.sin(lam_d * t + th_d) - gt_i
-        fu = np.sin(lam_d * u + th_d) - gu_i
-        return 2.0 / math.pi * float(np.dot(w_d, ft * fu))
-
     def projector_profile(self, t: float, u: np.ndarray, mu: float) -> np.ndarray:
-        """Projector kernel row e(t, u_j, mu) over an array of offsets.
+        """Kernel e(t, u_j, mu) of the spectral projector below mu over an
+        array of offsets; zero for mu <= 1.
 
-        Single oscillation-resolving grid sized for max(u); used by the
-        idempotence check, which integrates the kernel against itself over
-        a long truncated window.
+        Single oscillation-resolving grid sized for max(u); the tails at t
+        and at every u_j come from one stacked-table contraction.
         """
         u = np.asarray(u, dtype=float)
         if mu <= 1.0:
@@ -493,16 +454,11 @@ class HalfLineModel:
         lam_d, w_d = _panel_quad(dense, 8)
         th_d = self.phase_vec(lam_d)
         lam_aug = np.concatenate([[0.0], lam_g, [edge]])
-        gt = np.concatenate([[0.0],
-                             [self.laplace_tail(l, t) for l in lam_g],
-                             [self.laplace_tail(edge, t)]])
-        ft = np.sin(lam_d * t + th_d) - PchipInterpolator(lam_aug, gt)(lam_d)
-        g_cols = np.empty((lam_aug.size, u.size))
-        g_cols[0] = 0.0
-        for i, l in enumerate(lam_g):
-            g_cols[i + 1] = self.laplace_tail(l, u)
-        g_cols[-1] = self.laplace_tail(edge, u)
-        g_interp = PchipInterpolator(lam_aug, g_cols, axis=0)(lam_d)
+        g = self._tails(np.append(t, u), lam_aug[1:])
+        g_cols = np.concatenate([np.zeros((1, u.size + 1)), g.T])
+        g_all = PchipInterpolator(lam_aug, g_cols, axis=0)(lam_d)
+        ft = np.sin(lam_d * t + th_d) - g_all[:, 0]
+        g_interp = g_all[:, 1:]
         out = np.empty(u.size)
         step = 2048
         wf = w_d * ft
@@ -558,24 +514,17 @@ class HalfLineModel:
         dens = np.array([self.t_integrated_gap_density(l) for l in lam])
         return ((mu - 1.0) / 4.0 + float(np.dot(w, wt * dens)) / math.pi) / mu
 
-    def counting_shift(self, mu: float, t_cut: float = 40.0,
-                       unstable_tol: float | None = None) -> CountingShiftResult:
+    def counting_shift(self, mu: float, t_cut: float = 40.0) -> CountingShiftResult:
         """Truncated counting-function shift with cutoff diagnostics.
 
         The underlying integral is not known to converge; the result
-        carries the change produced by doubling the cutoff, and the call
-        fails with TruncationUnstableError only when a tolerance is given
-        and exceeded.
+        carries the change produced by doubling the cutoff.
         """
         if not mu > 1.0:
             raise ValueError(f"counting_shift requires mu > 1, got {mu}")
         v1 = self._counting_shift_at(mu, t_cut)
         v2 = self._counting_shift_at(mu, 2.0 * t_cut)
-        delta = v2 - v1
-        if unstable_tol is not None and abs(delta) > unstable_tol * max(abs(v1), 1e-12):
-            raise TruncationUnstableError(
-                f"counting shift moved by {delta!r} when doubling t_cut={t_cut}")
-        return CountingShiftResult(v1, t_cut, delta)
+        return CountingShiftResult(v1, t_cut, v2 - v1)
 
     def _counting_shift_at(self, mu: float, T: float) -> float:
         s = self.order.s
@@ -635,33 +584,3 @@ class DirichletLineModel:
 
     def boundary_layer(self, t):
         return _layer_profile(self.kernel_gap, t, self.exponent, self.d)
-
-
-def gamma_reading_residuals(s: float, points=((1.0, 1.0), (2.0, 0.7))) -> dict:
-    """Relative residuals of the Laplace-chain closure for every candidate
-    denominator reading, plus the worst violation of the unit bound on the
-    Laplace tail.  The selected reading is the one with residuals at
-    rounding scale; run by the test suite as the documented resolution of
-    the denominator ambiguity."""
-    quad = QuadratureSpec(rel_tol=1e-9)
-    out = {}
-    for reading in GAMMA_READINGS:
-        model = HalfLineModel(FractionalOrder(s), gamma_reading=reading)
-        worst = 0.0
-        bound = 0.0
-        for lam, t in points:
-            xi, c = model.gamma_table(lam)
-
-            def tail(u_arr):
-                return np.exp(-np.multiply.outer(u_arr, xi)) @ c
-
-            def outer_integrand(u_arr):
-                return np.exp(-t * u_arr) * tail(u_arr)
-
-            g_num = integrate(outer_integrand, 0.0, math.inf, quad).value
-            g_ref = model.closed_form_double_laplace(lam, t)
-            worst = max(worst, abs(g_num - g_ref) / abs(g_ref))
-            gvals = tail(np.linspace(0.0, 5.0, 41))
-            bound = max(bound, float(np.max(gvals) - 1.0), float(-np.min(gvals)))
-        out[reading] = {"closure_residual": worst, "unit_bound_excess": max(bound, 0.0)}
-    return out

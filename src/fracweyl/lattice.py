@@ -1,18 +1,21 @@
 """Dense lattice discretizations for desk-scale spectral verification.
 
-The full-space fractional operator is realized spectrally exactly on a
-periodic box as a Fourier multiplier in the discrete symbol
+The fractional operator is realized on a periodic box as a Fourier
+multiplier in the discrete symbol
 
     sigma(k) = sum_j (2 - 2 cos(2 pi k_j / N)) / spacing^2,
 
 raised to the power s; restricting rows and columns to a mask of interior
 sites reproduces the exterior-condition form domain at lattice level.
-Wrap-around is controlled by requiring a margin of at least a third of
-the box on every side.  The fractional power of the Dirichlet Laplacian
-is built by eigendecomposition of the masked stencil.  On top of the two
-operators sit Riesz means, two-term fits, and the operator-level property
-checks (sharp trace bound, coherent-state identity, operator ordering,
-half-space kernel law, localization defect).
+Masks keep a margin of a third of the box, which makes wrap-around
+negligible for s = 1 but not for s < 1: the torus has a finite exterior,
+so the killing part of the form is too small and the low spectrum is
+biased low (on (-1, 1), 256 cells, lam_1 is 4.6% below its large-box
+limit at s = 1/2 and 13.7% below at s = 1/4).  The fractional power of
+the Dirichlet Laplacian is built by eigendecomposition of the masked
+stencil.  On top of the two operators sit Riesz means, two-term fits, and
+the operator-level property checks (sharp trace bound, coherent-state
+identity, operator ordering, half-space kernel law, localization defect).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "build_dirichlet_power",
     "eigenvalues_sym",
     "riesz_mean",
+    "check_h_grid",
     "two_term_fit",
     "berezin_bound_check",
     "coherent_state_identity_check",
@@ -168,8 +172,10 @@ class SymmetricOperator:
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """Ascending eigenvalues and their invariant defect (eigenvalues_sym)."""
+
     eigenvalues: np.ndarray
-    residual_norm: float
+    invariant_defect: float
 
     def __post_init__(self):
         if np.any(np.diff(self.eigenvalues) < 0):
@@ -194,20 +200,25 @@ def _symbol_1d(box: int, spacing: float) -> np.ndarray:
 
 
 def _multiplier_kernel(domain: LatticeDomain, s: float) -> np.ndarray:
-    """Real-space convolution kernel of the box multiplier sigma^s."""
+    """Real-space convolution kernel of the box multiplier sigma^s, made
+    exactly even (k(-n) == k(n) bitwise) so every restriction of it is an
+    exactly symmetric matrix."""
     sig = _symbol_1d(domain.box_points, domain.spacing)
     if domain.dim == 1:
-        return np.fft.ifft(sig ** s).real
-    sig2 = sig[:, None] + sig[None, :]
-    return np.fft.ifft2(sig2 ** s).real
+        kern = np.fft.ifft(sig ** s).real
+    else:
+        kern = np.fft.ifft2((sig[:, None] + sig[None, :]) ** s).real
+    mirrored = np.roll(np.flip(kern), 1, axis=tuple(range(kern.ndim)))
+    return 0.5 * (kern + mirrored)
 
 
 def build_restricted_fractional(domain: LatticeDomain, s: float) -> SymmetricOperator:
     """Mask restriction of the periodic-box fractional multiplier.
 
-    The matrix is the compression P M_s P of the spectrally exact
-    full-space operator; with s = 1 it reduces to the Dirichlet stencil
-    up to wrap-around, which the margin invariant keeps below 1e-10.
+    The matrix is the compression P M_s P of the periodic-box operator.
+    With s = 1 it reduces to the Dirichlet stencil up to wrap-around,
+    which the margin invariant keeps below 1e-10; for s < 1 wrap-around
+    biases the low spectrum low (see the module docstring).
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
@@ -220,7 +231,6 @@ def build_restricted_fractional(domain: LatticeDomain, s: float) -> SymmetricOpe
         d0 = (idx[:, 0][:, None] - idx[:, 0][None, :]) % domain.box_points
         d1 = (idx[:, 1][:, None] - idx[:, 1][None, :]) % domain.box_points
         a = kern[d0, d1]
-    a = 0.5 * (a + a.T)
     return SymmetricOperator(domain.size, a)
 
 
@@ -253,20 +263,18 @@ def build_dirichlet_power(domain: LatticeDomain, s: float) -> SymmetricOperator:
     return SymmetricOperator(domain.size, out)
 
 
-def eigenvalues_sym(op: SymmetricOperator, residual_pairs: int = 5) -> SpectrumResult:
-    """Full ascending spectrum with a residual check on sampled pairs."""
+def eigenvalues_sym(op: SymmetricOperator) -> SpectrumResult:
+    """Full ascending spectrum, without eigenvectors, checked against the
+    trace and the Frobenius norm of the matrix."""
     if op.n > DENSE_LIMIT:
         raise ValueError(f"matrix size {op.n} exceeds dense limit {DENSE_LIMIT}")
-    w, v = np.linalg.eigh(op.entries)
-    rng = np.random.default_rng(0)
+    w = np.linalg.eigvalsh(op.entries)
     norm = max(float(np.max(np.abs(w))), 1e-300)
-    worst = 0.0
-    for i in rng.integers(0, op.n, size=min(residual_pairs, op.n)):
-        r = op.entries @ v[:, i] - w[i] * v[:, i]
-        worst = max(worst, float(np.linalg.norm(r)))
-    if worst > 1e-8 * norm:
-        raise ArithmeticError(f"eigenpair residual {worst} above 1e-8 * norm")
-    return SpectrumResult(np.sort(w), worst)
+    defect = max(abs(float(np.sum(w)) - float(np.trace(op.entries))),
+                 abs(float(np.linalg.norm(w)) - float(np.linalg.norm(op.entries))))
+    if defect > 1e-8 * norm:
+        raise ArithmeticError(f"spectral invariant defect {defect} above 1e-8 * norm")
+    return SpectrumResult(w, defect)
 
 
 def riesz_mean(spectrum: SpectrumResult, h: float, s: float) -> float:
@@ -276,15 +284,21 @@ def riesz_mean(spectrum: SpectrumResult, h: float, s: float) -> float:
     return float(np.clip(1.0 - h ** (2.0 * s) * spectrum.eigenvalues, 0.0, None).sum())
 
 
+def check_h_grid(hs) -> None:
+    """Raise ValueError unless 4 or more h values span a factor of 4."""
+    hs = np.asarray(hs, dtype=float)
+    if hs.size < 4:
+        raise ValueError("need at least 4 (h, trace) samples")
+    if hs.max() / hs.min() < 4.0:
+        raise ValueError("h samples must span at least a factor of 4")
+
+
 def two_term_fit(samples, d: int) -> AsymptoticFit:
     """Least-squares fit trace ~ c0 h^-d + c1 h^(-d+1)."""
     samples = [(float(h), float(tr)) for h, tr in samples]
-    if len(samples) < 4:
-        raise ValueError("need at least 4 (h, trace) samples")
     hs = np.array([h for h, _ in samples])
     tr = np.array([t for _, t in samples])
-    if hs.max() / hs.min() < 4.0:
-        raise ValueError("h samples must span at least a factor of 4")
+    check_h_grid(hs)
     design = np.column_stack([hs ** (-d), hs ** (-d + 1)])
     scale = np.linalg.norm(design, axis=0)
     cond = np.linalg.cond(design / scale)

@@ -177,7 +177,7 @@ def test_a8_unitarity_and_projection(model_half_acc):
 
     worst_p = 0.0
     for t_, u_, mu in ((1.0, 2.0, 4.0), (0.5, 1.5, 3.0), (2.0, 0.7, 6.0)):
-        ref = m.projector_kernel(t_, u_, mu)
+        ref = m.projector_profile(t_, [u_], mu)[0]
         dw = 0.02
         ws = np.arange(dw / 2.0, 240.0, dw)
         prod = m.projector_profile(t_, ws, mu) * m.projector_profile(u_, ws, mu)

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -77,10 +79,45 @@ class TestUsageErrors:
         ["localization-check", "--points", "0"],
         ["verify-square", "--s", "0.5", "--lattice-points", "0"],
         ["verify-square", "--s", "0.5", "--lattice-points", "8", "--h-count", "2"],
+        ["verify-square", "--s", "0.5", "--h-max", "-0.25"],
+        ["verify-square", "--s", "0.5", "--h-count", "-1"],
+        ["verify-square", "--s", "0.5", "--c0-tol", "0"],
+        ["verify-square", "--s", "0.5", "--c1-tol", "nan"],
+        ["verify-halfspace", "--s", "0.5", "--h", "0"],
+        ["verify-halfspace", "--s", "0.5", "--h", "-1"],
+        ["localization-check", "--tolerance", "-1e-3"],
     ], ids="_".join)
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_h_grid_checked_before_eigensolve(self, monkeypatch):
+        import fracweyl.lattice as lat
+
+        def unreachable(op):
+            raise AssertionError("eigensolve reached with a bad h grid")
+
+        monkeypatch.setattr(lat, "eigenvalues_sym", unreachable)
+        assert run(["verify-square", "--s", "0.5", "--h-count", "3"]) == EXIT_USAGE
+
+
+class TestCrosscheckScript:
+    @pytest.mark.parametrize("argv", [["--s-list", "0.5,x"], ["--s-list", "1.5"],
+                                      ["--d", "1"]], ids="_".join)
+    def test_bad_order_exits_before_computing(self, argv, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "crosscheck_surface_routes.py"
+        spec = importlib.util.spec_from_file_location("crosscheck", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def unreachable(order):
+            raise AssertionError("computed a row before validating every order")
+
+        monkeypatch.setattr(script, "compute_weyl_coefficients", unreachable)
+        monkeypatch.setattr("sys.argv", [str(path)] + argv)
+        assert script.main() == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1
 
 
 class TestKernelsCommand:

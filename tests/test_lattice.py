@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -40,10 +41,10 @@ class TestOperators:
         assert np.max(np.abs(frac - stencil)) < 1e-10
 
     def test_symmetry_and_psd(self):
-        dom = interval_domain(20)
-        for s in (0.3, 0.7):
+        for dom, s in itertools.product(
+                (interval_domain(20), rectangle_domain(7, 5, 0.1)), (0.3, 0.7)):
             op = build_restricted_fractional(dom, s)
-            assert np.max(np.abs(op.entries - op.entries.T)) < 1e-12
+            assert np.array_equal(op.entries, op.entries.T)
             w = np.linalg.eigvalsh(op.entries)
             assert w[0] >= -1e-10 * abs(w[-1])
 
@@ -84,6 +85,22 @@ class TestOperators:
         monkeypatch.setattr(lat, "DENSE_LIMIT", 3)
         op = SymmetricOperator(4, np.eye(4))
         with pytest.raises(ValueError):
+            eigenvalues_sym(op)
+
+    def test_perturbed_spectrum_rejected(self, monkeypatch):
+        # a spectrum off by 1e-6 of the norm breaks the trace invariant
+        op = build_restricted_fractional(interval_domain(16), 0.5)
+        exact = np.linalg.eigvalsh
+
+        def perturbed(a):
+            w = exact(a)
+            w[-1] += 1e-6 * abs(w[-1])
+            return w
+
+        spec = eigenvalues_sym(op)
+        assert spec.invariant_defect < 1e-12 * spec.eigenvalues[-1]
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        with pytest.raises(ArithmeticError):
             eigenvalues_sym(op)
 
     def test_trivial_spectra(self):
