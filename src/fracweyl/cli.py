@@ -10,7 +10,6 @@ and 4 when a verification assertion fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -31,37 +30,6 @@ EXIT_ASSERTION = 4
 
 class UsageError(Exception):
     pass
-
-
-COMMANDS = ("constants", "kernels", "layer", "verify-square",
-            "verify-halfspace", "order-check", "localization-check", "convert")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration shared by every command."""
-
-    command: str
-    output: str | None
-    format: str
-    s: float | None = None
-    d: int = 2
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.s is not None and not 0.0 < self.s < 1.0:
-            raise UsageError(f"fractional exponent must lie in (0,1), got {self.s}")
-
-    def order(self) -> FractionalOrder:
-        if self.s is None:
-            raise UsageError("this command needs --s")
-        try:
-            return FractionalOrder(self.s, self.d)
-        except ValueError as exc:
-            raise UsageError(str(exc))
 
 
 @dataclass
@@ -148,15 +116,15 @@ def _add_common(p: argparse.ArgumentParser, with_order=True):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(command=args.command, output=args.output,
-                     format=args.format, s=getattr(args, "s", None),
-                     d=getattr(args, "d", 2))
+def _order(args) -> FractionalOrder:
+    try:
+        return FractionalOrder(args.s, args.d)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def cmd_constants(args) -> int:
-    cfg = _config(args)
-    order = cfg.order()
+    order = _order(args)
     wc = consts.compute_weyl_coefficients(order)
     rec = ReportRecord()
     rec.add("L1", wc.bulk, wc.err_estimates["L1"], "closed_radial_form")
@@ -176,23 +144,22 @@ def cmd_constants(args) -> int:
             order, args.volume, args.surface, l1=wc.bulk, l2=wc.surface)
         rec.add("C1", c1, 0.0, "sum_side_conversion")
         rec.add("C2", c2, 0.0, "sum_side_conversion")
-    rec.write(cfg.output, cfg.format)
+    rec.write(args.output, args.format)
     return EXIT_OK if positive and below else EXIT_ASSERTION
 
 
 def cmd_kernels(args) -> int:
-    cfg = _config(args)
-    order = cfg.order()
+    order = _order(args)
     model = HalfLineModel(order)
     rows = []
     for mu in args.mu:
         a_line = model.riesz_kernel_line(mu)
         edge = _spectral_edge(mu, order.s)
-        phase = model.phase(edge) if edge > 0 else 0.0
+        phase = model.phase_vec(edge) if edge > 0 else 0.0
         for t in args.t:
             rows.append((mu, t, edge, phase, a_line, model.riesz_kernel_diag(t, mu),
                          model.projector_profile(t, [t], mu)[0]))
-    _table_write(cfg.output, cfg.format,
+    _table_write(args.output, args.format,
                  ("mu", "t", "spectral_edge", "phase_at_edge", "a_line",
                   "a_diag", "proj_diag"),
                  rows)
@@ -200,8 +167,7 @@ def cmd_kernels(args) -> int:
 
 
 def cmd_layer(args) -> int:
-    cfg = _config(args)
-    order = cfg.order()
+    order = _order(args)
     model = HalfLineModel(order)
     ts = np.geomspace(args.t_min, args.t_max, args.points)
     ks = model.boundary_layer(ts)
@@ -214,7 +180,7 @@ def cmd_layer(args) -> int:
         prev_t, prev_k = t, k
     total, err = consts.surface_via_layer(order, model)
     rows.append((math.inf, 0.0, total))
-    _table_write(cfg.output, cfg.format, ("t", "K", "cumulative"), rows)
+    _table_write(args.output, args.format, ("t", "K", "cumulative"), rows)
     if args.plot_script and args.output:
         script = (
             "import csv\n"
@@ -231,8 +197,7 @@ def cmd_layer(args) -> int:
 
 
 def cmd_verify_square(args) -> int:
-    cfg = _config(args)
-    order = cfg.order()
+    order = _order(args)
     if order.d != 2:
         raise UsageError("verify-square runs in dimension 2")
     dom = lattice.square_domain(args.lattice_points)
@@ -262,14 +227,13 @@ def cmd_verify_square(args) -> int:
     rec.add("c1_rel_dev", rel1, 0.0, "derived")
     for h, tr in samples:
         rec.add(f"trace_h={h:.6f}", tr, 0.0, "riesz_mean")
-    rec.write(cfg.output, cfg.format)
+    rec.write(args.output, args.format)
     ok = rel0 < args.c0_tol and rel1 < args.c1_tol
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
 def cmd_verify_halfspace(args) -> int:
-    cfg = _config(args)
-    order = cfg.order()
+    order = _order(args)
     rep = lattice.halfspace_kernel_check(order.s, args.h)
     rec = ReportRecord()
     rec.add("worst_rel_in_window", rep.quantities["worst_rel_in_window"], 0.0,
@@ -279,12 +243,11 @@ def cmd_verify_halfspace(args) -> int:
     for xd, ratio, dens, pred, rel in rep.quantities["rows"]:
         rec.add(f"profile_ratio={ratio:.4f}", dens, abs(dens - pred),
                 "negative_part_diagonal")
-    rec.write(cfg.output, cfg.format)
+    rec.write(args.output, args.format)
     return EXIT_OK if rep.passed else EXIT_ASSERTION
 
 
 def cmd_order_check(args) -> int:
-    cfg = _config(args)
     rec = ReportRecord()
     ok = True
     for s in args.s_list:
@@ -299,12 +262,11 @@ def cmd_order_check(args) -> int:
                 0.0, "dirichlet_power_minus_restricted")
         rec.add(f"square_min_eig_s={s}", r2.quantities["min_eig"],
                 0.0, "dirichlet_power_minus_restricted")
-    rec.write(cfg.output, cfg.format)
+    rec.write(args.output, args.format)
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
 def cmd_localization_check(args) -> int:
-    cfg = _config(args)
     if args.shape == "interval":
         geom = loc.interval_geometry(args.extent)
     elif args.shape == "rectangle":
@@ -333,7 +295,7 @@ def cmd_localization_check(args) -> int:
     rec.add("collar_exponent", scaling["collar_exponent"],
             abs(scaling["collar_exponent"] - 1.0), "loglog_fit")
     rec.add("worst_partition_error", worst, 0.0, "derived")
-    rec.write(cfg.output, cfg.format)
+    rec.write(args.output, args.format)
     ok = (worst < args.tolerance
           and abs(scaling["bulk_exponent"] + 1.0) < 0.2
           and abs(scaling["collar_exponent"] - 1.0) < 0.2)
@@ -341,7 +303,6 @@ def cmd_localization_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    cfg = _config(args)
     try:
         C, D = consts.cesaro_riesz_convert(args.A, args.B, args.a, args.b)
         A_back, B_back = consts.cesaro_riesz_invert(C, D, args.a, args.b)
@@ -352,7 +313,7 @@ def cmd_convert(args) -> int:
     rec.add("D", D, 0.0, "sum_to_riesz")
     rec.add("A_roundtrip", A_back, abs(A_back - args.A), "riesz_to_sum")
     rec.add("B_roundtrip", B_back, abs(B_back - args.B), "riesz_to_sum")
-    rec.write(cfg.output, cfg.format)
+    rec.write(args.output, args.format)
     ok = abs(A_back - args.A) <= 1e-10 * max(1.0, abs(args.A)) and \
         abs(B_back - args.B) <= 1e-10 * max(1.0, abs(args.B))
     return EXIT_OK if ok else EXIT_ASSERTION

@@ -94,6 +94,19 @@ def bulk_coefficient_quadrature(order: FractionalOrder) -> float:
     return sphere_area(d - 1) / (2.0 * math.pi) ** d * val
 
 
+def _power_tail(t: np.ndarray, vals: np.ndarray, t_hi: float) -> float:
+    """Integral over (t_hi, inf) of a power law |vals| ~ c t^-p fitted to
+    the samples (p held at 1.5 or more): c t_hi^(1-p)/(p-1).  Zero when
+    fewer than 4 samples are nonzero."""
+    vs = np.abs(vals)
+    good = vs > 0
+    if good.sum() < 4:
+        return 0.0
+    coef = np.polyfit(np.log(t[good]), np.log(vs[good]), 1)
+    p = max(1.5, -coef[0])
+    return math.exp(coef[1]) * t_hi ** (1.0 - p) / (p - 1.0)
+
+
 def _layer_t_integral(layer_fn, t_hi: float = 60.0):
     """Integral of a boundary-layer profile over (0, inf).
 
@@ -106,18 +119,8 @@ def _layer_t_integral(layer_fn, t_hi: float = 60.0):
     t, w = _panel_quad(edges, 8)
     vals = layer_fn(t)
     main = float(np.dot(w, vals))
-    # tail fit |K| ~ c t^-p on the last stretch
     sel = t > 0.55 * t_hi
-    ts, vs = t[sel], np.abs(vals[sel])
-    good = vs > 0
-    if good.sum() >= 4:
-        coef = np.polyfit(np.log(ts[good]), np.log(vs[good]), 1)
-        p = max(1.5, -coef[0])
-        c = math.exp(coef[1])
-        tail = c * t_hi ** (1.0 - p) / (p - 1.0)
-    else:
-        tail = 0.0
-    return main, abs(tail)
+    return main, abs(_power_tail(t[sel], vals[sel], t_hi))
 
 
 def surface_via_layer(order: FractionalOrder,
@@ -145,13 +148,11 @@ def surface_via_eigenfunctions(order: FractionalOrder,
                             np.linspace(0.1, 6.0, 13)[1:],
                             np.geomspace(6.0, lam_hi, 10)[1:]])
     lam, w = _panel_quad(edges, 12)
-    dens = np.array([model.t_integrated_gap_density(l) for l in lam])
+    dens = model.t_integrated_gap_density(lam)
     weight = (lam ** 2 + 1.0) ** (-(d - 1) / 2.0)
     main = math.pi / 4.0 + float(np.dot(w, dens * weight))
     sel = lam > 0.4 * lam_hi
-    coef = np.polyfit(np.log(lam[sel]), np.log(np.abs(dens[sel] * weight[sel])), 1)
-    p = max(1.5, -coef[0])
-    err = math.exp(coef[1]) * lam_hi ** (1.0 - p) / (p - 1.0)
+    err = _power_tail(lam[sel], dens[sel] * weight[sel], lam_hi)
     c_d = 4.0 * s * sphere_area(d - 2) / ((d - 1 + 2.0 * s) * (d - 1) * (2.0 * math.pi) ** d)
     return c_d * main, c_d * abs(err)
 

@@ -162,23 +162,27 @@ def _spectral_edge(mu: float, s: float) -> float:
 
 
 class HalfLineModel:
-    """Cached spectral data of the half-line operator for one fractional order.
+    """Spectral data of the half-line operator for one fractional order.
 
-    Construction precomputes a monotone phase-shift table on a log grid;
-    the spectral-density tables build lazily, one per requested lam, and
-    are pure acceleration: every cached value is reproducible from the
-    order alone.  After construction the model is immutable apart from
-    that cache; concurrent readers at worst rebuild an identical entry.
+    Construction precomputes a monotone phase-shift table on a log grid.
+    Spectral-density tables are pure functions of (order, lam), built on
+    demand and stacked into one matrix per lam grid.  The only cache holds
+    the stacked tables of the kernel edge grid per mu, at most
+    EDGE_CACHE_SIZE entries evicted first in first out: the boundary layer
+    asks for the same 72 mu once per pass.  Every cached value is
+    reproducible from the order alone.
     """
 
     #: log-spaced phase table range and size
     THETA_LO = 1e-4
     THETA_HI = 1e4
     THETA_NODES = 400
+    #: bound on the per-mu cache of stacked edge-grid tables
+    EDGE_CACHE_SIZE = 128
 
     def __init__(self, order: FractionalOrder):
         self.order = order
-        self._gamma_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._edge_cache: dict[float, tuple] = {}
         self._xi_nodes, self._xi_weights = self._build_xi_quadrature()
         grid = np.logspace(math.log10(self.THETA_LO), math.log10(self.THETA_HI),
                            self.THETA_NODES)
@@ -207,24 +211,21 @@ class HalfLineModel:
         integrand = (num - den - 2.0 * np.log(z)) / one_minus_z2
         return float(np.dot(w, integrand)) / math.pi
 
-    def phase(self, lam: float) -> float:
+    def phase_vec(self, lam):
         """Scattering phase of the generalized eigenfunctions; increasing in
-        lam from 0 to pi(1-s)/4."""
-        if not lam > 0:
-            raise ValueError(f"phase requires lam > 0, got {lam}")
-        if self.THETA_LO <= lam <= self.THETA_HI:
-            return float(self._theta_interp(math.log(lam)))
-        return self._phase_direct(lam)
-
-    def phase_vec(self, lam: np.ndarray) -> np.ndarray:
+        lam from 0 to pi(1-s)/4.  Takes an array of lam > 0; a scalar gives
+        a float."""
         lam = np.asarray(lam, dtype=float)
-        out = np.empty_like(lam)
-        inside = (lam >= self.THETA_LO) & (lam <= self.THETA_HI)
+        if not np.all(lam > 0):
+            raise ValueError(f"phase requires lam > 0, got {lam}")
+        flat = lam.ravel()
+        out = np.empty(flat.size)
+        inside = (flat >= self.THETA_LO) & (flat <= self.THETA_HI)
         if inside.any():
-            out[inside] = self._theta_interp(np.log(lam[inside]))
+            out[inside] = self._theta_interp(np.log(flat[inside]))
         for i in np.nonzero(~inside)[0]:
-            out[i] = self._phase_direct(float(lam[i]))
-        return out
+            out[i] = self._phase_direct(float(flat[i]))
+        return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
     # -- spectral density and Laplace tails ----------------------------
 
@@ -293,22 +294,18 @@ class HalfLineModel:
         return out
 
     def gamma_table(self, lam: float):
-        """(nodes, density*weights) quadrature table for tail integrals.
+        """(nodes, density*weights) quadrature table for tail integrals."""
+        xi = self._xi_nodes
+        return xi, self._xi_weights * self.gamma_values(lam, xi)
 
-        Cached under the exact float lam: every lam grid is deterministic,
-        so a repeated grid finds its tables again."""
-        tab = self._gamma_cache.get(lam)
-        if tab is None:
-            xi = self._xi_nodes
-            tab = (xi, self._xi_weights * self.gamma_values(lam, xi))
-            self._gamma_cache[lam] = tab
-        return tab
+    def _tables(self, lams) -> np.ndarray:
+        """Density tables stacked into a matrix, one row per lam."""
+        return np.array([self.gamma_table(l)[1] for l in lams])
 
-    def _tails(self, x: np.ndarray, lams) -> np.ndarray:
-        """G(lam, x) for every depth of the 1-D array x (rows) and every lam
-        (columns): exp(-x xi) @ tables.T over the stacked density tables.
+    def _tails(self, x: np.ndarray, tables: np.ndarray) -> np.ndarray:
+        """G(lam, x) for every depth of the 1-D array x (rows) and every
+        row of the stacked tables (columns): exp(-x xi) @ tables.T.
         Blocks of 64 depths keep the exp(-x xi) matrix small."""
-        tables = np.array([self.gamma_table(l)[1] for l in lams])
         g = np.empty((x.size, tables.shape[0]))
         for i in range(0, x.size, 64):
             e = np.multiply.outer(-x[i:i + 64], self._xi_nodes)
@@ -318,13 +315,13 @@ class HalfLineModel:
     def laplace_tail(self, lam: float, x):
         """G(lam, x) = int_1^inf exp(-x*xi) gamma(xi) dxi, in [0, 1]."""
         x_arr = np.asarray(x, dtype=float)
-        vals = self._tails(x_arr.ravel(), [lam])[:, 0]
+        vals = self._tails(x_arr.ravel(), self._tables([lam]))[:, 0]
         return float(vals[0]) if x_arr.ndim == 0 else vals.reshape(x_arr.shape)
 
     def eigenfunction(self, lam: float, x):
         """Generalized eigenfunction F(lam, x) = sin(lam x + phase) - tail;
         vanishes at x = 0 and is bounded by 2 in modulus."""
-        th = self.phase(lam)
+        th = self.phase_vec(lam)
         x_arr = np.asarray(x, dtype=float)
         return np.sin(lam * x_arr + th) - self.laplace_tail(lam, x_arr)
 
@@ -359,7 +356,7 @@ class HalfLineModel:
         """Closed form of the double Laplace transform of the density."""
         s = self.order.s
         lam2 = lam * lam
-        th = self.phase(lam)
+        th = self.phase_vec(lam)
         ratio = _dispersion_prime(lam2, s) / math.expm1(s * math.log1p(lam2))
         phi = self.outer_function(lam, t)
         return ((lam * math.cos(th) + t * math.sin(th)) / (lam2 + t * t)
@@ -374,6 +371,20 @@ class HalfLineModel:
         lam = edge * np.sin(phi)
         return lam, edge * np.cos(phi) * w, edge
 
+    def _edge_tables(self, mu: float):
+        """The 32-node edge grid of _g_grid with lam_aug = [0, lam, edge]
+        and the stacked density tables at lam_aug[1:]; cached per mu,
+        oldest entry evicted first beyond EDGE_CACHE_SIZE."""
+        hit = self._edge_cache.get(mu)
+        if hit is None:
+            lam, w, edge = self._g_grid(mu)
+            lam_aug = np.concatenate([[0.0], lam, [edge]])
+            hit = lam, w, edge, lam_aug, self._tables(lam_aug[1:])
+            if len(self._edge_cache) >= self.EDGE_CACHE_SIZE:
+                del self._edge_cache[next(iter(self._edge_cache))]
+            self._edge_cache[mu] = hit
+        return hit
+
     def kernel_gap(self, x, mu: float):
         """Diagonal deficit a(mu) - a_half(x, mu) of the Riesz-mean kernels.
 
@@ -382,9 +393,8 @@ class HalfLineModel:
         an oscillation-resolving grid, the tail terms on a smooth edge
         grid, interpolated where the sine factor oscillates.
 
-        ``x`` may be an array: the density tables of the edge grid are
-        stacked once, the tails G for all x are matrix products with
-        exp(-x xi), and depths whose sweeps need the same panel count
+        ``x`` may be an array: the tails G for all x are matrix products
+        of exp(-x xi) with the edge grid's stacked tables, and depths whose sweeps need the same panel count
         share one dense grid, phase lookup and interpolant.  A scalar x
         gives a float.
         """
@@ -398,9 +408,8 @@ class HalfLineModel:
     def _kernel_gap_flat(self, x: np.ndarray, mu: float) -> np.ndarray:
         s = self.order.s
         out = np.zeros(x.size)
-        lam_g, w_g, edge = self._g_grid(mu)
-        lam_aug = np.concatenate([[0.0], lam_g, [edge]])
-        g = self._tails(x, lam_aug[1:])
+        lam_g, w_g, edge, lam_aug, tables = self._edge_tables(mu)
+        g = self._tails(x, tables)
         g_aug = np.concatenate([np.zeros((x.size, 1)), g], axis=1)
         far = x > 12.0
         if far.any():
@@ -443,30 +452,32 @@ class HalfLineModel:
         array of offsets; zero for mu <= 1.
 
         Single oscillation-resolving grid sized for max(u); the tails at t
-        and at every u_j come from one stacked-table contraction.
+        and at every u_j come from one stacked-table contraction and are
+        interpolated onto that grid in blocks of 2048 offsets.
         """
         u = np.asarray(u, dtype=float)
         if mu <= 1.0:
             return np.zeros_like(u)
-        lam_g, _, edge = self._g_grid(mu)
+        _, _, edge, lam_aug, tables = self._edge_tables(mu)
         span = abs(t) + float(np.max(u))
         dense = _osc_edges(edge, span * edge, cap=1600)
         lam_d, w_d = _panel_quad(dense, 8)
         th_d = self.phase_vec(lam_d)
-        lam_aug = np.concatenate([[0.0], lam_g, [edge]])
-        g = self._tails(np.append(t, u), lam_aug[1:])
+        g = self._tails(np.append(t, u), tables)
         g_cols = np.concatenate([np.zeros((1, u.size + 1)), g.T])
-        g_all = PchipInterpolator(lam_aug, g_cols, axis=0)(lam_d)
-        ft = np.sin(lam_d * t + th_d) - g_all[:, 0]
-        g_interp = g_all[:, 1:]
         out = np.empty(u.size)
         step = 2048
-        wf = w_d * ft
         for j0 in range(0, u.size, step):
             j1 = min(j0 + step, u.size)
-            fu = (np.sin(np.outer(lam_d, u[j0:j1]) + th_d[:, None])
-                  - g_interp[:, j0:j1])
-            out[j0:j1] = wf @ fu
+            # column 0 (depth t) rides along with every block
+            gi = PchipInterpolator(lam_aug, g_cols[:, np.r_[0, j0 + 1:j1 + 1]],
+                                   axis=0)(lam_d)
+            ft = np.sin(lam_d * t + th_d) - gi[:, 0]
+            fu = np.outer(lam_d, u[j0:j1])  # F(lam, u_j), built in place
+            fu += th_d[:, None]
+            np.sin(fu, out=fu)
+            fu -= gi[:, 1:]
+            out[j0:j1] = (w_d * ft) @ fu
         return 2.0 / math.pi * out
 
     # -- boundary layer -------------------------------------------------
@@ -479,30 +490,43 @@ class HalfLineModel:
 
     # -- integrated t-densities and shifts ------------------------------
 
-    def tail_moment(self, lam: float) -> float:
-        """int_0^inf sin(lam t + phase) G(lam, t) dt, in closed form."""
-        th = self.phase(lam)
-        xi, c = self.gamma_table(lam)
-        return float(np.dot(c, (xi * math.sin(th) + lam * math.cos(th))
-                            / (xi * xi + lam * lam)))
+    def _moments(self, lam: np.ndarray, th: np.ndarray, T: float = math.inf):
+        """Closed forms of int_0^T sin(lam t + phase) G dt and
+        int_0^T G^2 dt for every lam of a 1-D array with its phases th.
 
-    def tail_square_moment(self, lam: float) -> float:
-        """int_0^inf G(lam, t)^2 dt, in closed form over the density table."""
-        xi, c = self.gamma_table(lam)
-        return float(np.sum(np.outer(c, c) / (xi[:, None] + xi[None, :])))
+        Over the stacked tables C (one row per lam) the first is an
+        elementwise sum; the second is the row sums of (C @ H) * C with
+        H = (1 - exp(-T (xi_i + xi_j))) / (xi_i + xi_j), free of lam.
+        """
+        xi = self._xi_nodes
+        tables = self._tables(lam)
+        num = np.multiply.outer(np.sin(th), xi) + (lam * np.cos(th))[:, None]
+        pair = np.add.outer(xi, xi)
+        if math.isfinite(T):
+            ph = lam * T + th
+            num -= np.exp(-T * xi) * (np.multiply.outer(np.sin(ph), xi)
+                                      + (lam * np.cos(ph))[:, None])
+            h = (1.0 - np.exp(-T * pair)) / pair
+        else:
+            h = 1.0 / pair
+        sine = np.sum(tables * (num / np.add.outer(lam * lam, xi * xi)), axis=1)
+        return sine, np.sum((tables @ h) * tables, axis=1)
 
-    def t_integrated_gap_density(self, lam: float) -> float:
+    def t_integrated_gap_density(self, lam):
         """Regular part of int_0^inf (1 - 2 F^2) dt at spectral parameter lam.
 
         The Abel-regularized cosine component contributes
         -sin(2 phase)/(2 lam) here; its lam -> 0 boundary term (a constant
         pi/4 per unit of the outer integral's weight at the spectral
-        bottom) is accounted for by the callers.
+        bottom) is accounted for by the callers.  Takes an array of lam;
+        a scalar gives a float.
         """
-        th = self.phase(lam)
-        return (-math.sin(2.0 * th) / (2.0 * lam)
-                + 4.0 * self.tail_moment(lam)
-                - 2.0 * self.tail_square_moment(lam))
+        lam = np.asarray(lam, dtype=float)
+        th = np.ravel(self.phase_vec(lam))
+        flat = lam.ravel()
+        sine, square = self._moments(flat, th)
+        out = -np.sin(2.0 * th) / (2.0 * flat) + 4.0 * sine - 2.0 * square
+        return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
     def energy_shift(self, mu: float) -> float:
         """Integrated kernel deficit zeta(mu) = mu^-1 int (a - a_half) dt."""
@@ -511,7 +535,7 @@ class HalfLineModel:
         s = self.order.s
         lam, w, _ = self._g_grid(mu, n=48)
         wt = mu - (1.0 + lam ** 2) ** s
-        dens = np.array([self.t_integrated_gap_density(l) for l in lam])
+        dens = self.t_integrated_gap_density(lam)
         return ((mu - 1.0) / 4.0 + float(np.dot(w, wt * dens)) / math.pi) / mu
 
     def counting_shift(self, mu: float, t_cut: float = 40.0) -> CountingShiftResult:
@@ -527,26 +551,16 @@ class HalfLineModel:
         return CountingShiftResult(v1, t_cut, v2 - v1)
 
     def _counting_shift_at(self, mu: float, T: float) -> float:
-        s = self.order.s
         lam_g, w_g, edge = self._g_grid(mu, n=48)
         # oscillatory closed-form piece, gamma-free, on a dense grid
         dense = _osc_edges(edge, 2.0 * T * edge)
         lam_d, w_d = _panel_quad(dense, 8)
         th_d = self.phase_vec(lam_d)
         osc = (np.sin(2.0 * lam_d * T + 2.0 * th_d) - np.sin(2.0 * th_d)) / (2.0 * lam_d)
-        total = float(np.dot(w_d, osc))
-        for lam, w in zip(lam_g, w_g):
-            th = self.phase(lam)
-            xi, c = self.gamma_table(lam)
-            damp = np.exp(-T * xi)
-            i1 = float(np.dot(c, ((xi * math.sin(th) + lam * math.cos(th))
-                                  - damp * (xi * np.sin(lam * T + th)
-                                            + lam * np.cos(lam * T + th)))
-                              / (xi * xi + lam * lam)))
-            pair = xi[:, None] + xi[None, :]
-            i2 = float(np.sum(np.outer(c, c) * (1.0 - np.exp(-T * pair)) / pair))
-            total += w * (4.0 * i1 - 2.0 * i2)
-        return total / math.pi
+        # Laplace-tail moments truncated at T on the smooth edge grid
+        sine, square = self._moments(lam_g, self.phase_vec(lam_g), T)
+        tails = float(np.dot(w_g, 4.0 * sine - 2.0 * square))
+        return (float(np.dot(w_d, osc)) + tails) / math.pi
 
 
 class DirichletLineModel:

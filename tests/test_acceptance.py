@@ -42,8 +42,8 @@ def test_a1_phase_shift_limits():
     details = []
     for s in (0.25, 0.5, 0.75):
         m = HalfLineModel(FractionalOrder(s, 2))
-        low = abs(m.phase(1e-6))
-        high = abs(m.phase(1e6) - math.pi * (1.0 - s) / 4.0)
+        low = abs(m.phase_vec(1e-6))
+        high = abs(m.phase_vec(1e6) - math.pi * (1.0 - s) / 4.0)
         grid = np.logspace(-3, 3, 100)
         mono = bool(np.all(np.diff(m.phase_vec(grid)) >= -1e-12))
         ok &= low < 1e-4 and high < 1e-3 and mono
@@ -163,7 +163,7 @@ def test_a8_unitarity_and_projection(model_half_acc):
         def transform(lams):
             out = np.empty_like(np.atleast_1d(lams))
             for i, lam in enumerate(np.atleast_1d(lams)):
-                th = m.phase(lam)
+                th = m.phase_vec(lam)
                 z = complex(math.cos(th), math.sin(th)) * fact \
                     / complex(beta, -lam) ** (k + 1)
                 xi, c = m.gamma_table(lam)

@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fracweyl.cli import (main, RunConfig, UsageError,
-                          EXIT_OK, EXIT_USAGE, EXIT_ASSERTION)
+from fracweyl.cli import main, EXIT_OK, EXIT_USAGE, EXIT_ASSERTION
 
 
 def run(args):
@@ -42,18 +41,6 @@ class TestConvertCommand:
             assert rows[name] == pytest.approx(entry["value"], rel=1e-15, abs=1e-300)
 
 
-class TestRunConfig:
-    def test_validation(self):
-        cfg = RunConfig("constants", None, "csv", s=0.5, d=2)
-        assert cfg.order().s == 0.5
-        with pytest.raises(UsageError):
-            RunConfig("bogus", None, "csv")
-        with pytest.raises(UsageError):
-            RunConfig("constants", None, "xml")
-        with pytest.raises(UsageError):
-            RunConfig("constants", None, "csv", s=1.5)
-
-
 class TestUsageErrors:
     def test_invalid_order(self):
         assert run(["kernels", "--s", "1.5"]) == EXIT_USAGE
@@ -86,6 +73,7 @@ class TestUsageErrors:
         ["verify-halfspace", "--s", "0.5", "--h", "0"],
         ["verify-halfspace", "--s", "0.5", "--h", "-1"],
         ["localization-check", "--tolerance", "-1e-3"],
+        ["convert", "--A", "1", "--a", "1", "--b", "0", "--format", "xml"],
     ], ids="_".join)
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         assert run(argv) == EXIT_USAGE

@@ -9,7 +9,7 @@ from fracweyl.constants import (WeylCoefficients,
                                 bulk_coefficient, bulk_coefficient_quadrature,
                                 surface_via_layer, surface_via_eigenfunctions,
                                 surface_via_energy_shift, surface_local_exact,
-                                surface_dirichlet_power, _layer_t_integral,
+                                surface_dirichlet_power, _layer_t_integral, _power_tail,
                                 cesaro_riesz_convert, cesaro_riesz_invert,
                                 eigenvalue_sum_coefficients)
 
@@ -107,6 +107,22 @@ class TestGoldenSurface:
         order = FractionalOrder(s, d)
         got = surface_via_layer(order) + surface_dirichlet_power(order)
         np.testing.assert_allclose(got, GOLDEN_SURFACE[(s, d)], rtol=1e-12, atol=0.0)
+
+
+class TestPowerTail:
+    def test_exact_power_law(self):
+        # c t^-p integrates to c T^(1-p)/(p-1) beyond T, for either sign
+        t = np.linspace(30.0, 60.0, 16)
+        for p in (1.5, 2.5):
+            want = 3.0 * 60.0 ** (1.0 - p) / (p - 1.0)
+            assert _power_tail(t, -3.0 * t ** -p, 60.0) == pytest.approx(want, rel=1e-10)
+
+    def test_too_few_nonzero_samples(self):
+        # the fit needs 4 nonzero samples; zeros must not reach log()
+        t = np.linspace(50.0, 120.0, 6)
+        with np.errstate(divide="raise"):
+            assert _power_tail(t, np.zeros(6), 120.0) == 0.0
+            assert _power_tail(t, np.array([0, 0, 0, 1e-3, 2e-4, 1e-4]), 120.0) == 0.0
 
 
 class TestWeylCoefficientsType:
