@@ -123,6 +123,14 @@ def _order(args) -> FractionalOrder:
         raise UsageError(str(exc))
 
 
+def _dense(domain: lattice.LatticeDomain) -> lattice.LatticeDomain:
+    """The domain, unless its dense matrices would exceed the dense cap."""
+    if domain.size > lattice.DENSE_LIMIT:
+        raise UsageError(f"lattice size {domain.size} exceeds dense cap "
+                         f"{lattice.DENSE_LIMIT}")
+    return domain
+
+
 def cmd_constants(args) -> int:
     order = _order(args)
     wc = consts.compute_weyl_coefficients(order)
@@ -200,9 +208,7 @@ def cmd_verify_square(args) -> int:
     order = _order(args)
     if order.d != 2:
         raise UsageError("verify-square runs in dimension 2")
-    dom = lattice.square_domain(args.lattice_points)
-    if dom.size > lattice.DENSE_LIMIT:
-        raise UsageError(f"mask size {dom.size} exceeds dense cap")
+    dom = _dense(lattice.square_domain(args.lattice_points))
     hs = np.geomspace(4.0 * dom.spacing, args.h_max, args.h_count)
     try:
         lattice.check_h_grid(hs)
@@ -248,15 +254,15 @@ def cmd_verify_halfspace(args) -> int:
 
 
 def cmd_order_check(args) -> int:
+    interval = _dense(lattice.interval_domain(args.interval_points))
+    square = _dense(lattice.square_domain(args.square_points))
     rec = ReportRecord()
     ok = True
     for s in args.s_list:
         if not 0.0 < s < 1.0:
             raise UsageError(f"fractional exponent must lie in (0,1), got {s}")
-        r1 = lattice.operator_order_check(lattice.interval_domain(args.interval_points), s)
-        r2 = lattice.operator_order_check(
-            lattice.rectangle_domain(args.square_points, args.square_points,
-                                     1.0 / args.square_points), s)
+        r1 = lattice.operator_order_check(interval, s)
+        r2 = lattice.operator_order_check(square, s)
         ok &= r1.passed and r2.passed
         rec.add(f"interval_min_eig_s={s}", r1.quantities["min_eig"],
                 0.0, "dirichlet_power_minus_restricted")
@@ -362,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_positive(float), default=0.5)
     p.set_defaults(fn=cmd_verify_halfspace)
 
-    p = sub.add_parser("order-check", help="operator ordering on lattice masks")
+    p = sub.add_parser("order-check", help="operator ordering on lattice blocks")
     _add_common(p, with_order=False)
     p.add_argument("--s-list", type=_float_list(), default="0.25,0.5,0.75")
     p.add_argument("--interval-points", type=_positive(int), default=64)

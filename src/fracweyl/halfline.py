@@ -189,9 +189,7 @@ class HalfLineModel:
         vals = np.array([self._phase_direct(l) for l in grid])
         if np.any(np.diff(vals) < -1e-12):
             raise AssertionError("phase table lost monotonicity")
-        self._theta_grid = grid
         self._theta_interp = PchipInterpolator(np.log(grid), vals, extrapolate=False)
-        self._theta_limit = math.pi * (1.0 - order.s) / 4.0
 
     # -- phase shift --------------------------------------------------
 
@@ -394,9 +392,9 @@ class HalfLineModel:
         grid, interpolated where the sine factor oscillates.
 
         ``x`` may be an array: the tails G for all x are matrix products
-        of exp(-x xi) with the edge grid's stacked tables, and depths whose sweeps need the same panel count
-        share one dense grid, phase lookup and interpolant.  A scalar x
-        gives a float.
+        of exp(-x xi) with the edge grid's stacked tables, and depths whose
+        sweeps need the same panel count share one dense grid, phase lookup
+        and interpolant.  A scalar x gives a float.
         """
         x = np.asarray(x, dtype=float)
         if mu > 1.0:

@@ -5,14 +5,16 @@ multiplier in the discrete symbol
 
     sigma(k) = sum_j (2 - 2 cos(2 pi k_j / N)) / spacing^2,
 
-raised to the power s; restricting rows and columns to a mask of interior
-sites reproduces the exterior-condition form domain at lattice level.
-Masks keep a margin of a third of the box, which makes wrap-around
+raised to the power s; restricting rows and columns to a block of
+interior sites reproduces the exterior-condition form domain at lattice
+level.  A domain is an interval or rectangle of cells centered in a box
+of ``BOX_MULTIPLE`` = 3 times its longest side, so the margin to the box
+boundary is at least a third of the box.  That makes wrap-around
 negligible for s = 1 but not for s < 1: the torus has a finite exterior,
 so the killing part of the form is too small and the low spectrum is
 biased low (on (-1, 1), 256 cells, lam_1 is 4.6% below its large-box
 limit at s = 1/2 and 13.7% below at s = 1/4).  The fractional power of
-the Dirichlet Laplacian is built by eigendecomposition of the masked
+the Dirichlet Laplacian is built by eigendecomposition of the block's
 stencil.  On top of the two operators sit Riesz means, two-term fits, and
 the operator-level property checks (sharp trace bound, coherent-state
 identity, operator ordering, half-space kernel law, localization defect).
@@ -52,107 +54,93 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4096
+#: box side over the domain's longest side
+BOX_MULTIPLE = 3
 
 
 class MarginError(ValueError):
-    """Mask sits too close to the periodic box boundary."""
+    """Block sits too close to the periodic box boundary."""
 
 
 @dataclass(frozen=True)
 class LatticeDomain:
-    """Masked grid inside a periodic embedding box.
+    """Block of cells centered in a periodic embedding box.
 
-    Sites are cell-centered: a 1-D mask of m cells starting at index i0
-    represents the interval of length m*spacing.  ``volume`` and
-    ``surface`` default to the cell-counting estimates; ideal-shape
-    constructors override them with the continuum values.
+    ``cells`` is ``(m,)`` for an interval or ``(mx, my)`` for a rectangle;
+    along each axis the block starts at box index ``(box_points - c) // 2``.
+    Sites are cell-centered and ordered lexicographically, so a block of m
+    cells represents an interval of length m*spacing.
     """
 
-    dim: int
-    box_points: int
+    cells: tuple
     spacing: float
-    mask: tuple  # tuple of index tuples, sorted
-    volume: float
-    surface: float
+    box_points: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
+        if len(self.cells) not in (1, 2):
             raise ValueError("only 1- and 2-dimensional lattices are supported")
+        if min(self.cells) < 1:
+            raise ValueError("cell counts must be positive")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
-        idx = np.asarray(self.mask)
-        if idx.ndim != 2 or idx.shape[1] != self.dim:
-            raise ValueError("mask must be a sequence of index tuples")
-        lo = idx.min(axis=0)
-        hi = idx.max(axis=0)
-        margin = min(int(lo.min()), int(self.box_points - 1 - hi.max()))
+        margin = min(min(int(ax[0]), self.box_points - 1 - int(ax[-1]))
+                     for ax in self._axes())
         if margin < self.box_points / 3 - 1:
             raise MarginError(
-                f"mask margin {margin} below box/3 = {self.box_points / 3:.1f}; "
+                f"block margin {margin} below box/3 = {self.box_points / 3:.1f}; "
                 "enlarge the box to suppress wrap-around")
 
     @property
+    def dim(self) -> int:
+        return len(self.cells)
+
+    @property
     def size(self) -> int:
-        return len(self.mask)
+        return math.prod(self.cells)
+
+    @property
+    def volume(self) -> float:
+        if self.dim == 1:
+            return self.cells[0] * self.spacing
+        mx, my = self.cells
+        return mx * my * self.spacing ** 2
+
+    @property
+    def surface(self) -> float:
+        if self.dim == 1:
+            return 2.0
+        mx, my = self.cells
+        return 2.0 * (mx + my) * self.spacing
+
+    def _axes(self) -> list:
+        """Box indices of the block along each axis."""
+        return [(self.box_points - c) // 2 + np.arange(c) for c in self.cells]
 
     def indices(self) -> np.ndarray:
-        return np.asarray(self.mask, dtype=np.int64)
+        """Box index tuple of every site, one row per site."""
+        grids = np.meshgrid(*self._axes(), indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
 
     def coordinates(self) -> np.ndarray:
-        """Cell-center coordinates relative to the first mask cell's face."""
-        idx = self.indices().astype(float)
-        origin = idx.min(axis=0)
-        return (idx - origin + 0.5) * self.spacing
+        """Cell-center coordinates relative to the block's lower faces."""
+        local = [(np.arange(c, dtype=float) + 0.5) * self.spacing for c in self.cells]
+        grids = np.meshgrid(*local, indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _mask_estimates(idx: np.ndarray, dim: int, spacing: float):
-    cells = {tuple(row) for row in idx}
-    volume = len(cells) * spacing ** dim
-    faces = 0
-    offsets = [(1,), (-1,)] if dim == 1 else [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    for cell in cells:
-        for off in offsets:
-            nb = tuple(c + o for c, o in zip(cell, off))
-            if nb not in cells:
-                faces += 1
-    surface = faces * spacing ** (dim - 1)
-    return volume, surface
+def interval_domain(m: int) -> LatticeDomain:
+    """Unit interval of m cells."""
+    return LatticeDomain((m,), 1.0 / m, BOX_MULTIPLE * m)
 
 
-def _make_domain(idx, dim, box_points, spacing, volume=None, surface=None):
-    idx = np.asarray(sorted(tuple(map(int, row)) for row in idx), dtype=np.int64)
-    vol_est, surf_est = _mask_estimates(idx, dim, spacing)
-    return LatticeDomain(
-        dim=dim, box_points=box_points, spacing=spacing,
-        mask=tuple(map(tuple, idx.tolist())),
-        volume=vol_est if volume is None else volume,
-        surface=surf_est if surface is None else surface)
+def rectangle_domain(mx: int, my: int, spacing: float) -> LatticeDomain:
+    """Rectangle of mx x my cells of side ``spacing``."""
+    return LatticeDomain((mx, my), spacing, BOX_MULTIPLE * max(mx, my))
 
 
-def interval_domain(m: int, spacing: float | None = None, box_factor: int = 3,
-                    length: float = 1.0) -> LatticeDomain:
-    """Interval of m interior cells; ideal length defaults to 1."""
-    spacing = length / m if spacing is None else spacing
-    box = box_factor * m
-    start = (box - m) // 2
-    idx = [(start + i,) for i in range(m)]
-    return _make_domain(idx, 1, box, spacing, volume=m * spacing, surface=2.0)
-
-
-def rectangle_domain(mx: int, my: int, spacing: float, box_factor: int = 3,
-                     ideal: bool = True) -> LatticeDomain:
-    box = box_factor * max(mx, my)
-    sx = (box - mx) // 2
-    sy = (box - my) // 2
-    idx = [(sx + i, sy + j) for i in range(mx) for j in range(my)]
-    vol = mx * my * spacing ** 2 if ideal else None
-    surf = 2.0 * (mx + my) * spacing if ideal else None
-    return _make_domain(idx, 2, box, spacing, volume=vol, surface=surf)
-
-
-def square_domain(m: int, side: float = 1.0, box_factor: int = 3) -> LatticeDomain:
-    """Ideal unit-side square: m x m cells, continuum volume and perimeter."""
-    return rectangle_domain(m, m, side / m, box_factor=box_factor, ideal=True)
+def square_domain(m: int) -> LatticeDomain:
+    """Unit square of m x m cells."""
+    return rectangle_domain(m, m, 1.0 / m)
 
 
 @dataclass(frozen=True)
@@ -213,7 +201,7 @@ def _multiplier_kernel(domain: LatticeDomain, s: float) -> np.ndarray:
 
 
 def build_restricted_fractional(domain: LatticeDomain, s: float) -> SymmetricOperator:
-    """Mask restriction of the periodic-box fractional multiplier.
+    """Block restriction of the periodic-box fractional multiplier.
 
     The matrix is the compression P M_s P of the periodic-box operator.
     With s = 1 it reduces to the Dirichlet stencil up to wrap-around,
@@ -223,35 +211,39 @@ def build_restricted_fractional(domain: LatticeDomain, s: float) -> SymmetricOpe
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
     kern = _multiplier_kernel(domain, s)
-    idx = domain.indices()
+    # per-axis offset tables: entry (p, q) is kern at the box offset of
+    # site p from site q, gathered without any n x n index matrix
+    offsets = [(ax[:, None] - ax[None, :]) % domain.box_points
+               for ax in domain._axes()]
     if domain.dim == 1:
-        diff = (idx[:, 0][:, None] - idx[:, 0][None, :]) % domain.box_points
-        a = kern[diff]
+        a = kern[offsets[0]]
     else:
-        d0 = (idx[:, 0][:, None] - idx[:, 0][None, :]) % domain.box_points
-        d1 = (idx[:, 1][:, None] - idx[:, 1][None, :]) % domain.box_points
-        a = kern[d0, d1]
+        di, dj = offsets
+        a = kern[di[:, None, :, None], dj[None, :, None, :]].reshape(
+            domain.size, domain.size)
     return SymmetricOperator(domain.size, a)
 
 
 def _dirichlet_stencil(domain: LatticeDomain) -> np.ndarray:
-    idx = domain.indices()
-    n = domain.size
-    pos = {tuple(row): i for i, row in enumerate(idx.tolist())}
-    a = np.zeros((n, n))
+    """Negative Dirichlet Laplacian of the block: the Kronecker sum of the
+    1-D second differences (2 on the diagonal, -1 to each neighbour) over
+    spacing^2."""
+    shifts = [np.eye(c, k=1) + np.eye(c, k=-1) for c in domain.cells]
+    if domain.dim == 1:
+        a = shifts[0]
+    else:
+        (mx, my), (sx, sy) = domain.cells, shifts
+        a = np.kron(sx, np.eye(my))
+        a += np.kron(np.eye(mx), sy)
     inv_h2 = 1.0 / domain.spacing ** 2
+    np.subtract(0.0, a, out=a)  # unlike -a, leaves no signed zeros
+    a *= inv_h2
     np.fill_diagonal(a, 2.0 * domain.dim * inv_h2)
-    offsets = [(1,), (-1,)] if domain.dim == 1 else [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    for cell, i in pos.items():
-        for off in offsets:
-            j = pos.get(tuple(c + o for c, o in zip(cell, off)))
-            if j is not None:
-                a[i, j] = -inv_h2
     return a
 
 
 def build_dirichlet_power(domain: LatticeDomain, s: float) -> SymmetricOperator:
-    """s-th power of the masked Dirichlet stencil via eigendecomposition."""
+    """s-th power of the block's Dirichlet stencil via eigendecomposition."""
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
     a = _dirichlet_stencil(domain)
@@ -328,7 +320,7 @@ def berezin_bound_check(domain: LatticeDomain, s: float, phi: np.ndarray,
     """Sharp trace bound: Tr(phi H phi)_- <= bulk * sum phi^2 * dx * h^-d."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (domain.size,):
-        raise ValueError("phi must be a per-site weight vector on the mask")
+        raise ValueError("phi must be a per-site weight vector on the block")
     op = build_restricted_fractional(domain, s)
     m = phi[:, None] * _shifted_hamiltonian(op, h, s) * phi[None, :]
     w = np.linalg.eigvalsh(0.5 * (m + m.T))
@@ -398,17 +390,17 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
                         "norm": norm})
 
 
-def halfspace_kernel_check(s: float, h: float, mx: int = 64, my: int = 64,
-                           spacing: float | None = None,
+def halfspace_kernel_check(s: float, h: float,
                            model: HalfLineModel | None = None) -> CheckReport:
     """Half-space law: the diagonal of the negative part along a column off
     a straight edge matches h^-2 (bulk - layer(dist/h)) pointwise.
 
-    Uses a wide rectangle; the sampled column sits at the horizontal
-    center so the lateral edges stay several h away.
+    Uses a 64 x 64 square of spacing h/6, so its side is 10.7 h; the
+    sampled column sits at the horizontal center so the lateral edges stay
+    several h away.
     """
-    spacing = spacing or h / 6.0
-    domain = rectangle_domain(mx, my, spacing)
+    m, spacing = 64, h / 6.0
+    domain = rectangle_domain(m, m, spacing)
     order = FractionalOrder(s, 2)
     model = model or HalfLineModel(order)
     op = build_restricted_fractional(domain, s)
@@ -416,11 +408,11 @@ def halfspace_kernel_check(s: float, h: float, mx: int = 64, my: int = 64,
     w, v = np.linalg.eigh(ham)
     neg = w < 0
     coords = domain.coordinates()
-    col_x = (mx // 2 - 0.5) * spacing
+    col_x = (m // 2 - 0.5) * spacing
     on_col = np.abs(coords[:, 0] - col_x) < 0.25 * spacing
     dens = ((v[:, neg] ** 2) @ (-w[neg])) / spacing ** 2
     l1 = bulk_coefficient(order)
-    height = my * spacing
+    height = m * spacing
     sites = np.nonzero(on_col)[0]
     ratios = coords[sites, 1] / h
     keep = ratios <= height / (2.0 * h)
@@ -439,7 +431,7 @@ def halfspace_kernel_check(s: float, h: float, mx: int = 64, my: int = 64,
 
 
 def ims_defect_check(domain: LatticeDomain, s: float, family,
-                     resolution: int = 8, rank: int = 3) -> CheckReport:
+                     resolution: int = 8) -> CheckReport:
     """Localization identity on the lattice singular-kernel form.
 
     Both sides use the same double-sum quadratic form (diagonal excluded),
@@ -447,11 +439,11 @@ def ims_defect_check(domain: LatticeDomain, s: float, family,
     grid; the reported gap shrinks as ``resolution`` grows.
     """
     if domain.dim != 1:
-        raise ValueError("localization defect check is implemented for 1-D masks")
+        raise ValueError("localization defect check is implemented for 1-D blocks")
     box, dx = domain.box_points, domain.spacing
     xs = (np.arange(box) + 0.5) * dx
     idx = domain.indices()[:, 0]
-    offset = xs[idx[0]] - 0.5 * dx  # mask start aligned with geometry origin
+    offset = xs[idx[0]] - 0.5 * dx  # block start aligned with geometry origin
     xg = xs - offset
     cds = c_sd(s, 1)
     diffs = xg[:, None] - xg[None, :]
@@ -463,12 +455,11 @@ def ims_defect_check(domain: LatticeDomain, s: float, family,
         return cds * float((f[:, None] - f[None, :]).ravel()
                            @ (kern * (g[:, None] - g[None, :])).ravel()) * dx * dx
 
-    # rank lowest modes of the restricted multiplier operator, zero-extended
+    # three lowest modes of the restricted multiplier operator, zero-extended
     op = build_restricted_fractional(domain, s)
     w, v = np.linalg.eigh(op.entries)
-    modes = np.zeros((rank, box))
-    for r in range(rank):
-        modes[r, idx] = v[:, r] / math.sqrt(dx)
+    modes = np.zeros((3, box))
+    modes[:, idx] = v[:, :3].T / math.sqrt(dx)
 
     us, wu, ls = family.scale_grid(resolution)
     lhs = sum(form(f, f) for f in modes)

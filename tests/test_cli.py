@@ -60,6 +60,7 @@ class TestUsageErrors:
         ["layer", "--s", "0.5", "--points", "0"],
         ["order-check", "--s-list", "0.5,x"],
         ["order-check", "--s-list", "0.5", "--interval-points", "0"],
+        ["order-check", "--s-list", "0.5", "--square-points", "65"],
         ["localization-check", "--l0", "0.9"],
         ["localization-check", "--resolution", "0"],
         ["localization-check", "--extent", "-1"],

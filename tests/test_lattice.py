@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracweyl.lattice as lat
 from fracweyl.lattice import (LatticeDomain, MarginError, interval_domain,
                               rectangle_domain, square_domain,
                               build_restricted_fractional, build_dirichlet_power,
@@ -18,12 +20,10 @@ from fracweyl.localization import LocalizationFamily, interval_geometry
 class TestDomains:
     def test_margin_enforced(self):
         with pytest.raises(MarginError):
-            LatticeDomain(dim=1, box_points=30, spacing=0.1,
-                          mask=tuple((i,) for i in range(2, 28)),
-                          volume=1.0, surface=2.0)
+            LatticeDomain(cells=(26,), spacing=0.1, box_points=30)
 
     def test_estimates(self):
-        dom = rectangle_domain(6, 4, 0.5, ideal=False)
+        dom = rectangle_domain(6, 4, 0.5)
         assert dom.volume == pytest.approx(6 * 4 * 0.25)
         assert dom.surface == pytest.approx((2 * (6 + 4)) * 0.5)
 
@@ -45,6 +45,11 @@ class TestOperators:
                 (interval_domain(20), rectangle_domain(7, 5, 0.1)), (0.3, 0.7)):
             op = build_restricted_fractional(dom, s)
             assert np.array_equal(op.entries, op.entries.T)
+            # per-pair reference: kern at the box offset of every site pair
+            kern = lat._multiplier_kernel(dom, s)
+            idx = dom.indices()
+            offs = (idx[:, None, :] - idx[None, :, :]) % dom.box_points
+            assert np.array_equal(op.entries, kern[tuple(np.moveaxis(offs, -1, 0))])
             w = np.linalg.eigvalsh(op.entries)
             assert w[0] >= -1e-10 * abs(w[-1])
 
@@ -63,25 +68,43 @@ class TestOperators:
 
     def test_tridiagonal_closed_form(self):
         m, dx = 5, 0.2
-        dom = interval_domain(m, spacing=dx)
+        dom = interval_domain(m)
+        assert dom.spacing == dx
+
+        def sines(c):
+            j = np.arange(1, c + 1)
+            return (2.0 - 2.0 * np.cos(j * math.pi / (c + 1))) / dx ** 2
+
         spec = eigenvalues_sym(build_dirichlet_power(dom, 1.0))
-        j = np.arange(1, m + 1)
-        exact = np.sort((2.0 - 2.0 * np.cos(j * math.pi / (m + 1))) / dx ** 2)
+        assert np.allclose(spec.eigenvalues, np.sort(sines(m)), rtol=1e-12)
+        # the 2-D stencil is a Kronecker sum: its spectrum is all pair sums
+        spec = eigenvalues_sym(build_dirichlet_power(rectangle_domain(4, 3, dx), 1.0))
+        exact = np.sort((sines(4)[:, None] + sines(3)[None, :]).ravel())
         assert np.allclose(spec.eigenvalues, exact, rtol=1e-12)
 
     def test_mask_monotonicity(self):
-        # enlarging the mask cannot raise any of the first eigenvalues
+        # enlarging the block cannot raise any of the first eigenvalues
         small = interval_domain(20)
-        big_idx = list(small.mask) + [(small.mask[-1][0] + 1,)]
-        big = LatticeDomain(dim=1, box_points=small.box_points,
-                            spacing=small.spacing, mask=tuple(big_idx),
-                            volume=1.0, surface=2.0)
+        big = LatticeDomain(cells=(21,), spacing=small.spacing,
+                            box_points=small.box_points)
+        assert set(small.indices()[:, 0]) < set(big.indices()[:, 0])
         w_small = eigenvalues_sym(build_restricted_fractional(small, 0.5)).eigenvalues
         w_big = eigenvalues_sym(build_restricted_fractional(big, 0.5)).eigenvalues
         assert np.all(w_big[:w_small.size] <= w_small + 1e-10)
 
+    def test_build_memory(self):
+        # the gather allocates the matrix, not n x n index tables; the rest
+        # of the peak is the symmetry check of SymmetricOperator
+        dom = square_domain(32)
+        tracemalloc.start()
+        try:
+            build_restricted_fractional(dom, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * dom.size ** 2 * 8
+
     def test_dense_cap_enforced(self, monkeypatch):
-        import fracweyl.lattice as lat
         monkeypatch.setattr(lat, "DENSE_LIMIT", 3)
         op = SymmetricOperator(4, np.eye(4))
         with pytest.raises(ValueError):
