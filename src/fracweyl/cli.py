@@ -164,8 +164,9 @@ def cmd_kernels(args) -> int:
         a_line = model.riesz_kernel_line(mu)
         edge = _spectral_edge(mu, order.s)
         phase = model.phase_vec(edge) if edge > 0 else 0.0
-        for t in args.t:
-            rows.append((mu, t, edge, phase, a_line, model.riesz_kernel_diag(t, mu),
+        a_diag = a_line - model.kernel_gap(np.array(args.t), mu)
+        for t, a in zip(args.t, a_diag):
+            rows.append((mu, t, edge, phase, a_line, float(a),
                          model.projector_profile(t, [t], mu)[0]))
     _table_write(args.output, args.format,
                  ("mu", "t", "spectral_edge", "phase_at_edge", "a_line",

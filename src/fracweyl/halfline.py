@@ -166,23 +166,16 @@ class HalfLineModel:
 
     Construction precomputes a monotone phase-shift table on a log grid.
     Spectral-density tables are pure functions of (order, lam), built on
-    demand and stacked into one matrix per lam grid.  The only cache holds
-    the stacked tables of the kernel edge grid per mu, at most
-    EDGE_CACHE_SIZE entries evicted first in first out: the boundary layer
-    asks for the same 72 mu once per pass.  Every cached value is
-    reproducible from the order alone.
+    demand with one row per lam of a grid; nothing else is kept.
     """
 
     #: log-spaced phase table range and size
     THETA_LO = 1e-4
     THETA_HI = 1e4
     THETA_NODES = 400
-    #: bound on the per-mu cache of stacked edge-grid tables
-    EDGE_CACHE_SIZE = 128
 
     def __init__(self, order: FractionalOrder):
         self.order = order
-        self._edge_cache: dict[float, tuple] = {}
         self._xi_nodes, self._xi_weights = self._build_xi_quadrature()
         grid = np.logspace(math.log10(self.THETA_LO), math.log10(self.THETA_HI),
                            self.THETA_NODES)
@@ -243,25 +236,28 @@ class HalfLineModel:
         w_b = wu * (2.0 / s) * u ** (-1.0 / s - 1.0)
         return np.concatenate([xi_a, xi_b]), np.concatenate([w_a, w_b])
 
-    def _poisson_decay(self, lam: float, x: np.ndarray) -> np.ndarray:
-        """Q(x) = int_0^inf x/(x^2+z^2) N(log((1+z^2)/(1+lam^2))) dz."""
-        x = np.asarray(x, dtype=float)
-        pos = x[x > 0]
-        if pos.size == 0:
-            return np.zeros_like(x)
-        scale_hi = 1e7 * max(float(pos.max()), lam, 1.0)
-        scale_lo = 1e-8 * min(float(pos.min()), 1.0, max(lam, 1e-8))
-        z, w = _panel_quad(_geometric_edges(scale_lo, scale_hi, ratio=3.0), 16)
-        L = np.log1p((z - lam) * (z + lam) / (1.0 + lam * lam))
-        nw = w * _decay_logratio(L, self.order.s)
-        out = np.zeros_like(x)
-        mask = x > 0
-        xv = x[mask]
-        out[mask] = (xv[:, None] / (xv[:, None] ** 2 + z[None, :] ** 2) @ nw)
+    def _poisson_decay(self, lams: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Q[i, j] = int_0^inf x_j/(x_j^2+z^2) N(log((1+z^2)/(1+lam_i^2))) dz
+        for 1-D arrays of lam (rows) and of x > 0 (columns).
+
+        Every lam shares one geometric z grid from 1e-16 min(1, x) to
+        1e7 max(x, lam, 1); the Poisson matrix is built once per call and
+        N is contracted against it 64 lam at a time.
+        """
+        hi = 1e7 * max(float(x.max()), float(lams.max()), 1.0)
+        z, w = _panel_quad(_geometric_edges(1e-16 * min(1.0, float(x.min())), hi), 16)
+        poisson = x[:, None] / (x[:, None] ** 2 + z[None, :] ** 2)
+        out = np.empty((lams.size, x.size))
+        for i in range(0, lams.size, 64):
+            lam = lams[i:i + 64, None]
+            L = np.log1p((z - lam) * (z + lam) / (1.0 + lam * lam))
+            out[i:i + 64] = (w * _decay_logratio(L, self.order.s)) @ poisson.T
         return out
 
-    def gamma_values(self, lam: float, xi) -> np.ndarray:
-        """Spectral density of the Laplace tail; zero below xi = 1.
+    def gamma_values(self, lam, xi) -> np.ndarray:
+        """Spectral density of the Laplace tail, elementwise over (lam, xi):
+        one row per lam of a 1-D array, a 1-D row for a scalar lam.  Rows
+        with lam <= 0 and columns with xi <= 1 are zero.
 
         The denominator is the modulus squared
         |(xi^2-1)^s e^{i pi s} - (1+lam^2)^s|^2: of the algebraic forms the
@@ -269,36 +265,34 @@ class HalfLineModel:
         reproduces the closed form (see test_reading_selection).
         """
         s = self.order.s
+        lam = np.asarray(lam, dtype=float)
+        lams = np.atleast_1d(lam)
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.zeros_like(xi)
-        m = xi > 1.0
-        if not m.any() or lam <= 0.0:
-            return out
-        xv = xi[m]
-        lam2 = lam * lam
-        pow_s = ((xv - 1.0) * (xv + 1.0)) ** s
-        cos_pi_s = math.cos(math.pi * s)
-        sin_pi_s = math.sin(math.pi * s)
-        shift_s = (1.0 + lam2) ** s
-        den = (pow_s - shift_s) ** 2 + 2.0 * shift_s * pow_s * (1.0 - cos_pi_s)
-        q = self._poisson_decay(lam, xv)
-        expfac = ((1.0 + xv) ** (s - 1.0)
-                  * math.sqrt((1.0 + lam2) ** (1.0 - s) / s)
-                  * np.exp(-q / math.pi))
-        num = lam * _dispersion_prime(lam2, s) * sin_pi_s * pow_s / math.pi
-        with np.errstate(divide="ignore"):
-            vals = num / den * expfac
-        out[m] = vals
-        return out
+        out = np.zeros((lams.size, xi.size))
+        rows, cols = lams > 0.0, xi > 1.0
+        if rows.any() and cols.any():
+            lv = lams[rows, None]
+            xv = xi[cols]
+            lam2 = lv * lv
+            pow_s = ((xv - 1.0) * (xv + 1.0)) ** s
+            cos_pi_s = math.cos(math.pi * s)
+            sin_pi_s = math.sin(math.pi * s)
+            shift_s = (1.0 + lam2) ** s
+            den = (pow_s - shift_s) ** 2 + 2.0 * shift_s * pow_s * (1.0 - cos_pi_s)
+            q = self._poisson_decay(lams[rows], xv)
+            expfac = ((1.0 + xv) ** (s - 1.0)
+                      * np.sqrt((1.0 + lam2) ** (1.0 - s) / s)
+                      * np.exp(-q / math.pi))
+            num = lv * _dispersion_prime(lam2, s) * sin_pi_s * pow_s / math.pi
+            with np.errstate(divide="ignore"):
+                out[np.ix_(rows, cols)] = num / den * expfac
+        return out[0] if lam.ndim == 0 else out
 
-    def gamma_table(self, lam: float):
-        """(nodes, density*weights) quadrature table for tail integrals."""
+    def gamma_table(self, lam):
+        """(nodes, density*weights) quadrature table for tail integrals;
+        one row per lam of a 1-D array, a 1-D row for a scalar lam."""
         xi = self._xi_nodes
         return xi, self._xi_weights * self.gamma_values(lam, xi)
-
-    def _tables(self, lams) -> np.ndarray:
-        """Density tables stacked into a matrix, one row per lam."""
-        return np.array([self.gamma_table(l)[1] for l in lams])
 
     def _tails(self, x: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """G(lam, x) for every depth of the 1-D array x (rows) and every
@@ -313,7 +307,7 @@ class HalfLineModel:
     def laplace_tail(self, lam: float, x):
         """G(lam, x) = int_1^inf exp(-x*xi) gamma(xi) dxi, in [0, 1]."""
         x_arr = np.asarray(x, dtype=float)
-        vals = self._tails(x_arr.ravel(), self._tables([lam]))[:, 0]
+        vals = self._tails(x_arr.ravel(), self.gamma_table([lam])[1])[:, 0]
         return float(vals[0]) if x_arr.ndim == 0 else vals.reshape(x_arr.shape)
 
     def eigenfunction(self, lam: float, x):
@@ -347,7 +341,7 @@ class HalfLineModel:
         s = self.order.s
         lam2 = lam * lam
         c0 = 0.5 * (math.log(s) - (1.0 - s) * math.log1p(lam2) - self._log_kappa(lam))
-        q = float(self._poisson_decay(lam, np.array([t]))[0])
+        q = float(self._poisson_decay(np.array([lam]), np.array([t]))[0, 0])
         return (1.0 + t) ** (1.0 - s) * math.exp(c0 + q / math.pi)
 
     def closed_form_double_laplace(self, lam: float, t: float) -> float:
@@ -371,17 +365,10 @@ class HalfLineModel:
 
     def _edge_tables(self, mu: float):
         """The 32-node edge grid of _g_grid with lam_aug = [0, lam, edge]
-        and the stacked density tables at lam_aug[1:]; cached per mu,
-        oldest entry evicted first beyond EDGE_CACHE_SIZE."""
-        hit = self._edge_cache.get(mu)
-        if hit is None:
-            lam, w, edge = self._g_grid(mu)
-            lam_aug = np.concatenate([[0.0], lam, [edge]])
-            hit = lam, w, edge, lam_aug, self._tables(lam_aug[1:])
-            if len(self._edge_cache) >= self.EDGE_CACHE_SIZE:
-                del self._edge_cache[next(iter(self._edge_cache))]
-            self._edge_cache[mu] = hit
-        return hit
+        and the stacked density tables at lam_aug[1:]."""
+        lam, w, edge = self._g_grid(mu)
+        lam_aug = np.concatenate([[0.0], lam, [edge]])
+        return lam, w, edge, lam_aug, self.gamma_table(lam_aug[1:])[1]
 
     def kernel_gap(self, x, mu: float):
         """Diagonal deficit a(mu) - a_half(x, mu) of the Riesz-mean kernels.
@@ -497,7 +484,7 @@ class HalfLineModel:
         H = (1 - exp(-T (xi_i + xi_j))) / (xi_i + xi_j), free of lam.
         """
         xi = self._xi_nodes
-        tables = self._tables(lam)
+        tables = self.gamma_table(lam)[1]
         num = np.multiply.outer(np.sin(th), xi) + (lam * np.cos(th))[:, None]
         pair = np.add.outer(xi, xi)
         if math.isfinite(T):

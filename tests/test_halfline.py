@@ -152,6 +152,15 @@ class TestSpectralDensity:
         assert g_num == pytest.approx(model_half.closed_form_double_laplace(lam, t),
                                       rel=1e-5)
 
+    def test_stacked_rows_match_single_lam(self, model_half):
+        lams = np.concatenate([[0.0, -1.0], np.geomspace(1e-4, 1e3, 15)])
+        xi, rows = model_half.gamma_table(lams)
+        assert rows.shape == (lams.size, xi.size)
+        assert not rows[:2].any()
+        for lam, row in zip(lams[2:], rows[2:]):
+            np.testing.assert_allclose(row, model_half.gamma_table(lam)[1],
+                                       rtol=1e-14, atol=0.0)
+
     def test_table_matches_adaptive_laplace(self, model_half):
         # the fixed density table reproduces an adaptive transform
         lam = 1.3
@@ -462,33 +471,21 @@ class TestModelHygiene:
         assert np.array_equal(xi_a, xi_b)
         assert np.array_equal(c_a, c_b)
 
-    def test_second_layer_pass_builds_no_table(self, monkeypatch):
-        built = []
+    def test_one_density_call_per_lam_grid(self, monkeypatch):
+        sizes = []
         gamma_values = HalfLineModel.gamma_values
 
         def counting(self, lam, xi):
-            built.append(lam)
+            sizes.append(np.size(lam))
             return gamma_values(self, lam, xi)
 
         monkeypatch.setattr(HalfLineModel, "gamma_values", counting)
         m = HalfLineModel(FractionalOrder(0.5, 2))
-        ts = np.array([0.5, 3.0, 20.0])
-        first = m.boundary_layer(ts)
-        assert built
-        built.clear()
-        np.testing.assert_array_equal(m.boundary_layer(ts), first)
-        assert built == []
-
-    def test_edge_cache_bounded(self, monkeypatch):
-        # cheap zero tables: only the cache bookkeeping is under test
-        monkeypatch.setattr(HalfLineModel, "gamma_values",
-                            lambda self, lam, xi: np.zeros_like(xi))
-        m = HalfLineModel(FractionalOrder(0.5, 2))
-        mus = np.linspace(1.5, 30.0, 200)
-        for mu in mus:
-            m.kernel_gap(0.5, float(mu))
-        assert len(m._edge_cache) <= m.EDGE_CACHE_SIZE == 128
-        assert list(m._edge_cache) == [float(mu) for mu in mus[-128:]]
+        m.energy_shift(4.0)
+        assert sizes == [48]
+        sizes.clear()
+        m.boundary_layer(np.array([0.5, 3.0, 20.0]))
+        assert sizes == [33] * 72
 
     def test_model_freed_without_collector(self):
         gc.disable()

@@ -93,8 +93,8 @@ class TestOperators:
         assert np.all(w_big[:w_small.size] <= w_small + 1e-10)
 
     def test_build_memory(self):
-        # the gather allocates the matrix, not n x n index tables; the rest
-        # of the peak is the symmetry check of SymmetricOperator
+        # the gather allocates the matrix, not n x n index tables, and the
+        # exact symmetry check of SymmetricOperator only an n x n bool mask
         dom = square_domain(32)
         tracemalloc.start()
         try:
@@ -102,7 +102,14 @@ class TestOperators:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * dom.size ** 2 * 8
+        assert peak < 2 * dom.size ** 2 * 8
+
+    def test_one_ulp_asymmetry_rejected(self):
+        a = build_restricted_fractional(interval_domain(8), 0.5).entries.copy()
+        SymmetricOperator(8, a)
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        with pytest.raises(ValueError):
+            SymmetricOperator(8, a)
 
     def test_dense_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(lat, "DENSE_LIMIT", 3)
