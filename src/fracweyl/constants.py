@@ -164,7 +164,7 @@ def surface_via_energy_shift(order: FractionalOrder,
     s, d = order.s, order.d
     model = model or HalfLineModel(order)
     r, w = _panel_quad(np.array([0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0]), 10)
-    vals = np.array([model.energy_shift(ri ** (-2.0 * s)) for ri in r])
+    vals = model.energy_shift(r ** (-2.0 * s))
     pref = sphere_area(d - 2) / (2.0 * math.pi) ** (d - 1)
     value = pref * float(np.dot(w, r ** (d - 2.0) * vals))
     # refinement delta as the error proxy

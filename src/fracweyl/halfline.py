@@ -131,11 +131,6 @@ def _osc_panels(total_phase, base: int = 6, cap: int = 600):
     return np.minimum(cap, base + sweeps.astype(int))
 
 
-def _osc_edges(hi: float, total_phase: float, base: int = 6, cap: int = 600):
-    """Uniform panels over (0, hi) sized to resolve a given phase sweep."""
-    return np.linspace(0.0, hi, int(_osc_panels(total_phase, base, cap)) + 1)
-
-
 # tangential-frequency nodes r in (0, 1) of the boundary-layer integral
 _LAYER_R, _LAYER_W = _panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
                                            0.5, 0.7, 0.85, 0.95, 1.0]), 8)
@@ -356,9 +351,11 @@ class HalfLineModel:
 
     # -- kernels -------------------------------------------------------
 
-    def _g_grid(self, mu: float, n: int = 32):
-        """Edge-substituted lam grid on the spectral window with weights."""
-        edge = _spectral_edge(mu, self.order.s)
+    def _g_grid(self, mu, n: int = 32):
+        """Edge-substituted lam grid on the spectral window with weights;
+        a 1-D array of mu gives one row per mu."""
+        edge = (_spectral_edge(mu, self.order.s) if np.ndim(mu) == 0 else
+                np.array([[_spectral_edge(m, self.order.s)] for m in mu]))
         phi, w = _panel_quad(np.array([0.0, math.pi / 2.0]), n)
         lam = edge * np.sin(phi)
         return lam, edge * np.cos(phi) * w, edge
@@ -426,12 +423,6 @@ class HalfLineModel:
         lam, w, _ = self._g_grid(mu, n=64)
         return float(np.dot(w, mu - (1.0 + lam ** 2) ** self.order.s)) / math.pi
 
-    def riesz_kernel_diag(self, t: float, mu: float) -> float:
-        """Diagonal half-line Riesz-mean kernel; zero at or below mu = 1."""
-        if mu <= 1.0:
-            return 0.0
-        return self.riesz_kernel_line(mu) - self.kernel_gap(t, mu)
-
     def projector_profile(self, t: float, u: np.ndarray, mu: float) -> np.ndarray:
         """Kernel e(t, u_j, mu) of the spectral projector below mu over an
         array of offsets; zero for mu <= 1.
@@ -445,8 +436,8 @@ class HalfLineModel:
             return np.zeros_like(u)
         _, _, edge, lam_aug, tables = self._edge_tables(mu)
         span = abs(t) + float(np.max(u))
-        dense = _osc_edges(edge, span * edge, cap=1600)
-        lam_d, w_d = _panel_quad(dense, 8)
+        panels = int(_osc_panels(span * edge, cap=1600))
+        lam_d, w_d = _panel_quad(np.linspace(0.0, edge, panels + 1), 8)
         th_d = self.phase_vec(lam_d)
         g = self._tails(np.append(t, u), tables)
         g_cols = np.concatenate([np.zeros((1, u.size + 1)), g.T])
@@ -504,24 +495,30 @@ class HalfLineModel:
         -sin(2 phase)/(2 lam) here; its lam -> 0 boundary term (a constant
         pi/4 per unit of the outer integral's weight at the spectral
         bottom) is accounted for by the callers.  Takes an array of lam;
-        a scalar gives a float.
+        a scalar gives a float.  Tables hold at most 256 lam, bounding memory.
         """
         lam = np.asarray(lam, dtype=float)
         th = np.ravel(self.phase_vec(lam))
         flat = lam.ravel()
-        sine, square = self._moments(flat, th)
+        sine, square = np.concatenate([self._moments(flat[i:i + 256], th[i:i + 256])
+                                       for i in range(0, flat.size, 256)], axis=1)
         out = -np.sin(2.0 * th) / (2.0 * flat) + 4.0 * sine - 2.0 * square
         return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
-    def energy_shift(self, mu: float) -> float:
-        """Integrated kernel deficit zeta(mu) = mu^-1 int (a - a_half) dt."""
-        if not mu > 1.0:
+    def energy_shift(self, mu):
+        """Integrated kernel deficit zeta(mu) = mu^-1 int (a - a_half) dt,
+        over an array of mu > 1 in one density pass; a scalar gives a float."""
+        mu = np.asarray(mu, dtype=float)
+        if not np.all(mu > 1.0):
             raise ValueError(f"energy_shift requires mu > 1, got {mu}")
-        s = self.order.s
-        lam, w, _ = self._g_grid(mu, n=48)
-        wt = mu - (1.0 + lam ** 2) ** s
+        flat = mu.ravel()
+        lam, w, _ = self._g_grid(flat, n=48)
+        wt = flat[:, None] - (1.0 + lam ** 2) ** self.order.s
         dens = self.t_integrated_gap_density(lam)
-        return ((mu - 1.0) / 4.0 + float(np.dot(w, wt * dens)) / math.pi) / mu
+        # one dot product per row, summed as np.dot sums it
+        gap = np.matmul(w[:, None, :], (wt * dens)[:, :, None])[:, 0, 0]
+        out = ((flat - 1.0) / 4.0 + gap / math.pi) / flat
+        return float(out[0]) if mu.ndim == 0 else out.reshape(mu.shape)
 
     def counting_shift(self, mu: float, t_cut: float = 40.0) -> CountingShiftResult:
         """Truncated counting-function shift with cutoff diagnostics.
@@ -538,8 +535,8 @@ class HalfLineModel:
     def _counting_shift_at(self, mu: float, T: float) -> float:
         lam_g, w_g, edge = self._g_grid(mu, n=48)
         # oscillatory closed-form piece, gamma-free, on a dense grid
-        dense = _osc_edges(edge, 2.0 * T * edge)
-        lam_d, w_d = _panel_quad(dense, 8)
+        panels = int(_osc_panels(2.0 * T * edge))
+        lam_d, w_d = _panel_quad(np.linspace(0.0, edge, panels + 1), 8)
         th_d = self.phase_vec(lam_d)
         osc = (np.sin(2.0 * lam_d * T + 2.0 * th_d) - np.sin(2.0 * th_d)) / (2.0 * lam_d)
         # Laplace-tail moments truncated at T on the smooth edge grid
@@ -576,10 +573,13 @@ class DirichletLineModel:
         return float(out) if out.ndim == 0 else out
 
     @staticmethod
-    def energy_shift(mu: float) -> float:
-        if not mu > 1.0:
-            raise ValueError("energy_shift requires mu > 1")
-        return (mu - 1.0) / (4.0 * mu)
+    def energy_shift(mu):
+        """Closed form (mu - 1)/(4 mu) over an array of mu > 1; scalar -> float."""
+        mu = np.asarray(mu, dtype=float)
+        if not np.all(mu > 1.0):
+            raise ValueError(f"energy_shift requires mu > 1, got {mu}")
+        out = (mu - 1.0) / (4.0 * mu)
+        return float(out) if out.ndim == 0 else out
 
     def boundary_layer(self, t):
         return _layer_profile(self.kernel_gap, t, self.exponent, self.d)

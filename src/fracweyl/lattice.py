@@ -310,19 +310,17 @@ class CheckReport:
     quantities: dict = field(default_factory=dict)
 
 
-def _shifted_hamiltonian(op: SymmetricOperator, h: float, s: float) -> np.ndarray:
-    return h ** (2.0 * s) * op.entries - np.eye(op.n)
-
-
 def berezin_bound_check(domain: LatticeDomain, s: float, phi: np.ndarray,
                         h: float) -> CheckReport:
     """Sharp trace bound: Tr(phi H phi)_- <= bulk * sum phi^2 * dx * h^-d."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (domain.size,):
         raise ValueError("phi must be a per-site weight vector on the block")
-    op = build_restricted_fractional(domain, s)
-    m = phi[:, None] * _shifted_hamiltonian(op, h, s) * phi[None, :]
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
+    # phi (h^2s A - 1) phi, exactly symmetric as built
+    m = np.outer(phi, phi) * build_restricted_fractional(domain, s).entries
+    m *= h ** (2.0 * s)
+    np.fill_diagonal(m, m.diagonal() - phi ** 2)
+    w = np.linalg.eigvalsh(m)
     lhs = float(-w[w < 0].sum())
     # the ambient dimension of the coefficient is the lattice dimension here
     l1 = (bulk_coefficient(FractionalOrder(s, max(domain.dim, 2)))
@@ -382,7 +380,7 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
     is positive semidefinite up to roundoff (exact finite matrix theorem)."""
     diff = (build_dirichlet_power(domain, s).entries
             - build_restricted_fractional(domain, s).entries)
-    w = np.linalg.eigvalsh(0.5 * (diff + diff.T))
+    w = np.linalg.eigvalsh(diff)
     norm = max(float(np.max(np.abs(w))), 1e-300)
     return CheckReport("operator_order", bool(w[0] >= -1e-8 * norm),
                        {"min_eig": float(w[0]), "max_eig": float(w[-1]),
@@ -396,19 +394,21 @@ def halfspace_kernel_check(s: float, h: float,
 
     Uses a 64 x 64 square of spacing h/6, so its side is 10.7 h; the
     sampled column sits at the horizontal center so the lateral edges stay
-    several h away.
+    several h away.  The negative part of h^2s A - 1 is spanned by the
+    eigenpairs (w, v) of the restricted operator A below h^-2s, each
+    weighted by 1 - h^2s w; they are solved in A's own buffer.
     """
     m, spacing = 64, h / 6.0
     domain = rectangle_domain(m, m, spacing)
     order = FractionalOrder(s, 2)
     model = model or HalfLineModel(order)
     op = build_restricted_fractional(domain, s)
-    ham = _shifted_hamiltonian(op, h, s)
-    w, v = scipy.linalg.eigh(ham, subset_by_value=(-np.inf, 0.0))
+    w, v = scipy.linalg.eigh(op.entries.T, subset_by_value=(-np.inf, h ** (-2.0 * s)),
+                             overwrite_a=True)  # F-ordered view: solved in place
     coords = domain.coordinates()
     col_x = (m // 2 - 0.5) * spacing
     on_col = np.abs(coords[:, 0] - col_x) < 0.25 * spacing
-    dens = ((v ** 2) @ (-w)) / spacing ** 2
+    dens = ((v ** 2) @ (1.0 - h ** (2.0 * s) * w)) / spacing ** 2
     l1 = bulk_coefficient(order)
     height = m * spacing
     sites = np.nonzero(on_col)[0]
@@ -468,9 +468,9 @@ def ims_defect_check(domain: LatticeDomain, s: float, family,
         if not np.any(phi_u):
             continue
         fac = wgt / l ** domain.dim
+        pairs = (phi_u[:, None] - phi_u[None, :]) ** 2 * kern
         for f in modes:
             rhs += fac * form(phi_u * f, phi_u * f)
-            pairs = (phi_u[:, None] - phi_u[None, :]) ** 2 * kern
             defect += fac * cds * float(f @ pairs @ f) * dx * dx
     gap = abs(lhs - (rhs - defect)) / abs(lhs)
     return CheckReport("ims_defect", gap < 0.05,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracweyl.quadcore import QuadratureSpec, integrate
+from fracweyl.constants import surface_via_energy_shift
 from fracweyl.halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
                                dispersion)
 
@@ -251,7 +252,7 @@ class TestEigenfunction:
 class TestKernels:
     def test_spectral_window_zero(self, model_half):
         assert model_half.projector_profile(1.0, [2.0], 0.5)[0] == 0.0
-        assert model_half.riesz_kernel_diag(1.0, 1.0) == 0.0
+        assert model_half.riesz_kernel_line(1.0) - model_half.kernel_gap(1.0, 1.0) == 0.0
         assert model_half.riesz_kernel_line(0.7) == 0.0
         assert model_half.kernel_gap(1.0, 1.0) == 0.0
 
@@ -267,7 +268,8 @@ class TestKernels:
     def test_diag_nonnegative(self, model_half):
         for t in (0.3, 1.0, 4.0):
             for mu in (1.5, 3.0, 6.0):
-                assert model_half.riesz_kernel_diag(t, mu) >= 0.0
+                diag = model_half.riesz_kernel_line(mu) - model_half.kernel_gap(t, mu)
+                assert diag >= 0.0
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 1.3, 4.0, 40.0])
     def test_gap_array_matches_scalar(self, model_half, mu):
@@ -409,6 +411,19 @@ class TestEnergyShift:
             assert DirichletLineModel.energy_shift(mu) == pytest.approx(
                 (mu - 1.0) / (4.0 * mu), rel=1e-14)
 
+    @pytest.mark.parametrize("model", ["half", "local"])
+    def test_array_matches_scalar(self, model_half, model):
+        m = model_half if model == "half" else DirichletLineModel(2)
+        mus = np.array([[1.001, 1.5, 2.0], [4.0, 8.0, 300.0]])
+        vals = m.energy_shift(mus)
+        scalar = [m.energy_shift(float(mu)) for mu in mus.ravel()]
+        assert vals.shape == mus.shape
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_allclose(vals.ravel(), scalar, rtol=1e-14, atol=0.0)
+        for bad in (1.0, 0.5, [2.0, 1.0]):
+            with pytest.raises(ValueError):
+                m.energy_shift(bad)
+
 
 class TestDensityMoments:
     def test_array_matches_per_lam_closed_forms(self, model_half):
@@ -486,6 +501,11 @@ class TestModelHygiene:
         sizes.clear()
         m.boundary_layer(np.array([0.5, 3.0, 20.0]))
         assert sizes == [33] * 72
+        sizes.clear()
+        # one energy_shift call for the 80 r nodes: their 48-node lam grids
+        # are tabled 256 rows at a time, not in one 48-row call per node
+        surface_via_energy_shift(m.order, m)
+        assert sizes == [256] * 15
 
     def test_model_freed_without_collector(self):
         gc.disable()

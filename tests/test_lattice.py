@@ -197,6 +197,22 @@ class TestBerezinBound:
         rel_slack_2 = r2.quantities["slack"] / r2.quantities["rhs"]
         assert rel_slack_2 < rel_slack_1
 
+    @pytest.mark.parametrize("m", [16, 64, 128])
+    @pytest.mark.parametrize("weight", ["flat", "sine"])
+    def test_lhs_matches_shifted_reference(self, m, weight):
+        # reference: the weighted shifted Hamiltonian phi (h^2s A - I) phi
+        # as a second dense matrix, symmetrized
+        dom, s, h = interval_domain(m), 0.5, 0.1
+        x = dom.coordinates()[:, 0]
+        phi = np.ones(m) if weight == "flat" else np.sin(math.pi * x)
+        a = build_restricted_fractional(dom, s).entries
+        ref = phi[:, None] * (h ** (2.0 * s) * a - np.eye(m)) * phi[None, :]
+        w = np.linalg.eigvalsh(0.5 * (ref + ref.T))
+        expected = float(-w[w < 0].sum())
+        assert expected > 0.0
+        lhs = berezin_bound_check(dom, s, phi, h).quantities["lhs"]
+        assert lhs == pytest.approx(expected, rel=1e-12)
+
 
 class TestCoherentState:
     @pytest.fixture(scope="class")
@@ -248,6 +264,20 @@ class TestOperatorOrder:
         assert rep.quantities["min_eig"] >= -1e-12 * max(norm, 1.0)
         # locality: the two constructions agree up to wrap-around
         assert norm < 1e-9
+
+
+class TestHalfspaceKernel:
+    def test_solve_memory(self, model_half):
+        # the eigensolve runs in the operator's own buffer: besides A only
+        # the eigenvector workspace is n x n, no shifted copy or identity
+        n = 64 * 64
+        tracemalloc.start()
+        try:
+            lat.halfspace_kernel_check(0.5, 0.5, model=model_half)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n ** 2 * 8
 
 
 class TestImsDefect:
