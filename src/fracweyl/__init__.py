@@ -3,11 +3,11 @@
 Submodules
 ----------
 quadcore
-    Sphere areas, the fractional form constant, and adaptive reference
-    quadrature.
+    Sphere areas, the fractional form constant, the fixed Gauss-Legendre
+    panel rule, and adaptive reference quadrature.
 halfline
     The half-line model operator: phase shift, generalized eigenfunctions,
-    kernels, boundary layer, and spectral shifts.
+    kernels, boundary layer, and energy shift.
 constants
     The bulk and surface coefficients of the two-term trace expansion and
     the coefficient conversions between summation conventions.

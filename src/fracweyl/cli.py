@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .halfline import FractionalOrder, HalfLineModel, _spectral_edge
+from .halfline import FractionalOrder, HalfLineModel, spectral_edge
 from . import constants as consts
 from . import lattice
 from . import localization as loc
@@ -149,7 +149,7 @@ def cmd_constants(args) -> int:
     rec.add("flag_L2_below_tilde", float(below), 0.0, "assertion")
     if args.volume is not None and args.surface is not None:
         c1, c2 = consts.eigenvalue_sum_coefficients(
-            order, args.volume, args.surface, l1=wc.bulk, l2=wc.surface)
+            order, args.volume, args.surface, l2=wc.surface)
         rec.add("C1", c1, 0.0, "sum_side_conversion")
         rec.add("C2", c2, 0.0, "sum_side_conversion")
     rec.write(args.output, args.format)
@@ -162,7 +162,7 @@ def cmd_kernels(args) -> int:
     rows = []
     for mu in args.mu:
         a_line = model.riesz_kernel_line(mu)
-        edge = _spectral_edge(mu, order.s)
+        edge = spectral_edge(mu, order.s)
         phase = model.phase_vec(edge) if edge > 0 else 0.0
         a_diag = a_line - model.kernel_gap(np.array(args.t), mu)
         for t, a in zip(args.t, a_diag):

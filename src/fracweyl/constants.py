@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadcore import QuadratureSpec, sphere_area, integrate
-from .halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
-                       _panel_quad)
+from .quadcore import QuadratureSpec, sphere_area, integrate, panel_quad
+from .halfline import FractionalOrder, HalfLineModel, DirichletLineModel
 
 __all__ = [
     "WeylCoefficients",
@@ -50,26 +49,19 @@ class WeylCoefficients:
 
     ``surface`` is the canonical (layer-route) value; the other routes are
     retained for cross-validation, and ``err_estimates`` carries the
-    accumulated quadrature error bound of each entry.
+    accumulated quadrature error bound of each entry.  The record holds
+    whatever the routes computed: whether 0 < surface < surface_dirichlet
+    is a verdict for its reader (``fracweyl constants`` flags it and exits
+    4), not an invariant of the record.
     """
 
     order: FractionalOrder
     bulk: float
     surface: float
-    surface_route: str
     surface_eigenfunction_route: float
     surface_shift_route: float
     surface_dirichlet: float
     err_estimates: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.bulk > 0:
-            raise ValueError("bulk coefficient must be positive")
-        if not self.surface > 0:
-            raise ValueError("surface coefficient must be positive")
-        if not self.surface < self.surface_dirichlet:
-            raise ValueError("surface coefficient must lie below the "
-                             "Dirichlet-power comparison constant")
 
 
 def _check_exponents(a: float, b: float):
@@ -107,16 +99,16 @@ def _power_tail(t: np.ndarray, vals: np.ndarray, t_hi: float) -> float:
     return math.exp(coef[1]) * t_hi ** (1.0 - p) / (p - 1.0)
 
 
-def _layer_t_integral(layer_fn, t_hi: float = 60.0):
+def _layer_t_integral(layer_fn):
     """Integral of a boundary-layer profile over (0, inf).
 
-    Fixed oscillation-resolving panels up to ``t_hi`` plus a fitted
+    Fixed oscillation-resolving panels up to t = 60 plus a fitted
     power-law tail; returns (value, err) with the tail magnitude and fit
     scatter folded into err.
     """
-    edges = np.concatenate([np.linspace(0.0, 10.0, 26),
-                            np.linspace(10.0, t_hi, 2 * int(t_hi - 10.0) // 3 + 2)[1:]])
-    t, w = _panel_quad(edges, 8)
+    t_hi = 60.0
+    edges = np.concatenate([np.linspace(0.0, 10.0, 26), np.linspace(10.0, t_hi, 35)[1:]])
+    t, w = panel_quad(edges, 8)
     vals = layer_fn(t)
     main = float(np.dot(w, vals))
     sel = t > 0.55 * t_hi
@@ -147,7 +139,7 @@ def surface_via_eigenfunctions(order: FractionalOrder,
     edges = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 4),
                             np.linspace(0.1, 6.0, 13)[1:],
                             np.geomspace(6.0, lam_hi, 10)[1:]])
-    lam, w = _panel_quad(edges, 12)
+    lam, w = panel_quad(edges, 12)
     dens = model.t_integrated_gap_density(lam)
     weight = (lam ** 2 + 1.0) ** (-(d - 1) / 2.0)
     main = math.pi / 4.0 + float(np.dot(w, dens * weight))
@@ -163,12 +155,12 @@ def surface_via_energy_shift(order: FractionalOrder,
     energy shift."""
     s, d = order.s, order.d
     model = model or HalfLineModel(order)
-    r, w = _panel_quad(np.array([0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0]), 10)
+    r, w = panel_quad(np.array([0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0]), 10)
     vals = model.energy_shift(r ** (-2.0 * s))
     pref = sphere_area(d - 2) / (2.0 * math.pi) ** (d - 1)
     value = pref * float(np.dot(w, r ** (d - 2.0) * vals))
     # refinement delta as the error proxy
-    r2, w2 = _panel_quad(np.array([0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0]), 6)
+    r2, w2 = panel_quad(np.array([0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0]), 6)
     vals2 = np.interp(r2, r, vals)
     coarse = pref * float(np.dot(w2, r2 ** (d - 2.0) * vals2))
     return value, max(abs(value - coarse), 1e-7 * abs(value))
@@ -206,7 +198,6 @@ def compute_weyl_coefficients(order: FractionalOrder) -> WeylCoefficients:
         order=order,
         bulk=l1,
         surface=l2_layer,
-        surface_route="K_integral",
         surface_eigenfunction_route=l2_eig,
         surface_shift_route=l2_shift,
         surface_dirichlet=l2_tilde,
@@ -245,23 +236,20 @@ def cesaro_riesz_invert(C: float, D: float, a: float, b: float) -> tuple[float, 
 
 
 def eigenvalue_sum_coefficients(order: FractionalOrder, volume: float,
-                                surface: float, l1: float | None = None,
-                                l2: float | None = None) -> tuple[float, float]:
+                                surface: float, l2: float) -> tuple[float, float]:
     """Cesaro-mean coefficients (C1, C2) of the averaged eigenvalue sum
 
         N^-1 sum_{n<=N} lam_n = C1 |Omega|^(-2s/d) N^(2s/d)
                                + C2 |bdry| |Omega|^(-(d-1+2s)/d) N^((2s-1)/d),
 
     obtained by inverting the Riesz-mean expansion with leading
-    coefficient l1*|Omega| and subleading -l2*|bdry|.
+    coefficient L1*|Omega| (L1 = bulk_coefficient) and subleading
+    -l2*|bdry|.
     """
     if not (volume > 0 and surface > 0):
         raise ValueError("volume and surface must be positive")
     s, d = order.s, order.d
-    if l1 is None:
-        l1 = bulk_coefficient(order)
-    if l2 is None:
-        l2, _ = surface_via_layer(order)
+    l1 = bulk_coefficient(order)
     a = 2.0 * s / d
     b = (2.0 * s - 1.0) / d
     A, B = cesaro_riesz_invert(l1 * volume, -l2 * surface, a, b)

@@ -13,7 +13,7 @@ the Fourier-multiplier operator (the additive sign fails by orders of
 magnitude; see the tests).  Everything else here is assembled from those
 two ingredients: the projector and Riesz-mean kernels, the boundary-layer
 profile whose integral is the surface coefficient of the two-term trace
-expansion, and the integrated spectral shifts.
+expansion, and the integrated energy shift.
 
 Numerical core
 --------------
@@ -30,25 +30,29 @@ left to naive quadrature: the pure-oscillation component is integrated in
 closed form (Abel regularization), which contributes both the familiar
 -sin(2*phase)/(2*lam) density *and* a boundary term (mu-1)/4 from lam -> 0;
 the remaining tail terms are absolutely convergent.
+
+Every integral here uses the fixed Gauss-Legendre panels of
+``quadcore.panel_quad``.  The phase is tabulated on [1e-4, 1e4] and
+evaluated directly outside it; at lam = 1e8 to 1e16 the direct form
+lies within 3e-11 of its limit pi(1-s)/4 for s from 0.1 to 0.95.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .quadcore import sphere_area
+from .quadcore import panel_quad, sphere_area
 
 __all__ = [
     "FractionalOrder",
     "HalfLineModel",
     "DirichletLineModel",
-    "CountingShiftResult",
     "dispersion",
+    "spectral_edge",
 ]
 
 
@@ -64,15 +68,6 @@ class FractionalOrder:
             raise ValueError(f"fractional order must lie in (0,1), got {self.s}")
         if self.d != int(self.d) or self.d < 2:
             raise ValueError(f"ambient dimension must be an integer >= 2, got {self.d}")
-
-
-@dataclass(frozen=True)
-class CountingShiftResult:
-    """Truncated counting shift with its cutoff-doubling diagnostic."""
-
-    value: float
-    t_cut: float
-    doubling_delta: float
 
 
 def dispersion(E, s: float):
@@ -98,24 +93,6 @@ def _decay_logratio(L, s: float):
     return np.where(L == 0.0, -math.log(s), out)
 
 
-@lru_cache(maxsize=64)
-def _gl(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _panel_quad(edges: np.ndarray, n: int):
-    """Gauss-Legendre nodes/weights on a sequence of contiguous panels."""
-    x, w = _gl(n)
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def _geometric_edges(lo: float, hi: float, ratio: float = 3.0):
     edges = [0.0, lo]
     x = lo
@@ -132,7 +109,7 @@ def _osc_panels(total_phase, base: int = 6, cap: int = 600):
 
 
 # tangential-frequency nodes r in (0, 1) of the boundary-layer integral
-_LAYER_R, _LAYER_W = _panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
+_LAYER_R, _LAYER_W = panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
                                            0.5, 0.7, 0.85, 0.95, 1.0]), 8)
 
 
@@ -149,7 +126,7 @@ def _layer_profile(kernel_gap, t, s: float, d: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _spectral_edge(mu: float, s: float) -> float:
+def spectral_edge(mu: float, s: float) -> float:
     """Largest lam with (lam^2+1)^s < mu; zero when mu <= 1."""
     if mu <= 1.0:
         return 0.0
@@ -187,10 +164,14 @@ class HalfLineModel:
         lam2 = lam * lam
         edges = np.concatenate([_geometric_edges(1e-18, 0.5, ratio=10.0),
                                 [0.7, 0.85, 1.0]])
-        z, w = _panel_quad(edges[1:], 16)  # skip the (0, 1e-18) sliver
+        z, w = panel_quad(edges[1:], 16)  # skip the (0, 1e-18) sliver
         one_minus_z2 = (1.0 - z) * (1.0 + z)
         v = lam2 * one_minus_z2 / (1.0 + lam2)
-        L1 = np.log1p(-v)            # < 0
+        # 1 - v = (1 + lam^2 z^2)/(1 + lam^2); once lam passes ~1e8, v
+        # rounds to 1 at the smallest z, and only there that form is used
+        rounded = v >= 1.0
+        L1 = np.log1p(-np.where(rounded, 0.0, v))  # < 0
+        L1[rounded] = np.log1p(lam2 * z[rounded] ** 2) - math.log1p(lam2)
         L2 = np.log1p(v / (z * z))   # > 0
         num = np.log(-np.expm1(s * L1))
         den = np.log(np.expm1(s * L2))
@@ -223,10 +204,10 @@ class HalfLineModel:
         flattened exactly by xi = 2 w^(-1/s).
         """
         s = self.order.s
-        v, wv = _panel_quad(np.array([1e-8, 1e-5, 1e-3, 0.03, 0.2, 0.6, 1.0]), 16)
+        v, wv = panel_quad(np.array([1e-8, 1e-5, 1e-3, 0.03, 0.2, 0.6, 1.0]), 16)
         xi_a = 1.0 + v ** (1.0 / s)
         w_a = wv * v ** (1.0 / s - 1.0) / s
-        u, wu = _panel_quad(np.array([1e-9, 1e-4, 0.02, 0.15, 0.45, 1.0]), 16)
+        u, wu = panel_quad(np.array([1e-9, 1e-4, 0.02, 0.15, 0.45, 1.0]), 16)
         xi_b = 2.0 * u ** (-1.0 / s)
         w_b = wu * (2.0 / s) * u ** (-1.0 / s - 1.0)
         return np.concatenate([xi_a, xi_b]), np.concatenate([w_a, w_b])
@@ -240,7 +221,7 @@ class HalfLineModel:
         N is contracted against it 64 lam at a time.
         """
         hi = 1e7 * max(float(x.max()), float(lams.max()), 1.0)
-        z, w = _panel_quad(_geometric_edges(1e-16 * min(1.0, float(x.min())), hi), 16)
+        z, w = panel_quad(_geometric_edges(1e-16 * min(1.0, float(x.min())), hi), 16)
         poisson = x[:, None] / (x[:, None] ** 2 + z[None, :] ** 2)
         out = np.empty((lams.size, x.size))
         for i in range(0, lams.size, 64):
@@ -354,9 +335,9 @@ class HalfLineModel:
     def _g_grid(self, mu, n: int = 32):
         """Edge-substituted lam grid on the spectral window with weights;
         a 1-D array of mu gives one row per mu."""
-        edge = (_spectral_edge(mu, self.order.s) if np.ndim(mu) == 0 else
-                np.array([[_spectral_edge(m, self.order.s)] for m in mu]))
-        phi, w = _panel_quad(np.array([0.0, math.pi / 2.0]), n)
+        edge = (spectral_edge(mu, self.order.s) if np.ndim(mu) == 0 else
+                np.array([[spectral_edge(m, self.order.s)] for m in mu]))
+        phi, w = panel_quad(np.array([0.0, math.pi / 2.0]), n)
         lam = edge * np.sin(phi)
         return lam, edge * np.cos(phi) * w, edge
 
@@ -403,7 +384,7 @@ class HalfLineModel:
         panels = _osc_panels(2.0 * x * edge)
         for p in np.unique(panels):
             sel = np.nonzero(panels == p)[0]
-            lam_d, w_d = _panel_quad(np.linspace(0.0, edge, p + 1), 8)
+            lam_d, w_d = panel_quad(np.linspace(0.0, edge, p + 1), 8)
             th_d = self.phase_vec(lam_d)
             wt_d = mu - (1.0 + lam_d ** 2) ** s
             arg = np.multiply.outer(x[sel], lam_d)
@@ -437,7 +418,7 @@ class HalfLineModel:
         _, _, edge, lam_aug, tables = self._edge_tables(mu)
         span = abs(t) + float(np.max(u))
         panels = int(_osc_panels(span * edge, cap=1600))
-        lam_d, w_d = _panel_quad(np.linspace(0.0, edge, panels + 1), 8)
+        lam_d, w_d = panel_quad(np.linspace(0.0, edge, panels + 1), 8)
         th_d = self.phase_vec(lam_d)
         g = self._tails(np.append(t, u), tables)
         g_cols = np.concatenate([np.zeros((1, u.size + 1)), g.T])
@@ -466,25 +447,18 @@ class HalfLineModel:
 
     # -- integrated t-densities and shifts ------------------------------
 
-    def _moments(self, lam: np.ndarray, th: np.ndarray, T: float = math.inf):
-        """Closed forms of int_0^T sin(lam t + phase) G dt and
-        int_0^T G^2 dt for every lam of a 1-D array with its phases th.
+    def _moments(self, lam: np.ndarray, th: np.ndarray):
+        """Closed forms of int_0^inf sin(lam t + phase) G dt and
+        int_0^inf G^2 dt for every lam of a 1-D array with its phases th.
 
         Over the stacked tables C (one row per lam) the first is an
         elementwise sum; the second is the row sums of (C @ H) * C with
-        H = (1 - exp(-T (xi_i + xi_j))) / (xi_i + xi_j), free of lam.
+        H = 1 / (xi_i + xi_j), free of lam.
         """
         xi = self._xi_nodes
         tables = self.gamma_table(lam)[1]
         num = np.multiply.outer(np.sin(th), xi) + (lam * np.cos(th))[:, None]
-        pair = np.add.outer(xi, xi)
-        if math.isfinite(T):
-            ph = lam * T + th
-            num -= np.exp(-T * xi) * (np.multiply.outer(np.sin(ph), xi)
-                                      + (lam * np.cos(ph))[:, None])
-            h = (1.0 - np.exp(-T * pair)) / pair
-        else:
-            h = 1.0 / pair
+        h = 1.0 / np.add.outer(xi, xi)
         sine = np.sum(tables * (num / np.add.outer(lam * lam, xi * xi)), axis=1)
         return sine, np.sum((tables @ h) * tables, axis=1)
 
@@ -520,30 +494,6 @@ class HalfLineModel:
         out = ((flat - 1.0) / 4.0 + gap / math.pi) / flat
         return float(out[0]) if mu.ndim == 0 else out.reshape(mu.shape)
 
-    def counting_shift(self, mu: float, t_cut: float = 40.0) -> CountingShiftResult:
-        """Truncated counting-function shift with cutoff diagnostics.
-
-        The underlying integral is not known to converge; the result
-        carries the change produced by doubling the cutoff.
-        """
-        if not mu > 1.0:
-            raise ValueError(f"counting_shift requires mu > 1, got {mu}")
-        v1 = self._counting_shift_at(mu, t_cut)
-        v2 = self._counting_shift_at(mu, 2.0 * t_cut)
-        return CountingShiftResult(v1, t_cut, v2 - v1)
-
-    def _counting_shift_at(self, mu: float, T: float) -> float:
-        lam_g, w_g, edge = self._g_grid(mu, n=48)
-        # oscillatory closed-form piece, gamma-free, on a dense grid
-        panels = int(_osc_panels(2.0 * T * edge))
-        lam_d, w_d = _panel_quad(np.linspace(0.0, edge, panels + 1), 8)
-        th_d = self.phase_vec(lam_d)
-        osc = (np.sin(2.0 * lam_d * T + 2.0 * th_d) - np.sin(2.0 * th_d)) / (2.0 * lam_d)
-        # Laplace-tail moments truncated at T on the smooth edge grid
-        sine, square = self._moments(lam_g, self.phase_vec(lam_g), T)
-        tails = float(np.dot(w_g, 4.0 * sine - 2.0 * square))
-        return (float(np.dot(w_d, osc)) + tails) / math.pi
-
 
 class DirichletLineModel:
     """Local (s = 1) analogue with sine eigenfunctions: zero phase shift and
@@ -570,15 +520,6 @@ class DirichletLineModel:
                 j = np.where(u < 1e-3, 1.0 / 3.0 - u * u / 30.0 + u ** 4 / 840.0,
                              (np.sin(u) - u * np.cos(u)) / u ** 3)
             out = 2.0 * edge ** 3 * j / math.pi
-        return float(out) if out.ndim == 0 else out
-
-    @staticmethod
-    def energy_shift(mu):
-        """Closed form (mu - 1)/(4 mu) over an array of mu > 1; scalar -> float."""
-        mu = np.asarray(mu, dtype=float)
-        if not np.all(mu > 1.0):
-            raise ValueError(f"energy_shift requires mu > 1, got {mu}")
-        out = (mu - 1.0) / (4.0 * mu)
         return float(out) if out.ndim == 0 else out
 
     def boundary_layer(self, t):

@@ -18,6 +18,8 @@ the Dirichlet Laplacian is built by eigendecomposition of the block's
 stencil.  On top of the two operators sit Riesz means, two-term fits, and
 the operator-level property checks (sharp trace bound, coherent-state
 identity, operator ordering, half-space kernel law, localization defect).
+Every eigenvalues-only solve goes through ``eigenvalues_sym``, which checks
+the spectrum against the trace and Frobenius norm of its matrix.
 """
 
 from __future__ import annotations
@@ -173,7 +175,6 @@ class SpectrumResult:
 class AsymptoticFit:
     c0: float
     c1: float
-    h_samples: tuple
     rms_residual: float
 
     def __post_init__(self):
@@ -297,7 +298,7 @@ def two_term_fit(samples, d: int) -> AsymptoticFit:
         raise ArithmeticError(f"ill-conditioned two-term design (cond={cond:.2e})")
     coef, *_ = np.linalg.lstsq(design, tr, rcond=None)
     resid = (design @ coef - tr) / hs ** (-d + 1)
-    return AsymptoticFit(float(coef[0]), float(coef[1]), tuple(samples),
+    return AsymptoticFit(float(coef[0]), float(coef[1]),
                          float(np.sqrt(np.mean(resid ** 2))))
 
 
@@ -320,7 +321,7 @@ def berezin_bound_check(domain: LatticeDomain, s: float, phi: np.ndarray,
     m = np.outer(phi, phi) * build_restricted_fractional(domain, s).entries
     m *= h ** (2.0 * s)
     np.fill_diagonal(m, m.diagonal() - phi ** 2)
-    w = np.linalg.eigvalsh(m)
+    w = eigenvalues_sym(SymmetricOperator(domain.size, m)).eigenvalues
     lhs = float(-w[w < 0].sum())
     # the ambient dimension of the coefficient is the lattice dimension here
     l1 = (bulk_coefficient(FractionalOrder(s, max(domain.dim, 2)))
@@ -380,8 +381,8 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
     is positive semidefinite up to roundoff (exact finite matrix theorem)."""
     diff = (build_dirichlet_power(domain, s).entries
             - build_restricted_fractional(domain, s).entries)
-    w = np.linalg.eigvalsh(diff)
-    norm = max(float(np.max(np.abs(w))), 1e-300)
+    w = eigenvalues_sym(SymmetricOperator(domain.size, diff)).eigenvalues
+    norm = max(-float(w[0]), float(w[-1]), 1e-300)
     return CheckReport("operator_order", bool(w[0] >= -1e-8 * norm),
                        {"min_eig": float(w[0]), "max_eig": float(w[-1]),
                         "norm": norm})
@@ -395,16 +396,23 @@ def halfspace_kernel_check(s: float, h: float,
     Uses a 64 x 64 square of spacing h/6, so its side is 10.7 h; the
     sampled column sits at the horizontal center so the lateral edges stay
     several h away.  The negative part of h^2s A - 1 is spanned by the
-    eigenpairs (w, v) of the restricted operator A below h^-2s, each
-    weighted by 1 - h^2s w; they are solved in A's own buffer.
+    eigenpairs (w, v) of the restricted operator A up to h^-2s, each
+    weighted by 1 - h^2s w.  They are found among the lowest 32 eigenpairs,
+    solved in A's own buffer; ArithmeticError if the 32nd is not above
+    h^-2s, since the cut then lies beyond the computed range.
     """
     m, spacing = 64, h / 6.0
     domain = rectangle_domain(m, m, spacing)
     order = FractionalOrder(s, 2)
     model = model or HalfLineModel(order)
     op = build_restricted_fractional(domain, s)
-    w, v = scipy.linalg.eigh(op.entries.T, subset_by_value=(-np.inf, h ** (-2.0 * s)),
+    cut = h ** (-2.0 * s)
+    w, v = scipy.linalg.eigh(op.entries.T, subset_by_index=(0, 31),
                              overwrite_a=True)  # F-ordered view: solved in place
+    if not w[-1] > cut:
+        raise ArithmeticError(f"32 lowest eigenvalues all lie at or below h^-2s = {cut}")
+    keep = w <= cut
+    w, v = w[keep], v[:, keep]
     coords = domain.coordinates()
     col_x = (m // 2 - 0.5) * spacing
     on_col = np.abs(coords[:, 0] - col_x) < 0.25 * spacing

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadcore import QuadratureSpec, integrate
+from .quadcore import QuadratureSpec, integrate, panel_quad
 
 __all__ = [
     "DomainGeometry",
@@ -184,28 +184,26 @@ class LocalizationFamily:
 
     # -- center grids ----------------------------------------------------
 
-    def scale_grid(self, resolution: int, pad: float = 0.6,
+    def scale_grid(self, resolution: int,
                    lo: float | None = None, hi: float | None = None):
         """1-D quadrature over centers: panels marched at the local scale
-        (width 4 l(u)/resolution) with Gauss-Legendre nodes inside.
+        (width 4 l(u)/resolution) with 6 Gauss-Legendre nodes inside.  The
+        default range pads the domain by 0.6 on each side, beyond the
+        reach 1/2 of the largest ball.
 
         Returns (centers, weights, scales).
         """
         if self.geometry.dim != 1:
             raise ValueError("scale_grid is 1-D; use cell_grid in 2-D")
         box_lo, box_hi = self.geometry.interior_box()
-        u = float(box_lo[0]) - pad if lo is None else lo
-        end = float(box_hi[0]) + pad if hi is None else hi
-        gx, gw = np.polynomial.legendre.leggauss(6)
-        us, ws = [], []
+        u = float(box_lo[0]) - 0.6 if lo is None else lo
+        end = float(box_hi[0]) + 0.6 if hi is None else hi
+        edges = [u]
         while u < end:
-            step = 4.0 * float(self.scale([u])) / resolution
-            mid, half = u + 0.5 * step, 0.5 * step
-            us.extend(mid + half * gx)
-            ws.extend(half * gw)
-            u += step
-        us = np.array(us)
-        return us, np.array(ws), self.scale(us[:, None])
+            u += 4.0 * float(self.scale([u])) / resolution
+            edges.append(u)
+        us, ws = panel_quad(np.array(edges), 6)
+        return us, ws, self.scale(us[:, None])
 
     def cell_grid(self, center: np.ndarray, halfwidth: float, resolution: int,
                   prune=None):
@@ -270,7 +268,7 @@ def neighborhood_integrals(geometry: DomainGeometry,
     for l0 in l0_values:
         fam = LocalizationFamily(geometry, l0)
         if geometry.dim == 1:
-            us, ws, ls = fam.scale_grid(resolution, pad=0.6)
+            us, ws, ls = fam.scale_grid(resolution)
             centers = us[:, None]
         else:
             lo, hi = geometry.interior_box()

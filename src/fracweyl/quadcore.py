@@ -1,9 +1,11 @@
 """Deterministic numerical kernels shared by every other module.
 
 Provides sphere surface areas, the quadratic-form constant of the
-fractional Laplacian, and adaptive one-dimensional quadrature with error
-control, the reference that the fixed quadrature rules elsewhere are
-checked against.
+fractional Laplacian, and the two one-dimensional quadratures:
+:func:`panel_quad`, the fixed Gauss-Legendre panel rule behind the
+coefficient routes and the covering's scale grid, and :func:`integrate`,
+adaptive Gauss-Kronrod with error control, the reference the fixed rule
+is checked against.
 
 Integrands passed to :func:`integrate` must accept a 1-D ``numpy`` array
 of abscissae and return an array of the same shape.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +27,7 @@ __all__ = [
     "sphere_area",
     "c_sd",
     "integrate",
+    "panel_quad",
 ]
 
 
@@ -133,14 +137,11 @@ def _gk15(f, a: float, b: float):
     return ik, err
 
 
-def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec(), *,
-              lower_singularity: bool = False) -> IntegralResult:
+def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
     """Adaptive Gauss-Kronrod integration of ``f`` over ``(a, b)``.
 
     ``b`` may be ``math.inf``; a decaying tail is mapped to a finite
-    interval by the substitution x = c/u. A declared singularity at ``a``
-    is softened by the substitution x = a + u**2, which removes
-    inverse-square-root blowups exactly and improves any integrable power.
+    interval by the substitution x = c/u.
 
     Raises
     ------
@@ -164,13 +165,7 @@ def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec(), *,
         pieces.append((tail, 0.0, 1.0))
         b = cut
 
-    core = f
-    lo, hi = a, b
-    if lower_singularity:
-        def core(u, g=f, lo=a):
-            return g(lo + u ** 2) * 2.0 * u
-        lo, hi = 0.0, math.sqrt(b - a)
-    pieces.append((core, lo, hi))
+    pieces.append((f, a, b))
 
     heap = []  # (-err, seq, value, err, g, lo, hi)
     total = 0.0
@@ -205,6 +200,24 @@ def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec(), *,
         seq += 2
 
     return IntegralResult(total, total_err, evals)
+
+
+@lru_cache(maxsize=64)
+def _gl(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return x, w
+
+
+def panel_quad(edges: np.ndarray, n: int):
+    """Gauss-Legendre nodes/weights on a sequence of contiguous panels."""
+    x, w = _gl(n)
+    lo = edges[:-1]
+    hi = edges[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
 
 
 def sphere_area(n: int) -> float:

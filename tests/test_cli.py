@@ -200,6 +200,17 @@ class TestConstantsCommand:
             assert rec[name]["value"] == pytest.approx(value, rel=1e-12, abs=0.0), name
             assert rec[name]["err"] == pytest.approx(err, rel=1e-9, abs=0.0), name
 
+    def test_failed_comparison_exits_4(self, tmp_path, monkeypatch):
+        # an L2_tilde below L2 is reported through the flags, not raised
+        import fracweyl.constants as consts
+        monkeypatch.setattr(consts, "surface_dirichlet_power", lambda order: (1e-3, 0.0))
+        out = tmp_path / "const.json"
+        code = run(["constants", "--s", "0.5", "--format", "json", "--output", str(out)])
+        assert code == EXIT_ASSERTION
+        rec = json.loads(out.read_text())
+        assert rec["flag_L2_positive"]["value"] == 1.0
+        assert rec["flag_L2_below_tilde"]["value"] == 0.0
+
 
 class TestVerifySquareCommand:
     def test_pipeline_wiring(self, tmp_path):

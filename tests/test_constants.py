@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracweyl.halfline import FractionalOrder, DirichletLineModel
-from fracweyl.constants import (WeylCoefficients,
-                                bulk_coefficient, bulk_coefficient_quadrature,
+from fracweyl.constants import (bulk_coefficient, bulk_coefficient_quadrature,
                                 surface_via_layer, surface_via_eigenfunctions,
                                 surface_via_energy_shift, surface_local_exact,
                                 surface_dirichlet_power, _layer_t_integral, _power_tail,
@@ -125,19 +124,6 @@ class TestPowerTail:
             assert _power_tail(t, np.array([0, 0, 0, 1e-3, 2e-4, 1e-4]), 120.0) == 0.0
 
 
-class TestWeylCoefficientsType:
-    def test_invariants_enforced(self):
-        order = FractionalOrder(0.5, 2)
-        with pytest.raises(ValueError):
-            WeylCoefficients(order, bulk=1.0, surface=-0.1, surface_route="K_integral",
-                             surface_eigenfunction_route=0.1, surface_shift_route=0.1,
-                             surface_dirichlet=0.2)
-        with pytest.raises(ValueError):
-            WeylCoefficients(order, bulk=1.0, surface=0.3, surface_route="K_integral",
-                             surface_eigenfunction_route=0.3, surface_shift_route=0.3,
-                             surface_dirichlet=0.2)
-
-
 class TestConversion:
     def test_unit_example(self):
         C, D = cesaro_riesz_convert(1.0, 0.0, 1.0, 0.0)
@@ -181,7 +167,7 @@ class TestConversion:
         order = FractionalOrder(0.5, 2)
         l1 = bulk_coefficient(order)
         l2 = 0.025
-        c1, c2 = eigenvalue_sum_coefficients(order, 1.0, 4.0, l1=l1, l2=l2)
+        c1, c2 = eigenvalue_sum_coefficients(order, 1.0, 4.0, l2=l2)
         a = 2.0 * order.s / order.d
         A, B = cesaro_riesz_invert(l1 * 1.0, -l2 * 4.0, a, (2 * order.s - 1) / order.d)
         # with |Omega| = 1 the averaged-sum leading constant is A itself
@@ -200,7 +186,7 @@ class TestConversion:
     def test_blumenthal_getoor_factor(self):
         order = FractionalOrder(0.5, 2)
         l1 = bulk_coefficient(order)
-        c1, _ = eigenvalue_sum_coefficients(order, 1.0, 4.0, l1=l1, l2=0.025)
+        c1, _ = eigenvalue_sum_coefficients(order, 1.0, 4.0, l2=0.025)
         a = 2.0 * order.s / order.d
         A, _ = cesaro_riesz_invert(l1, -0.1, a, (2 * order.s - 1) / order.d)
         # lam_N ~ A (a+1) N^a = (d+2s)/d * C1 N^(2s/d)
@@ -211,8 +197,8 @@ class TestConversion:
         # the reported constant is universal; the absorbed prefactor
         # C1 |Omega|^(-2s/d) therefore scales by 2^(-2s/d) under doubling
         order = FractionalOrder(0.5, 2)
-        c1_a, _ = eigenvalue_sum_coefficients(order, 1.0, 4.0, l1=None, l2=0.025)
-        c1_b, _ = eigenvalue_sum_coefficients(order, 2.0, 4.0, l1=None, l2=0.025)
+        c1_a, _ = eigenvalue_sum_coefficients(order, 1.0, 4.0, l2=0.025)
+        c1_b, _ = eigenvalue_sum_coefficients(order, 2.0, 4.0, l2=0.025)
         assert c1_b == pytest.approx(c1_a, rel=1e-10)
         expo = -2.0 * order.s / order.d
         assert (c1_b * 2.0 ** expo) / c1_a == pytest.approx(2.0 ** expo, rel=1e-10)

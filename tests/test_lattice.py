@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import fracweyl.lattice as lat
@@ -132,6 +133,23 @@ class TestOperators:
         monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
         with pytest.raises(ArithmeticError):
             eigenvalues_sym(op)
+
+    def test_checks_share_the_checked_spectrum(self, monkeypatch):
+        # the order and trace-bound checks go through eigenvalues_sym, so a
+        # spectrum off by 1e-6 of the norm fails them instead of reporting
+        exact = np.linalg.eigvalsh
+
+        def perturbed(a):
+            w = exact(a)
+            w[-1] += 1e-6 * max(abs(w[0]), abs(w[-1]))
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        dom = interval_domain(16)
+        with pytest.raises(ArithmeticError):
+            operator_order_check(dom, 0.5)
+        with pytest.raises(ArithmeticError):
+            berezin_bound_check(dom, 0.5, np.ones(16), 0.1)
 
     def test_trivial_spectra(self):
         op = SymmetricOperator(2, np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -277,7 +295,17 @@ class TestHalfspaceKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * n ** 2 * 8
+        assert peak < 1.5 * n ** 2 * 8
+
+    def test_cut_beyond_computed_range(self, model_half, monkeypatch):
+        # 32 eigenvalues all below h^-2s: the negative part may hold more
+        # eigenpairs than were computed
+        def below_cut(a, **kwargs):
+            return np.zeros(32), np.zeros((a.shape[0], 32))
+
+        monkeypatch.setattr(scipy.linalg, "eigh", below_cut)
+        with pytest.raises(ArithmeticError):
+            lat.halfspace_kernel_check(0.5, 0.5, model=model_half)
 
 
 class TestImsDefect:

@@ -68,10 +68,6 @@ class TestIntegrate:
         r = integrate(lambda x: np.exp(-x), 0.0, math.inf)
         assert r.value == pytest.approx(1.0, rel=1e-10)
 
-    def test_endpoint_singularity(self):
-        r = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, lower_singularity=True)
-        assert r.value == pytest.approx(2.0, rel=1e-10)
-
     def test_nonconvergence_raises(self):
         spec = QuadratureSpec(rel_tol=1e-10, max_subdivisions=8)
         with pytest.raises(NonConvergenceError):
