@@ -215,7 +215,8 @@ def cmd_verify_square(args) -> int:
         lattice.check_h_grid(hs)
     except ValueError as exc:
         raise UsageError(str(exc))
-    spec = lattice.eigenvalues_sym(lattice.build_restricted_fractional(dom, order.s))
+    # the largest cut of the h grid: every riesz_mean below reads no further
+    spec = lattice.lowest_spectrum(dom, order.s, hs.min() ** (-2.0 * order.s))
     samples = [(h, lattice.riesz_mean(spec, h, order.s)) for h in hs]
     fit = lattice.two_term_fit(samples, 2)
     model = HalfLineModel(order)

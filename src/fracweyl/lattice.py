@@ -14,12 +14,21 @@ negligible for s = 1 but not for s < 1: the torus has a finite exterior,
 so the killing part of the form is too small and the low spectrum is
 biased low (on (-1, 1), 256 cells, lam_1 is 4.6% below its large-box
 limit at s = 1/2 and 13.7% below at s = 1/4).  The fractional power of
-the Dirichlet Laplacian is built by eigendecomposition of the block's
-stencil.  On top of the two operators sit Riesz means, two-term fits, and
+the Dirichlet Laplacian is built from the stencil's closed-form sine
+eigenbasis.  On top of the two operators sit Riesz means, two-term fits, and
 the operator-level property checks (sharp trace bound, coherent-state
 identity, operator ordering, half-space kernel law, localization defect).
-Every eigenvalues-only solve goes through ``eigenvalues_sym``, which checks
-the spectrum against the trace and Frobenius norm of its matrix.
+
+Two solvers give spectra.  ``eigenvalues_sym`` is the dense reference: it
+returns the whole spectrum of a matrix and checks it against the matrix's
+trace and Frobenius norm.  ``lowest_spectrum`` never forms a matrix: it
+applies the restricted multiplier by zero-padded FFT and runs Lanczos
+(``eigsh``) for the eigenvalues up to a cut, which is all a Riesz mean at
+``h >= cut^(-1/2s)`` reads.  A partial spectrum has no trace to check, so
+every pair it returns is residual-checked, and a second Lanczos run on the
+operator with those pairs deflated checks that none below the cut was
+missed.  Each ``SpectrumResult`` records the cut up to which it is complete,
+and ``riesz_mean`` refuses an ``h`` that would read beyond it.
 """
 
 from __future__ import annotations
@@ -28,7 +37,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .quadcore import c_sd
 from .halfline import FractionalOrder, HalfLineModel
@@ -46,6 +57,7 @@ __all__ = [
     "build_restricted_fractional",
     "build_dirichlet_power",
     "eigenvalues_sym",
+    "lowest_spectrum",
     "riesz_mean",
     "check_h_grid",
     "two_term_fit",
@@ -161,10 +173,16 @@ class SymmetricOperator:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Ascending eigenvalues and their invariant defect (eigenvalues_sym)."""
+    """Ascending eigenvalues, complete up to ``cut``.
+
+    ``defect`` is what the solver checked: the trace/Frobenius invariant
+    defect of a full spectrum (``eigenvalues_sym``, ``cut`` = inf), or the
+    largest eigenpair residual norm of a partial one (``lowest_spectrum``).
+    """
 
     eigenvalues: np.ndarray
-    invariant_defect: float
+    defect: float
+    cut: float = math.inf
 
     def __post_init__(self):
         if np.any(np.diff(self.eigenvalues) < 0):
@@ -242,15 +260,34 @@ def _dirichlet_stencil(domain: LatticeDomain) -> np.ndarray:
     return a
 
 
+def _sine_basis(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of the c-cell
+    second difference tridiag(-1, 2, -1): w_j = 4 sin^2(pi j / 2(c+1)),
+    v_kj = sqrt(2/(c+1)) sin(pi j k / (c+1))."""
+    j = np.arange(1, c + 1)
+    # j k reduced mod 2(c+1) in integers first: sin of arguments near
+    # 800 rad loses about 20x in accuracy
+    r = np.outer(j, j) % (2 * (c + 1))
+    v = math.sqrt(2.0 / (c + 1)) * np.sin(math.pi / (c + 1) * r)
+    w = 4.0 * np.sin(math.pi / (2 * (c + 1)) * j) ** 2
+    return w, v
+
+
 def build_dirichlet_power(domain: LatticeDomain, s: float) -> SymmetricOperator:
-    """s-th power of the block's Dirichlet stencil via eigendecomposition."""
+    """s-th power of the block's Dirichlet stencil from its closed-form
+    eigenbasis: 1-D sines, their Kronecker product in 2-D."""
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
-    a = _dirichlet_stencil(domain)
     if s == 1.0:
-        return SymmetricOperator(domain.size, a)
-    w, v = np.linalg.eigh(a)
-    out = (v * w ** s) @ v.T
+        return SymmetricOperator(domain.size, _dirichlet_stencil(domain))
+    bases = [_sine_basis(c) for c in domain.cells]
+    if domain.dim == 1:
+        w, v = bases[0]
+    else:
+        (wx, vx), (wy, vy) = bases
+        w = (wx[:, None] + wy[None, :]).ravel()
+        v = np.kron(vx, vy)
+    out = (v * (w / domain.spacing ** 2) ** s) @ v.T
     out = 0.5 * (out + out.T)
     return SymmetricOperator(domain.size, out)
 
@@ -269,10 +306,101 @@ def eigenvalues_sym(op: SymmetricOperator) -> SpectrumResult:
     return SpectrumResult(w, defect)
 
 
+def _box_operator(domain: LatticeDomain, s: float):
+    """Matrix-free P M_s P and max(sigma^s), its norm bound.
+
+    The returned function takes a block vector, shape (n,), or a block of
+    them, shape (n, k), zero-pads it into the periodic box, multiplies by
+    sigma^s in Fourier space (``rfftn``) and restricts back to the block:
+    the operator of ``build_restricted_fractional`` without its n x n matrix.
+    """
+    box, n = domain.box_points, domain.size
+    shape = (box,) * domain.dim
+    sig = _symbol_1d(box, domain.spacing)
+    half = sig[:box // 2 + 1]  # rfftn halves the last axis
+    mult = half ** s if domain.dim == 1 else (sig[:, None] + half[None, :]) ** s
+    block = (slice(None),) + tuple(slice(ax[0], ax[-1] + 1) for ax in domain._axes())
+    axes = tuple(range(1, domain.dim + 1))
+
+    def apply(x):
+        x = np.asarray(x, dtype=float)
+        k = x.size // n
+        pad = np.zeros((k,) + shape)
+        pad[block] = x.T.reshape((k,) + domain.cells)
+        f = scipy.fft.rfftn(pad, axes=axes)
+        f *= mult
+        y = scipy.fft.irfftn(f, s=shape, axes=axes)[block]
+        return y.reshape(k, n).T.reshape(x.shape)
+
+    return apply, float(mult.max())
+
+
+#: Lanczos start vectors: fixed seeds keep the partial solves deterministic.
+#: A constant start would be D4-symmetric on a square and so orthogonal to
+#: every antisymmetric mode.
+_LANCZOS_SEED, _DEFLATED_SEED = 0, 1
+
+
+def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
+                    vectors: bool = False):
+    """Ascending eigenvalues ``<= cut`` of the restricted multiplier P M_s P,
+    with their eigenvectors (as columns) if ``vectors``, matrix-free.
+
+    Lanczos (``eigsh``, smallest algebraic, tol = 0) on the FFT-applied
+    operator starts with 24 eigenpairs and doubles the count until the
+    largest is above ``cut``.  ArithmeticError unless every returned pair has
+    a residual ``||A v - w v|| <= 1e-10 max(sigma^s)`` and a second Lanczos
+    run on ``A + 2 cut V V^T`` (the kept pairs deflated) finds its lowest
+    eigenvalue above ``cut``: an eigenvalue the first run missed, such as a
+    copy of a degenerate one, would be that lowest eigenvalue.
+
+    Returns a ``SpectrumResult`` complete up to ``cut``, or the pair
+    ``(spectrum, eigenvectors)``.
+    """
+    if not 0.0 < s <= 1.0:
+        raise ValueError("fractional power must lie in (0, 1]")
+    n = domain.size
+    apply, top = _box_operator(domain, s)
+
+    def operator(fn):
+        return scipy.sparse.linalg.LinearOperator((n, n), matvec=fn, matmat=fn,
+                                                  dtype=float)
+
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    k = min(24, n - 1)
+    while True:
+        w, v = scipy.sparse.linalg.eigsh(operator(apply), k=k, which="SA", tol=0, v0=v0)
+        if w.max() > cut or k == n - 1:
+            break
+        k = min(2 * k, n - 1)
+    order = np.argsort(w)
+    keep = order[w[order] <= cut]
+    w, v = w[keep], v[:, keep]
+    residual = float(np.linalg.norm(apply(v) - v * w, axis=0).max(initial=0.0))
+    if residual > 1e-10 * top:
+        raise ArithmeticError(f"eigenpair residual {residual} above 1e-10 * {top}")
+
+    def deflated(x):
+        return apply(x) + 2.0 * cut * (v @ (v.T @ x))
+
+    next_w = scipy.sparse.linalg.eigsh(
+        operator(deflated), k=2, which="SA", tol=0, return_eigenvectors=False,
+        v0=np.random.default_rng(_DEFLATED_SEED).standard_normal(n))
+    if not next_w.min() > cut:
+        raise ArithmeticError(f"eigenvalue {next_w.min()} at or below the cut {cut} "
+                              f"was missed by the {w.size} returned")
+    spectrum = SpectrumResult(w, residual, cut)
+    return (spectrum, v) if vectors else spectrum
+
+
 def riesz_mean(spectrum: SpectrumResult, h: float, s: float) -> float:
-    """Sum of (1 - h^2s * lam)_+ over the computed spectrum."""
+    """Sum of (1 - h^2s * lam)_+ over the spectrum; ValueError if that reads
+    eigenvalues up to an h^-2s beyond the cut the spectrum is complete to."""
     if not h > 0:
         raise ValueError("h must be positive")
+    if h ** (-2.0 * s) > spectrum.cut:
+        raise ValueError(f"h = {h} reads eigenvalues up to {h ** (-2.0 * s)}, "
+                         f"beyond the spectrum's cut {spectrum.cut}")
     return float(np.clip(1.0 - h ** (2.0 * s) * spectrum.eigenvalues, 0.0, None).sum())
 
 
@@ -397,22 +525,15 @@ def halfspace_kernel_check(s: float, h: float,
     sampled column sits at the horizontal center so the lateral edges stay
     several h away.  The negative part of h^2s A - 1 is spanned by the
     eigenpairs (w, v) of the restricted operator A up to h^-2s, each
-    weighted by 1 - h^2s w.  They are found among the lowest 32 eigenpairs,
-    solved in A's own buffer; ArithmeticError if the 32nd is not above
-    h^-2s, since the cut then lies beyond the computed range.
+    weighted by 1 - h^2s w; ``lowest_spectrum`` gives them, checked for
+    residuals and completeness, without forming A.
     """
     m, spacing = 64, h / 6.0
     domain = rectangle_domain(m, m, spacing)
     order = FractionalOrder(s, 2)
     model = model or HalfLineModel(order)
-    op = build_restricted_fractional(domain, s)
-    cut = h ** (-2.0 * s)
-    w, v = scipy.linalg.eigh(op.entries.T, subset_by_index=(0, 31),
-                             overwrite_a=True)  # F-ordered view: solved in place
-    if not w[-1] > cut:
-        raise ArithmeticError(f"32 lowest eigenvalues all lie at or below h^-2s = {cut}")
-    keep = w <= cut
-    w, v = w[keep], v[:, keep]
+    spectrum, v = lowest_spectrum(domain, s, h ** (-2.0 * s), vectors=True)
+    w = spectrum.eigenvalues
     coords = domain.coordinates()
     col_x = (m // 2 - 0.5) * spacing
     on_col = np.abs(coords[:, 0] - col_x) < 0.25 * spacing

@@ -77,8 +77,8 @@ def test_a3_two_term_weyl_square():
     s = 0.5
     order = FractionalOrder(s, 2)
     dom = lattice.square_domain(64)
-    spec = lattice.eigenvalues_sym(lattice.build_restricted_fractional(dom, s))
     hs = np.geomspace(4.0 * dom.spacing, 0.25, 6)
+    spec = lattice.lowest_spectrum(dom, s, hs.min() ** (-2.0 * s))
     fit = lattice.two_term_fit([(h, lattice.riesz_mean(spec, h, s)) for h in hs], 2)
     l1 = consts.bulk_coefficient(order)
     l2, _ = consts.surface_via_layer(order)

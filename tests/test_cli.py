@@ -83,10 +83,10 @@ class TestUsageErrors:
     def test_h_grid_checked_before_eigensolve(self, monkeypatch):
         import fracweyl.lattice as lat
 
-        def unreachable(op):
+        def unreachable(*args, **kwargs):
             raise AssertionError("eigensolve reached with a bad h grid")
 
-        monkeypatch.setattr(lat, "eigenvalues_sym", unreachable)
+        monkeypatch.setattr(lat, "lowest_spectrum", unreachable)
         assert run(["verify-square", "--s", "0.5", "--h-count", "3"]) == EXIT_USAGE
 
 

@@ -4,14 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 import fracweyl.lattice as lat
 from fracweyl.lattice import (LatticeDomain, MarginError, interval_domain,
                               rectangle_domain, square_domain,
                               build_restricted_fractional, build_dirichlet_power,
-                              eigenvalues_sym, riesz_mean, two_term_fit,
+                              eigenvalues_sym, lowest_spectrum, riesz_mean,
+                              two_term_fit,
                               berezin_bound_check, coherent_state_identity_check,
                               operator_order_check, ims_defect_check,
                               SymmetricOperator, SpectrumResult)
@@ -60,6 +61,17 @@ class TestOperators:
         w, v = np.linalg.eigh(a)
         rebuilt = (v * w) @ v.T
         assert np.max(np.abs(rebuilt - a)) < 1e-10
+
+    @pytest.mark.parametrize("s", [0.3, 0.7])
+    @pytest.mark.parametrize("dom", [interval_domain(256), rectangle_domain(7, 5, 0.1)],
+                             ids=["interval256", "rect7x5"])
+    def test_dirichlet_power_matches_eigh(self, dom, s):
+        # reference: the power through a numerical eigendecomposition of the
+        # stencil; at 256 cells an unreduced sine argument misses 1e-14
+        w, v = np.linalg.eigh(build_dirichlet_power(dom, 1.0).entries)
+        ref = (v * w ** s) @ v.T
+        a = build_dirichlet_power(dom, s).entries
+        assert np.max(np.abs(a - ref)) < 1e-14 * np.max(np.abs(ref))
 
     def test_power_spectrum_is_powered(self):
         dom = interval_domain(10)
@@ -129,7 +141,7 @@ class TestOperators:
             return w
 
         spec = eigenvalues_sym(op)
-        assert spec.invariant_defect < 1e-12 * spec.eigenvalues[-1]
+        assert spec.defect < 1e-12 * spec.eigenvalues[-1]
         monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
         with pytest.raises(ArithmeticError):
             eigenvalues_sym(op)
@@ -158,6 +170,77 @@ class TestOperators:
         assert np.allclose(eigenvalues_sym(eye).eigenvalues, 1.0)
 
 
+def _tamper_first_solve(monkeypatch, tamper):
+    """Patch eigsh so that its first call returns ``tamper(w, v)``."""
+    exact = scipy.sparse.linalg.eigsh
+    calls = []
+
+    def patched(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        calls.append(kwargs.get("k"))
+        return tamper(*out) if len(calls) == 1 else out
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", patched)
+    return calls
+
+
+def _withhold_second(w, v):
+    drop = np.argsort(w)[1]
+    return np.delete(w, drop), np.delete(v, drop, axis=1)
+
+
+class TestLowestSpectrum:
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("dom", [square_domain(16), square_domain(32),
+                                     square_domain(64), interval_domain(256),
+                                     rectangle_domain(7, 5, 0.1)],
+                             ids=["square16", "square32", "square64", "interval256",
+                                  "rect7x5"])
+    def test_matches_dense(self, dom, s):
+        # cut in the widest gap among the 16th to 24th eigenvalues
+        w = np.linalg.eigvalsh(build_restricted_fractional(dom, s).entries)
+        i = 15 + int(np.argmax(np.diff(w[15:25])))
+        cut = 0.5 * (w[i] + w[i + 1])
+        spec = lowest_spectrum(dom, s, cut)
+        assert spec.cut == cut
+        assert spec.eigenvalues.size == i + 1
+        np.testing.assert_allclose(spec.eigenvalues, w[:i + 1], rtol=1e-10)
+
+    def test_doubles_past_the_first_block(self, monkeypatch):
+        # 60 eigenvalues below the cut: 24 -> 48 -> 96 eigenpairs
+        dom, s = interval_domain(256), 0.5
+        w = np.linalg.eigvalsh(build_restricted_fractional(dom, s).entries)
+        calls = _tamper_first_solve(monkeypatch, lambda *out: out)
+        spec = lowest_spectrum(dom, s, 0.5 * (w[59] + w[60]))
+        assert calls == [24, 48, 96, 2]
+        np.testing.assert_allclose(spec.eigenvalues, w[:60], rtol=1e-10)
+
+    def test_deterministic(self):
+        dom, s = square_domain(32), 0.5
+        first, v1 = lowest_spectrum(dom, s, 8.1, vectors=True)
+        second, v2 = lowest_spectrum(dom, s, 8.1, vectors=True)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(v1, v2)
+        assert np.allclose(v1.T @ v1, np.eye(first.eigenvalues.size), atol=1e-12)
+
+    def test_withheld_eigenpair_rejected(self, monkeypatch):
+        # the second eigenvalue on the square is half of a degenerate pair;
+        # withholding it leaves the first solve's largest above the cut
+        _tamper_first_solve(monkeypatch, _withhold_second)
+        with pytest.raises(ArithmeticError):
+            lowest_spectrum(square_domain(32), 0.5, 8.1)
+
+    def test_shifted_eigenvalue_rejected(self, monkeypatch):
+        def shifted(w, v):
+            w = w.copy()
+            w[np.argmin(w)] *= 1.0 + 1e-6
+            return w, v
+
+        _tamper_first_solve(monkeypatch, shifted)
+        with pytest.raises(ArithmeticError):
+            lowest_spectrum(square_domain(32), 0.5, 8.1)
+
+
 class TestRieszMean:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -176,6 +259,13 @@ class TestRieszMean:
     @settings(max_examples=40, deadline=None)
     def test_nonincreasing(self, spectrum, h):
         assert riesz_mean(spectrum, h, 0.5) >= riesz_mean(spectrum, h * 1.07, 0.5)
+
+    def test_refuses_h_beyond_the_cut(self):
+        s, h = 0.5, 0.125
+        spec = lowest_spectrum(square_domain(32), s, h ** (-2.0 * s))
+        assert riesz_mean(spec, h, s) > 0.0
+        with pytest.raises(ValueError):
+            riesz_mean(spec, 0.99 * h, s)
 
 
 class TestTwoTermFit:
@@ -286,8 +376,7 @@ class TestOperatorOrder:
 
 class TestHalfspaceKernel:
     def test_solve_memory(self, model_half):
-        # the eigensolve runs in the operator's own buffer: besides A only
-        # the eigenvector workspace is n x n, no shifted copy or identity
+        # the matrix-free solve holds a few dozen block vectors, no n x n array
         n = 64 * 64
         tracemalloc.start()
         try:
@@ -295,15 +384,12 @@ class TestHalfspaceKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n ** 2 * 8
+        assert peak < 0.25 * n ** 2 * 8
 
-    def test_cut_beyond_computed_range(self, model_half, monkeypatch):
-        # 32 eigenvalues all below h^-2s: the negative part may hold more
-        # eigenpairs than were computed
-        def below_cut(a, **kwargs):
-            return np.zeros(32), np.zeros((a.shape[0], 32))
-
-        monkeypatch.setattr(scipy.linalg, "eigh", below_cut)
+    def test_withheld_eigenpair_rejected(self, model_half, monkeypatch):
+        # an eigenpair below h^-2s missing from the solve would drop out of
+        # the negative part: the completeness check refuses the spectrum
+        _tamper_first_solve(monkeypatch, _withhold_second)
         with pytest.raises(ArithmeticError):
             lat.halfspace_kernel_check(0.5, 0.5, model=model_half)
 
