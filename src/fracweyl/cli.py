@@ -80,7 +80,7 @@ def _table_write(path: str | None, fmt: str, columns, rows):
         _emit(path, "\n".join(lines) + "\n")
 
 
-def _float_list(admissible=lambda v: True, what: str = "numbers"):
+def _float_list(admissible, what: str):
     """argparse type: a comma list of finite floats, each ``admissible``."""
     def parse(text: str) -> list[float]:
         try:
@@ -110,7 +110,6 @@ def _add_common(p: argparse.ArgumentParser, with_order=True):
     if with_order:
         p.add_argument("--s", type=float, required=True,
                        help="fractional exponent in (0,1)")
-        p.add_argument("--d", type=int, default=2, help="ambient dimension >= 2")
     p.add_argument("--output", type=str, default=None,
                    help="output file (stdout when omitted)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -118,7 +117,7 @@ def _add_common(p: argparse.ArgumentParser, with_order=True):
 
 def _order(args) -> FractionalOrder:
     try:
-        return FractionalOrder(args.s, args.d)
+        return FractionalOrder(args.s, getattr(args, "d", 2))
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -133,6 +132,8 @@ def _dense(domain: lattice.LatticeDomain) -> lattice.LatticeDomain:
 
 def cmd_constants(args) -> int:
     order = _order(args)
+    if (args.volume is None) != (args.surface is None):
+        raise UsageError("--volume and --surface must be given together")
     wc = consts.compute_weyl_coefficients(order)
     rec = ReportRecord()
     rec.add("L1", wc.bulk, wc.err_estimates["L1"], "closed_radial_form")
@@ -147,7 +148,7 @@ def cmd_constants(args) -> int:
     below = wc.surface < wc.surface_dirichlet
     rec.add("flag_L2_positive", float(positive), 0.0, "assertion")
     rec.add("flag_L2_below_tilde", float(below), 0.0, "assertion")
-    if args.volume is not None and args.surface is not None:
+    if args.volume is not None:
         c1, c2 = consts.eigenvalue_sum_coefficients(
             order, args.volume, args.surface, l2=wc.surface)
         rec.add("C1", c1, 0.0, "sum_side_conversion")
@@ -177,6 +178,8 @@ def cmd_kernels(args) -> int:
 
 def cmd_layer(args) -> int:
     order = _order(args)
+    if not args.t_min < args.t_max:
+        raise UsageError(f"--t-min {args.t_min} must be below --t-max {args.t_max}")
     model = HalfLineModel(order)
     ts = np.geomspace(args.t_min, args.t_max, args.points)
     ks = model.boundary_layer(ts)
@@ -207,9 +210,9 @@ def cmd_layer(args) -> int:
 
 def cmd_verify_square(args) -> int:
     order = _order(args)
-    if order.d != 2:
-        raise UsageError("verify-square runs in dimension 2")
     dom = _dense(lattice.square_domain(args.lattice_points))
+    if not args.h_max > 4.0 * dom.spacing:
+        raise UsageError(f"--h-max must exceed 4 * spacing = {4.0 * dom.spacing}")
     hs = np.geomspace(4.0 * dom.spacing, args.h_max, args.h_count)
     try:
         lattice.check_h_grid(hs)
@@ -261,8 +264,6 @@ def cmd_order_check(args) -> int:
     rec = ReportRecord()
     ok = True
     for s in args.s_list:
-        if not 0.0 < s < 1.0:
-            raise UsageError(f"fractional exponent must lie in (0,1), got {s}")
         r1 = lattice.operator_order_check(interval, s)
         r2 = lattice.operator_order_check(square, s)
         ok &= r1.passed and r2.passed
@@ -336,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="bulk/surface coefficients, all routes")
     _add_common(p)
-    p.add_argument("--volume", type=float, default=None)
-    p.add_argument("--surface", type=float, default=None)
+    p.add_argument("--d", type=int, default=2, help="ambient dimension >= 2")
+    p.add_argument("--volume", type=_positive(float), default=None)
+    p.add_argument("--surface", type=_positive(float), default=None)
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("kernels", help="tabulate half-line kernels")
@@ -350,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("layer", help="tabulate the boundary layer profile")
     _add_common(p)
+    p.add_argument("--d", type=int, default=2, help="ambient dimension >= 2")
     p.add_argument("--t-min", type=_positive(float), default=0.05)
     p.add_argument("--t-max", type=_positive(float), default=40.0)
     p.add_argument("--points", type=_positive(int), default=60)
@@ -372,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order-check", help="operator ordering on lattice blocks")
     _add_common(p, with_order=False)
-    p.add_argument("--s-list", type=_float_list(), default="0.25,0.5,0.75")
+    p.add_argument("--s-list", type=_float_list(lambda v: 0 < v < 1, "in (0,1)"),
+                   default="0.25,0.5,0.75")
     p.add_argument("--interval-points", type=_positive(int), default=64)
     p.add_argument("--square-points", type=_positive(int), default=20)
     p.set_defaults(fn=cmd_order_check)

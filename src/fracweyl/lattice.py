@@ -19,10 +19,15 @@ eigenbasis.  On top of the two operators sit Riesz means, two-term fits, and
 the operator-level property checks (sharp trace bound, coherent-state
 identity, operator ordering, half-space kernel law, localization defect).
 
+One function, ``_multiplier_kernel``, defines the restricted operator
+P M_s P by its real-space kernel.  The dense build gathers it at every
+site pair's offset; the matrix-free apply convolves the block with it on a
+grid of twice the block, where no block offset wraps.
+
 Two solvers give spectra.  ``eigenvalues_sym`` is the dense reference: it
 returns the whole spectrum of a matrix and checks it against the matrix's
 trace and Frobenius norm.  ``lowest_spectrum`` never forms a matrix: it
-applies the restricted multiplier by zero-padded FFT and runs Lanczos
+applies the restricted multiplier by that FFT convolution and runs Lanczos
 (``eigsh``) for the eigenvalues up to a cut, which is all a Riesz mean at
 ``h >= cut^(-1/2s)`` reads.  A partial spectrum has no trace to check, so
 every pair it returns is residual-checked, and a second Lanczos run on the
@@ -33,6 +38,7 @@ and ``riesz_mean`` refuses an ``h`` that would read beyond it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -115,17 +121,12 @@ class LatticeDomain:
 
     @property
     def volume(self) -> float:
-        if self.dim == 1:
-            return self.cells[0] * self.spacing
-        mx, my = self.cells
-        return mx * my * self.spacing ** 2
+        return math.prod(self.cells) * self.spacing ** self.dim
 
     @property
     def surface(self) -> float:
-        if self.dim == 1:
-            return 2.0
-        mx, my = self.cells
-        return 2.0 * (mx + my) * self.spacing
+        """Boundary measure: twice the face of each axis (2 points in 1-D)."""
+        return 2 * sum(self.size // c for c in self.cells) * self.spacing ** (self.dim - 1)
 
     def _axes(self) -> list:
         """Box indices of the block along each axis."""
@@ -206,14 +207,12 @@ def _symbol_1d(box: int, spacing: float) -> np.ndarray:
 
 
 def _multiplier_kernel(domain: LatticeDomain, s: float) -> np.ndarray:
-    """Real-space convolution kernel of the box multiplier sigma^s, made
-    exactly even (k(-n) == k(n) bitwise) so every restriction of it is an
-    exactly symmetric matrix."""
+    """Real-space convolution kernel of the box multiplier sigma^s, the one
+    definition of P M_s P: the dense build gathers it, the matrix-free apply
+    transforms it.  Made exactly even (k(-n) == k(n) bitwise) so every
+    restriction of it is an exactly symmetric matrix."""
     sig = _symbol_1d(domain.box_points, domain.spacing)
-    if domain.dim == 1:
-        kern = np.fft.ifft(sig ** s).real
-    else:
-        kern = np.fft.ifft2((sig[:, None] + sig[None, :]) ** s).real
+    kern = np.fft.ifftn(functools.reduce(np.add.outer, [sig] * domain.dim) ** s).real
     mirrored = np.roll(np.flip(kern), 1, axis=tuple(range(kern.ndim)))
     return 0.5 * (kern + mirrored)
 
@@ -280,13 +279,9 @@ def build_dirichlet_power(domain: LatticeDomain, s: float) -> SymmetricOperator:
         raise ValueError("fractional power must lie in (0, 1]")
     if s == 1.0:
         return SymmetricOperator(domain.size, _dirichlet_stencil(domain))
-    bases = [_sine_basis(c) for c in domain.cells]
-    if domain.dim == 1:
-        w, v = bases[0]
-    else:
-        (wx, vx), (wy, vy) = bases
-        w = (wx[:, None] + wy[None, :]).ravel()
-        v = np.kron(vx, vy)
+    ws, vs = zip(*(_sine_basis(c) for c in domain.cells))
+    w = functools.reduce(np.add.outer, ws).ravel()
+    v = functools.reduce(np.kron, vs)
     out = (v * (w / domain.spacing ** 2) ** s) @ v.T
     out = 0.5 * (out + out.T)
     return SymmetricOperator(domain.size, out)
@@ -306,33 +301,33 @@ def eigenvalues_sym(op: SymmetricOperator) -> SpectrumResult:
     return SpectrumResult(w, defect)
 
 
-def _box_operator(domain: LatticeDomain, s: float):
-    """Matrix-free P M_s P and max(sigma^s), its norm bound.
+def _block_operator(domain: LatticeDomain, s: float):
+    """Matrix-free P M_s P and max|mult|, its norm bound.
 
-    The returned function takes a block vector, shape (n,), or a block of
-    them, shape (n, k), zero-pads it into the periodic box, multiplies by
-    sigma^s in Fourier space (``rfftn``) and restricts back to the block:
-    the operator of ``build_restricted_fractional`` without its n x n matrix.
+    Along an axis of c cells the operator reads ``_multiplier_kernel`` only
+    at offsets -(c-1)..c-1.  Wrapped onto a circle of 2c sites they stay
+    distinct, so convolving the zero-padded block with them by ``rfftn`` on
+    that grid is exact: the operator of ``build_restricted_fractional``
+    without its n x n matrix.  The returned function takes a block vector,
+    shape (n,), or a block of them, shape (n, k).
     """
-    box, n = domain.box_points, domain.size
-    shape = (box,) * domain.dim
-    sig = _symbol_1d(box, domain.spacing)
-    half = sig[:box // 2 + 1]  # rfftn halves the last axis
-    mult = half ** s if domain.dim == 1 else (sig[:, None] + half[None, :]) ** s
-    block = (slice(None),) + tuple(slice(ax[0], ax[-1] + 1) for ax in domain._axes())
+    n, cells = domain.size, domain.cells
+    grid = tuple(2 * c for c in cells)
+    circle = np.ix_(*(np.r_[0:c, -c:0] % domain.box_points for c in cells))
+    # the wrapped kernel is even on the circle, so its transform is real
+    mult = scipy.fft.rfftn(_multiplier_kernel(domain, s)[circle]).real
+    block = (slice(None),) + tuple(slice(0, c) for c in cells)
     axes = tuple(range(1, domain.dim + 1))
 
     def apply(x):
         x = np.asarray(x, dtype=float)
         k = x.size // n
-        pad = np.zeros((k,) + shape)
-        pad[block] = x.T.reshape((k,) + domain.cells)
-        f = scipy.fft.rfftn(pad, axes=axes)
+        f = scipy.fft.rfftn(x.T.reshape((k,) + cells), s=grid, axes=axes)
         f *= mult
-        y = scipy.fft.irfftn(f, s=shape, axes=axes)[block]
+        y = scipy.fft.irfftn(f, s=grid, axes=axes)[block]
         return y.reshape(k, n).T.reshape(x.shape)
 
-    return apply, float(mult.max())
+    return apply, float(np.abs(mult).max())
 
 
 #: Lanczos start vectors: fixed seeds keep the partial solves deterministic.
@@ -349,7 +344,7 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
     Lanczos (``eigsh``, smallest algebraic, tol = 0) on the FFT-applied
     operator starts with 24 eigenpairs and doubles the count until the
     largest is above ``cut``.  ArithmeticError unless every returned pair has
-    a residual ``||A v - w v|| <= 1e-10 max(sigma^s)`` and a second Lanczos
+    a residual ``||A v - w v|| <= 1e-10 max|mult|`` and a second Lanczos
     run on ``A + 2 cut V V^T`` (the kept pairs deflated) finds its lowest
     eigenvalue above ``cut``: an eigenvalue the first run missed, such as a
     copy of a degenerate one, would be that lowest eigenvalue.
@@ -360,7 +355,7 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
     n = domain.size
-    apply, top = _box_operator(domain, s)
+    apply, top = _block_operator(domain, s)
 
     def operator(fn):
         return scipy.sparse.linalg.LinearOperator((n, n), matvec=fn, matmat=fn,

@@ -75,6 +75,9 @@ class TestUsageErrors:
         ["verify-halfspace", "--s", "0.5", "--h", "-1"],
         ["localization-check", "--tolerance", "-1e-3"],
         ["convert", "--A", "1", "--a", "1", "--b", "0", "--format", "xml"],
+        ["kernels", "--s", "0.5", "--d", "3"],
+        ["verify-halfspace", "--s", "0.5", "--d", "3"],
+        ["verify-square", "--s", "0.5", "--h-max", "0.01"],
     ], ids="_".join)
     def test_bad_input_is_a_usage_error(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
@@ -88,6 +91,27 @@ class TestUsageErrors:
 
         monkeypatch.setattr(lat, "lowest_spectrum", unreachable)
         assert run(["verify-square", "--s", "0.5", "--h-count", "3"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, numerics", [
+        (["constants", "--s", "0.5", "--volume", "1"],
+         "fracweyl.constants.compute_weyl_coefficients"),
+        (["constants", "--s", "0.5", "--surface", "4"],
+         "fracweyl.constants.compute_weyl_coefficients"),
+        (["constants", "--s", "0.5", "--volume", "-1", "--surface", "4"],
+         "fracweyl.constants.compute_weyl_coefficients"),
+        (["layer", "--s", "0.5", "--t-min", "50", "--t-max", "40"],
+         "fracweyl.cli.HalfLineModel"),
+        (["order-check", "--s-list", "0.5,1.5"], "fracweyl.lattice.operator_order_check"),
+        # a descending h grid that spans a factor of 6.25
+        (["verify-square", "--s", "0.5", "--h-max", "0.01"],
+         "fracweyl.lattice.lowest_spectrum"),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else v.rsplit(".", 1)[-1])
+    def test_refused_before_numerics(self, argv, numerics, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{numerics} reached with bad input")
+
+        monkeypatch.setattr(numerics, unreachable)
+        assert run(argv) == EXIT_USAGE
 
 
 class TestCrosscheckScript:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -239,6 +240,42 @@ class TestLowestSpectrum:
         _tamper_first_solve(monkeypatch, shifted)
         with pytest.raises(ArithmeticError):
             lowest_spectrum(square_domain(32), 0.5, 8.1)
+
+
+class TestBlockOperator:
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("dom", [interval_domain(256), rectangle_domain(7, 5, 0.1),
+                                     square_domain(32)],
+                             ids=["interval256", "rect7x5", "square32"])
+    def test_matches_dense(self, dom, s):
+        # identity columns one at a time and as one (n, n) block reproduce
+        # the gathered matrix, and an (n, k) block its product
+        a = build_restricted_fractional(dom, s).entries
+        apply, _ = lat._block_operator(dom, s)
+        tol = 1e-13 * np.max(np.abs(a))
+        eye = np.eye(dom.size)
+        for j in (0, dom.size // 2, dom.size - 1):
+            assert np.max(np.abs(apply(eye[:, j]) - a[:, j])) < tol
+        assert np.max(np.abs(apply(eye) - a)) < tol
+        x = np.random.default_rng(3).standard_normal((dom.size, 5))
+        assert np.max(np.abs(apply(x) - a @ x)) < tol * np.max(np.sum(np.abs(x), axis=0))
+
+    def test_transforms_twice_the_block(self, monkeypatch):
+        # the 64^2 block convolves on a 128^2 grid, not the 192^2 box
+        exact = scipy.fft.rfftn
+        shapes = []
+
+        def recording(x, s=None, axes=None, **kwargs):
+            shape = np.shape(x)
+            shapes.append(tuple(s) if s is not None else
+                          tuple(shape[a] for a in (axes or range(len(shape)))))
+            return exact(x, s=s, axes=axes, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfftn", recording)
+        dom = square_domain(64)
+        apply, _ = lat._block_operator(dom, 0.5)
+        apply(np.ones(dom.size))
+        assert shapes and set(shapes) == {(128, 128)}
 
 
 class TestRieszMean:
