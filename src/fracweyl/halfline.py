@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from .quadcore import panel_quad, sphere_area
 
@@ -113,15 +113,19 @@ _LAYER_R, _LAYER_W = panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
                                            0.5, 0.7, 0.85, 0.95, 1.0]), 8)
 
 
-def _layer_profile(kernel_gap, t, s: float, d: int):
+def _layer_profile(gap_columns, t, s: float, d: int):
     """Boundary-layer profile: the kernel deficit at depth t*r and energy
     mu = r^-2s, integrated over the tangential frequency r in (0, 1) with
-    weight r^(d-1+2s).  One kernel_gap call per r node covers every t."""
+    weight r^(d-1+2s).  gap_columns(t, nodes) yields kernel_gap(t r, mu)
+    for each (r, mu) of nodes, in order, each column covering every t."""
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0):
         raise ValueError(f"boundary_layer requires t > 0, got {t}")
     pref = sphere_area(d - 2) / (2.0 * math.pi) ** (d - 1)
-    gaps = np.stack([kernel_gap(t * r, r ** (-2.0 * s)) for r in _LAYER_R], axis=-1)
+    # one scalar power per node: numpy's SIMD array power may round
+    # differently, and mu enters every grid below
+    nodes = [(r, r ** (-2.0 * s)) for r in _LAYER_R]
+    gaps = np.stack(list(gap_columns(t, nodes)), axis=-1)
     out = pref * ((_LAYER_R ** (d - 1.0 + 2.0 * s) * gaps) @ _LAYER_W)
     return float(out) if out.ndim == 0 else out
 
@@ -341,12 +345,17 @@ class HalfLineModel:
         lam = edge * np.sin(phi)
         return lam, edge * np.cos(phi) * w, edge
 
-    def _edge_tables(self, mu: float):
-        """The 32-node edge grid of _g_grid with lam_aug = [0, lam, edge]
-        and the stacked density tables at lam_aug[1:]."""
-        lam, w, edge = self._g_grid(mu)
-        lam_aug = np.concatenate([[0.0], lam, [edge]])
-        return lam, w, edge, lam_aug, self.gamma_table(lam_aug[1:])[1]
+    def _edge_tables(self, mus):
+        """One (lam, w, edge, lam_aug, tables) per mu of a sequence: the
+        32-node edge grid of _g_grid, lam_aug = [0, lam, edge], and the
+        stacked density tables at lam_aug[1:].  The tables of every mu
+        come from one gamma_table call."""
+        lam, w, edge = self._g_grid(mus)
+        lam_aug = np.concatenate([np.zeros_like(edge), lam, edge], axis=1)
+        tables = self.gamma_table(lam_aug[:, 1:].ravel())[1]
+        tables = tables.reshape(len(mus), lam_aug.shape[1] - 1, -1)
+        return [(lam[k], w[k], edge[k, 0], lam_aug[k], tables[k])
+                for k in range(len(mus))]
 
     def kernel_gap(self, x, mu: float):
         """Diagonal deficit a(mu) - a_half(x, mu) of the Riesz-mean kernels.
@@ -358,22 +367,26 @@ class HalfLineModel:
 
         ``x`` may be an array: the tails G for all x are matrix products
         of exp(-x xi) with the edge grid's stacked tables, and depths whose
-        sweeps need the same panel count share one dense grid, phase lookup
-        and interpolant.  A scalar x gives a float.
+        sweeps need the same panel count share one dense grid and phase
+        lookup.  A scalar x gives a float.
         """
         x = np.asarray(x, dtype=float)
         if mu > 1.0:
-            out = self._kernel_gap_flat(x.ravel(), mu).reshape(x.shape)
+            grid, = self._edge_tables([mu])
+            out = self._kernel_gap_flat(x.ravel(), mu, grid).reshape(x.shape)
         else:
             out = np.zeros(x.shape)
         return float(out) if out.ndim == 0 else out
 
-    def _kernel_gap_flat(self, x: np.ndarray, mu: float) -> np.ndarray:
+    def _kernel_gap_flat(self, x: np.ndarray, mu: float, grid) -> np.ndarray:
+        """kernel_gap at a 1-D array of depths for mu > 1, from one entry
+        of _edge_tables.  The tails of all depths x <= 12 share one PCHIP
+        fit over lam_aug; its coefficients are computed column by column,
+        so each panel group evaluates its own columns of that fit."""
         s = self.order.s
+        lam_g, w_g, edge, lam_aug, tables = grid
         out = np.zeros(x.size)
-        lam_g, w_g, edge, lam_aug, tables = self._edge_tables(mu)
         g = self._tails(x, tables)
-        g_aug = np.concatenate([np.zeros((x.size, 1)), g], axis=1)
         far = x > 12.0
         if far.any():
             th_g = self.phase_vec(lam_g)
@@ -381,6 +394,12 @@ class HalfLineModel:
             gf = g[far, :-1]
             sf = np.sin(np.multiply.outer(x[far], lam_g) + th_g)
             out[far] = (wt_g * (4.0 * sf * gf - 2.0 * gf * gf)) @ w_g
+        near = ~far
+        if near.any():
+            # the tails vanish at lam_aug[0] = 0
+            g_near = np.pad(g[near], ((0, 0), (1, 0)))
+            coef = PchipInterpolator(lam_aug, g_near.T, axis=0).c
+            col = np.cumsum(near) - 1  # column of each near depth in coef
         panels = _osc_panels(2.0 * x * edge)
         for p in np.unique(panels):
             sel = np.nonzero(panels == p)[0]
@@ -389,11 +408,11 @@ class HalfLineModel:
             wt_d = mu - (1.0 + lam_d ** 2) ** s
             arg = np.multiply.outer(x[sel], lam_d)
             out[sel] += (wt_d * np.cos(2.0 * arg + 2.0 * th_d)) @ w_d
-            near = ~far[sel]
-            if near.any():
-                rows = sel[near]
-                gd = PchipInterpolator(lam_aug, g_aug[rows].T, axis=0)(lam_d).T
-                sd = np.sin(arg[near] + th_d)
+            near_sel = near[sel]
+            if near_sel.any():
+                rows = sel[near_sel]
+                gd = PPoly.construct_fast(coef[:, :, col[rows]], lam_aug)(lam_d).T
+                sd = np.sin(arg[near_sel] + th_d)
                 out[rows] += (wt_d * (4.0 * sd * gd - 2.0 * gd * gd)) @ w_d
         return out / math.pi
 
@@ -415,7 +434,7 @@ class HalfLineModel:
         u = np.asarray(u, dtype=float)
         if mu <= 1.0:
             return np.zeros_like(u)
-        _, _, edge, lam_aug, tables = self._edge_tables(mu)
+        _, _, edge, lam_aug, tables = self._edge_tables([mu])[0]
         span = abs(t) + float(np.max(u))
         panels = int(_osc_panels(span * edge, cap=1600))
         lam_d, w_d = panel_quad(np.linspace(0.0, edge, panels + 1), 8)
@@ -442,8 +461,23 @@ class HalfLineModel:
     def boundary_layer(self, t):
         """Boundary-layer profile K(t): tangential-frequency integral of the
         kernel deficit, vanishing as t -> inf; integrates to the surface
-        coefficient.  Takes an array of depths; a scalar gives a float."""
-        return _layer_profile(self.kernel_gap, t, self.order.s, self.order.d)
+        coefficient.  Takes an array of depths; a scalar gives a float.
+
+        Equals the composition of kernel_gap over the 72 r nodes; their
+        density tables are built 4 nodes per gamma_table call, and each
+        node fits one PCHIP interpolant to the tails of all its depths
+        t r <= 12."""
+        return _layer_profile(self._layer_gaps, t, self.order.s, self.order.d)
+
+    def _layer_gaps(self, t, nodes):
+        """kernel_gap(t r, mu) for each (r, mu) of nodes.  The density
+        tables of 4 nodes (132 lam rows) come from one gamma_table call and
+        are built block by block, as the columns are consumed."""
+        for i in range(0, len(nodes), 4):
+            block = nodes[i:i + 4]
+            grids = self._edge_tables([mu for _, mu in block])
+            for (r, mu), grid in zip(block, grids):
+                yield self._kernel_gap_flat((t * r).ravel(), mu, grid).reshape(t.shape)
 
     # -- integrated t-densities and shifts ------------------------------
 
@@ -523,4 +557,7 @@ class DirichletLineModel:
         return float(out) if out.ndim == 0 else out
 
     def boundary_layer(self, t):
-        return _layer_profile(self.kernel_gap, t, self.exponent, self.d)
+        return _layer_profile(self._layer_gaps, t, self.exponent, self.d)
+
+    def _layer_gaps(self, t, nodes):
+        return (self.kernel_gap(t * r, mu) for r, mu in nodes)

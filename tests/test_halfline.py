@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fracweyl.quadcore import QuadratureSpec, integrate
-from fracweyl.constants import surface_via_energy_shift
+from fracweyl.constants import surface_via_energy_shift, surface_via_layer
 from fracweyl.halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
-                               dispersion)
+                               _layer_profile, dispersion)
 
 
 class TestDispersion:
@@ -377,6 +377,32 @@ class TestBoundaryLayer:
         np.testing.assert_allclose(arr, ref, rtol=1e-12,
                                    atol=1e-13 * np.max(np.abs(ref)))
 
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_blocked_tables_match_per_node_kernel_gap(self, s):
+        # boundary_layer tables 4 r nodes per density call; composing the
+        # public one-mu kernel_gap node by node must give the same profile.
+        # Depths t r straddle the x = 12 switch to the edge-grid tails.
+        model = HalfLineModel(FractionalOrder(s, 2))
+        ts = np.array([0.05, 1.0, 6.0, 11.9, 12.5, 15.0, 30.0, 60.0])
+
+        def per_node(t, nodes):
+            return (model.kernel_gap(t * r, mu) for r, mu in nodes)
+
+        np.testing.assert_allclose(model.boundary_layer(ts),
+                                   _layer_profile(per_node, ts, s, 2),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_layer_route_memory_bounded(self, model_half):
+        # the density tables are built 4 r nodes at a time (5.1 MiB);
+        # tabling all 72 nodes in one call peaks near 19 MiB
+        tracemalloc.start()
+        try:
+            surface_via_layer(model_half.order, model_half)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_nonpositive_depth_rejected(self, model_half, bad):
         for model in (model_half, DirichletLineModel(2)):
@@ -473,8 +499,14 @@ class TestModelHygiene:
         m.energy_shift(4.0)
         assert sizes == [48]
         sizes.clear()
+        # the 72 r nodes' 33-row edge grids, tabled a block of 4 nodes
+        # (132 rows) per call
         m.boundary_layer(np.array([0.5, 3.0, 20.0]))
-        assert sizes == [33] * 72
+        assert sum(sizes) == 72 * 33
+        assert max(sizes) <= 256
+        sizes.clear()
+        m.kernel_gap(np.array([0.5, 20.0]), 2.0)
+        assert sizes == [33]
         sizes.clear()
         # one energy_shift call for the 80 r nodes: their 48-node lam grids
         # are tabled 256 rows at a time, not in one 48-row call per node
