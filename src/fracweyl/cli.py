@@ -27,6 +27,9 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_ASSERTION = 4
 
+# disk sample points of localization-check keep this distance from the circle
+_DISK_MARGIN = 0.02
+
 
 class UsageError(Exception):
     pass
@@ -134,23 +137,18 @@ def cmd_constants(args) -> int:
     order = _order(args)
     if (args.volume is None) != (args.surface is None):
         raise UsageError("--volume and --surface must be given together")
-    wc = consts.compute_weyl_coefficients(order)
+    coefs = consts.compute_weyl_coefficients(order)
     rec = ReportRecord()
-    rec.add("L1", wc.bulk, wc.err_estimates["L1"], "closed_radial_form")
-    rec.add("L2", wc.surface, wc.err_estimates["L2:K_integral"], "L2:K_integral")
-    rec.add("L2_eigenfunction", wc.surface_eigenfunction_route,
-            wc.err_estimates["L2:eigenfunction_form"], "L2:eigenfunction_form")
-    rec.add("L2_energy_shift", wc.surface_shift_route,
-            wc.err_estimates["L2:energy_shift"], "L2:energy_shift")
-    rec.add("L2_tilde", wc.surface_dirichlet, wc.err_estimates["L2_tilde"],
-            "dirichlet_power_layer")
-    positive = wc.surface > 0
-    below = wc.surface < wc.surface_dirichlet
+    for name, entry in coefs.items():
+        rec.add(name, *entry)
+    l2 = coefs["L2"][0]
+    positive = l2 > 0
+    below = l2 < coefs["L2_tilde"][0]
     rec.add("flag_L2_positive", float(positive), 0.0, "assertion")
     rec.add("flag_L2_below_tilde", float(below), 0.0, "assertion")
     if args.volume is not None:
         c1, c2 = consts.eigenvalue_sum_coefficients(
-            order, args.volume, args.surface, l2=wc.surface)
+            order, args.volume, args.surface, l2=l2)
         rec.add("C1", c1, 0.0, "sum_side_conversion")
         rec.add("C2", c2, 0.0, "sum_side_conversion")
     rec.write(args.output, args.format)
@@ -282,6 +280,10 @@ def cmd_localization_check(args) -> int:
         geom = loc.rectangle_geometry(args.extent, args.extent)
     else:
         geom = loc.disk_geometry(args.extent / 2.0)
+        if not args.extent / 2.0 > _DISK_MARGIN:
+            raise UsageError(f"--extent {args.extent}: a disk of radius at most "
+                             f"{_DISK_MARGIN} has no point farther than "
+                             f"{_DISK_MARGIN} from its boundary to sample")
     try:
         fam = loc.LocalizationFamily(geom, args.l0)
     except ValueError as exc:
@@ -293,7 +295,7 @@ def cmd_localization_check(args) -> int:
     for i in range(args.points):
         x = lo + (hi - lo) * rng.uniform(0.08, 0.92, size=geom.dim)
         if geom.shape == "disk":
-            while geom.distance(x) <= 0.02:
+            while geom.distance(x) <= _DISK_MARGIN:
                 x = lo + (hi - lo) * rng.uniform(0.08, 0.92, size=geom.dim)
         val = loc.partition_check(x, fam, args.resolution)
         worst = max(worst, abs(val - 1.0))

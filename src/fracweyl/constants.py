@@ -20,7 +20,6 @@ exact closed form for that case makes it an oracle as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .quadcore import QuadratureSpec, sphere_area, integrate, panel_quad
 from .halfline import FractionalOrder, HalfLineModel, DirichletLineModel
 
 __all__ = [
-    "WeylCoefficients",
     "bulk_coefficient",
     "bulk_coefficient_quadrature",
     "surface_via_layer",
@@ -41,27 +39,6 @@ __all__ = [
     "cesaro_riesz_invert",
     "eigenvalue_sum_coefficients",
 ]
-
-
-@dataclass(frozen=True)
-class WeylCoefficients:
-    """Two-term coefficients for one fractional order, with diagnostics.
-
-    ``surface`` is the canonical (layer-route) value; the other routes are
-    retained for cross-validation, and ``err_estimates`` carries the
-    accumulated quadrature error bound of each entry.  The record holds
-    whatever the routes computed: whether 0 < surface < surface_dirichlet
-    is a verdict for its reader (``fracweyl constants`` flags it and exits
-    4), not an invariant of the record.
-    """
-
-    order: FractionalOrder
-    bulk: float
-    surface: float
-    surface_eigenfunction_route: float
-    surface_shift_route: float
-    surface_dirichlet: float
-    err_estimates: dict = field(default_factory=dict)
 
 
 def _check_exponents(a: float, b: float):
@@ -186,29 +163,28 @@ def surface_dirichlet_power(order: FractionalOrder):
     return scale * local, scale * err
 
 
-def compute_weyl_coefficients(order: FractionalOrder) -> WeylCoefficients:
-    """All coefficient routes for one order, with error estimates."""
+def compute_weyl_coefficients(
+        order: FractionalOrder) -> dict[str, tuple[float, float, str]]:
+    """All coefficient routes for one order, keyed by record name.
+
+    Each entry is ``(value, err, route)``.  ``L2`` is the canonical
+    (layer-route) value; the other two ``L2_*`` routes cross-validate it.
+    The entries hold whatever the routes computed: whether
+    0 < L2 < L2_tilde is a verdict for their reader (``fracweyl
+    constants`` flags it and exits 4).
+    """
     model = HalfLineModel(order)
     l1 = bulk_coefficient(order)
-    l2_layer, e_layer = surface_via_layer(order, model)
-    l2_eig, e_eig = surface_via_eigenfunctions(order, model)
-    l2_shift, e_shift = surface_via_energy_shift(order, model)
-    l2_tilde, e_tilde = surface_dirichlet_power(order)
-    return WeylCoefficients(
-        order=order,
-        bulk=l1,
-        surface=l2_layer,
-        surface_eigenfunction_route=l2_eig,
-        surface_shift_route=l2_shift,
-        surface_dirichlet=l2_tilde,
-        err_estimates={
-            "L1": abs(l1 - bulk_coefficient_quadrature(order)),
-            "L2:K_integral": e_layer,
-            "L2:eigenfunction_form": e_eig,
-            "L2:energy_shift": e_shift,
-            "L2_tilde": e_tilde,
-        },
-    )
+    return {
+        "L1": (l1, abs(l1 - bulk_coefficient_quadrature(order)),
+               "closed_radial_form"),
+        "L2": (*surface_via_layer(order, model), "L2:K_integral"),
+        "L2_eigenfunction": (*surface_via_eigenfunctions(order, model),
+                             "L2:eigenfunction_form"),
+        "L2_energy_shift": (*surface_via_energy_shift(order, model),
+                            "L2:energy_shift"),
+        "L2_tilde": (*surface_dirichlet_power(order), "dirichlet_power_layer"),
+    }
 
 
 def cesaro_riesz_convert(A: float, B: float, a: float, b: float) -> tuple[float, float]:

@@ -40,6 +40,7 @@ lies within 3e-11 of its limit pi(1-s)/4 for s from 0.1 to 0.95.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,12 @@ def _osc_panels(total_phase, base: int = 6, cap: int = 600):
     sweeps = np.asarray(total_phase, dtype=float) / (2.0 * math.pi) * 1.6
     return np.minimum(cap, base + sweeps.astype(int))
 
+
+# _poisson_decay's z grid reaches _Z_REACH times its largest x and squares
+# z; a density node above _LOG_NODE_LIMIT (as a log) would overflow that
+# square, x^2 + z^2 keeping a factor 2 to spare
+_Z_REACH = 1e7
+_LOG_NODE_LIMIT = math.log(math.sqrt(sys.float_info.max) / (2.0 * _Z_REACH))
 
 # tangential-frequency nodes r in (0, 1) of the boundary-layer integral
 _LAYER_R, _LAYER_W = panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
@@ -205,13 +212,20 @@ class HalfLineModel:
 
         Near xi = 1 the density vanishes like (xi-1)^s, handled by the
         substitution xi = 1 + v^(1/s); the algebraic tail ~ xi^(-1-s) is
-        flattened exactly by xi = 2 w^(-1/s).
+        flattened exactly by xi = 2 w^(-1/s).  Below s ~ 0.043 the largest
+        such node leaves the range the density tables can square; the order
+        is then refused with ArithmeticError before those nodes are formed.
         """
         s = self.order.s
         v, wv = panel_quad(np.array([1e-8, 1e-5, 1e-3, 0.03, 0.2, 0.6, 1.0]), 16)
         xi_a = 1.0 + v ** (1.0 / s)
         w_a = wv * v ** (1.0 / s - 1.0) / s
         u, wu = panel_quad(np.array([1e-9, 1e-4, 0.02, 0.15, 0.45, 1.0]), 16)
+        log_node = math.log(2.0) - math.log(float(u.min())) / s
+        if not log_node < _LOG_NODE_LIMIT:
+            raise ArithmeticError(
+                f"s = {s} is too small for the density quadrature: its largest "
+                f"node 2 u^(-1/s) = e^{log_node:.1f} exceeds e^{_LOG_NODE_LIMIT:.1f}")
         xi_b = 2.0 * u ** (-1.0 / s)
         w_b = wu * (2.0 / s) * u ** (-1.0 / s - 1.0)
         return np.concatenate([xi_a, xi_b]), np.concatenate([w_a, w_b])
@@ -224,7 +238,7 @@ class HalfLineModel:
         1e7 max(x, lam, 1); the Poisson matrix is built once per call and
         N is contracted against it 64 lam at a time.
         """
-        hi = 1e7 * max(float(x.max()), float(lams.max()), 1.0)
+        hi = _Z_REACH * max(float(x.max()), float(lams.max()), 1.0)
         z, w = panel_quad(_geometric_edges(1e-16 * min(1.0, float(x.min())), hi), 16)
         poisson = x[:, None] / (x[:, None] ** 2 + z[None, :] ** 2)
         out = np.empty((lams.size, x.size))

@@ -196,10 +196,6 @@ class AsymptoticFit:
     c1: float
     rms_residual: float
 
-    def __post_init__(self):
-        if not self.c0 > 0:
-            raise ValueError("leading fitted coefficient must be positive")
-
 
 def _symbol_1d(box: int, spacing: float) -> np.ndarray:
     k = np.arange(box)

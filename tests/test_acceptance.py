@@ -93,9 +93,9 @@ def test_a3_two_term_weyl_square():
 def test_a4_route_agreement(weyl_sets):
     ok = True
     details = []
-    for (s, d), wc in weyl_sets.items():
-        vals = {"K": wc.surface, "eig": wc.surface_eigenfunction_route,
-                "shift": wc.surface_shift_route}
+    for (s, d), coefs in weyl_sets.items():
+        vals = {name: coefs[name][0]
+                for name in ("L2", "L2_eigenfunction", "L2_energy_shift")}
         worst = max(abs(vals[a] - vals[b]) / max(abs(vals[a]), abs(vals[b]))
                     for a in vals for b in vals if a < b)
         ok &= worst < 0.01
@@ -108,13 +108,14 @@ def test_a4_route_agreement(weyl_sets):
 def test_a5_sign_and_comparison(weyl_sets):
     ok = True
     details = []
-    for (s, d), wc in weyl_sets.items():
-        err = (wc.err_estimates["L2:K_integral"] + wc.err_estimates["L2_tilde"])
-        positive = wc.surface > err
-        below = wc.surface_dirichlet - wc.surface > err
+    for (s, d), coefs in weyl_sets.items():
+        (l2, l2_err, _), (tilde, tilde_err, _) = coefs["L2"], coefs["L2_tilde"]
+        err = l2_err + tilde_err
+        positive = l2 > err
+        below = tilde - l2 > err
         ok &= positive and below
-        details.append(f"(s={s},d={d}): L2={wc.surface:.5f} > 0, "
-                       f"tilde-L2-L2={wc.surface_dirichlet - wc.surface:.5f} "
+        details.append(f"(s={s},d={d}): L2={l2:.5f} > 0, "
+                       f"tilde-L2-L2={tilde - l2:.5f} "
                        f"> err {err:.1e}")
     report("A5", ok, "positivity and Dirichlet-power comparison; "
            + "; ".join(details))

@@ -2,11 +2,16 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from fracweyl.cli import main, EXIT_OK, EXIT_USAGE, EXIT_ASSERTION
+from fracweyl.cli import main, EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_ASSERTION
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -105,6 +110,10 @@ class TestUsageErrors:
         # a descending h grid that spans a factor of 6.25
         (["verify-square", "--s", "0.5", "--h-max", "0.01"],
          "fracweyl.lattice.lowest_spectrum"),
+        # a disk of radius 0.005 has no point 0.02 inside its circle: the
+        # rejection sampling of sample points would never end
+        (["localization-check", "--shape", "disk", "--extent", "0.01"],
+         "fracweyl.cli.np.random.default_rng"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else v.rsplit(".", 1)[-1])
     def test_refused_before_numerics(self, argv, numerics, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -115,6 +124,24 @@ class TestUsageErrors:
 
 
 class TestCrosscheckScript:
+    def test_row_matches_constants(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "crosscheck_surface_routes.py"),
+             "--s-list", "0.5"], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        header, *rows = proc.stdout.splitlines()
+        assert header.split()[:3] == ["s", "L1", "L2(layer)"]
+        assert len(rows) == 1
+        s, l1, l2, _, _, tilde, _ = rows[0].split()
+        out = tmp_path / "const.json"
+        assert run(["constants", "--s", "0.5", "--format", "json",
+                    "--output", str(out)]) == EXIT_OK
+        rec = json.loads(out.read_text())
+        assert s == "0.5"
+        for name, printed in (("L1", l1), ("L2", l2), ("L2_tilde", tilde)):
+            assert printed == f"{rec[name]['value']:.6e}", name
+
     @pytest.mark.parametrize("argv", [["--s-list", "0.5,x"], ["--s-list", "1.5"],
                                       ["--d", "1"]], ids="_".join)
     def test_bad_order_exits_before_computing(self, argv, monkeypatch, capsys):
@@ -206,6 +233,11 @@ FULL_RECORD = {
 
 
 class TestConstantsCommand:
+    def test_order_too_small_for_density_quadrature_exits_3(self, capsys):
+        assert run(["constants", "--s", "0.02"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+
     def test_full_record(self, tmp_path):
         # slow path: all three surface routes plus the comparison constant
         out = tmp_path / "const.json"
@@ -248,3 +280,15 @@ class TestVerifySquareCommand:
         rec = json.loads(out.read_text())
         assert rec["c0_fit"]["value"] > 0
         assert rec["c1_fit"]["value"] < 0
+
+    def test_zero_fitted_c0_is_a_failed_check(self, tmp_path, capsys):
+        # every h >= 0.5 leaves all Riesz means at 0, so the fit gives c0 = 0:
+        # the record carries it and --c0-tol judges it
+        out = tmp_path / "sq.json"
+        code = run(["verify-square", "--s", "0.5", "--lattice-points", "8",
+                    "--h-max", "5", "--format", "json", "--output", str(out)])
+        assert code == EXIT_ASSERTION
+        assert "Traceback" not in capsys.readouterr().err
+        rec = json.loads(out.read_text())
+        assert rec["c0_fit"]["value"] == 0.0
+        assert rec["c0_rel_dev"]["value"] == 1.0

@@ -182,6 +182,19 @@ class TestSpectralDensity:
             assert direct == pytest.approx(model_half.laplace_tail(lam, x), rel=1e-6)
 
 
+    @pytest.mark.parametrize("s", [0.02, 0.04, 0.042])
+    def test_order_too_small_is_refused(self, s):
+        # the tail node 2 u^(-1/s) overflows at s = 0.02; at 0.04 and 0.042
+        # it is finite but the squared Poisson grid of its table is not
+        with pytest.raises(ArithmeticError, match="too small"):
+            HalfLineModel(FractionalOrder(s, 2))
+
+    def test_smallest_swept_order_has_finite_tables(self):
+        m = HalfLineModel(FractionalOrder(0.05, 2))
+        xi, table = m.gamma_table(np.array([0.5, 2.0, 40.0]))
+        assert np.all(np.isfinite(xi)) and np.all(np.isfinite(table))
+
+
 class TestClosedFormDoubleLaplace:
     def test_limit_at_zero(self, model_half):
         lam = 1.3
