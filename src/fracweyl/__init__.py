@@ -3,8 +3,8 @@
 Submodules
 ----------
 quadcore
-    Sphere areas, the fractional form constant, the fixed Gauss-Legendre
-    panel rule, and adaptive reference quadrature.
+    Sphere areas, the fixed Gauss-Legendre panel rule, and adaptive
+    reference quadrature.
 halfline
     The half-line model operator: phase shift, generalized eigenfunctions,
     kernels, boundary layer, and energy shift.
@@ -12,9 +12,8 @@ constants
     The bulk and surface coefficients of the two-term trace expansion and
     the coefficient conversions between summation conventions.
 lattice
-    Dense lattice discretizations: restricted fractional Laplacians,
-    fractional Dirichlet powers, Riesz means, two-term fits, and the
-    operator-level property checks.
+    Lattice operators P M_s P and Dirichlet powers, checked spectra, Riesz
+    means, two-term fits, and the trace-bound, ordering and half-space checks.
 localization
     Multiscale ball covering with distance-adapted scales and the
     continuous partition of unity.

@@ -49,6 +49,18 @@ def _check_exponents(a: float, b: float):
             f"exponents must satisfy -1 < a-1 <= b < a, got a={a}, b={b}")
 
 
+def _in_range(name: str, compute, positive: bool = False) -> float:
+    """``compute()``; ArithmeticError naming ``name`` unless it is finite
+    and, with ``positive``, above zero."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value) or (positive and not value > 0):
+        raise ArithmeticError(f"{name} = {value} is out of floating-point range")
+    return value
+
+
 def bulk_coefficient(order: FractionalOrder) -> float:
     """Closed radial form of the phase-space volume coefficient."""
     s, d = order.s, order.d
@@ -196,8 +208,9 @@ def cesaro_riesz_convert(A: float, B: float, a: float, b: float) -> tuple[float,
     _check_exponents(a, b)
     if not A > 0:
         raise ValueError("A must be positive")
-    C = A ** (-1.0 / a) * a * (a + 1.0) ** (-(1.0 + a) / a)
-    D = B * (A * (a + 1.0)) ** (-(1.0 + b) / a)
+    C = _in_range("C", lambda: A ** (-1.0 / a) * a * (a + 1.0) ** (-(1.0 + a) / a),
+                  positive=True)
+    D = _in_range("D", lambda: B * (A * (a + 1.0)) ** (-(1.0 + b) / a))
     return C, D
 
 

@@ -244,7 +244,15 @@ class HalfLineModel:
         out = np.empty((lams.size, x.size))
         for i in range(0, lams.size, 64):
             lam = lams[i:i + 64, None]
-            L = np.log1p((z - lam) * (z + lam) / (1.0 + lam * lam))
+            L = (z - lam) * (z + lam) / (1.0 + lam * lam)
+            # 1 + L = (1 + z^2)/(1 + lam^2); once lam passes ~1e8, L rounds
+            # to -1 at the smallest z, and only there that form is used (up
+            # to lam = 1e7, 1 + L >= 1e-14 stays far above L's rounding)
+            rounded = L <= -1.0 if lam.max() > 1e7 else None
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.log1p(L, out=L)
+            if rounded is not None and rounded.any():
+                L[rounded] = (np.log1p(z * z) - np.log1p(lam * lam))[rounded]
             out[i:i + 64] = (w * _decay_logratio(L, self.order.s)) @ poisson.T
         return out
 

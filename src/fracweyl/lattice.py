@@ -16,8 +16,8 @@ biased low (on (-1, 1), 256 cells, lam_1 is 4.6% below its large-box
 limit at s = 1/2 and 13.7% below at s = 1/4).  The fractional power of
 the Dirichlet Laplacian is built from the stencil's closed-form sine
 eigenbasis.  On top of the two operators sit Riesz means, two-term fits, and
-the operator-level property checks (sharp trace bound, coherent-state
-identity, operator ordering, half-space kernel law, localization defect).
+the operator-level property checks (sharp trace bound, operator ordering,
+half-space kernel law).
 
 One function, ``_multiplier_kernel``, defines the restricted operator
 P M_s P by its real-space kernel.  The dense build gathers it at every
@@ -40,14 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 import scipy.sparse.linalg
 
-from .quadcore import c_sd
 from .halfline import FractionalOrder, HalfLineModel
 from .constants import bulk_coefficient
 
@@ -68,10 +66,8 @@ __all__ = [
     "check_h_grid",
     "two_term_fit",
     "berezin_bound_check",
-    "coherent_state_identity_check",
     "operator_order_check",
     "halfspace_kernel_check",
-    "ims_defect_check",
 ]
 
 DENSE_LIMIT = 4096
@@ -197,17 +193,13 @@ class AsymptoticFit:
     rms_residual: float
 
 
-def _symbol_1d(box: int, spacing: float) -> np.ndarray:
-    k = np.arange(box)
-    return (2.0 - 2.0 * np.cos(2.0 * math.pi * k / box)) / spacing ** 2
-
-
 def _multiplier_kernel(domain: LatticeDomain, s: float) -> np.ndarray:
     """Real-space convolution kernel of the box multiplier sigma^s, the one
     definition of P M_s P: the dense build gathers it, the matrix-free apply
     transforms it.  Made exactly even (k(-n) == k(n) bitwise) so every
     restriction of it is an exactly symmetric matrix."""
-    sig = _symbol_1d(domain.box_points, domain.spacing)
+    box = domain.box_points
+    sig = (2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(box) / box)) / domain.spacing ** 2
     kern = np.fft.ifftn(functools.reduce(np.add.outer, [sig] * domain.dim) ** s).real
     mirrored = np.roll(np.flip(kern), 1, axis=tuple(range(kern.ndim)))
     return 0.5 * (kern + mirrored)
@@ -425,9 +417,8 @@ def two_term_fit(samples, d: int) -> AsymptoticFit:
 class CheckReport:
     """Outcome of one operator-level property check."""
 
-    name: str
     passed: bool
-    quantities: dict = field(default_factory=dict)
+    quantities: dict
 
 
 def berezin_bound_check(domain: LatticeDomain, s: float, phi: np.ndarray,
@@ -442,57 +433,12 @@ def berezin_bound_check(domain: LatticeDomain, s: float, phi: np.ndarray,
     np.fill_diagonal(m, m.diagonal() - phi ** 2)
     w = eigenvalues_sym(SymmetricOperator(domain.size, m)).eigenvalues
     lhs = float(-w[w < 0].sum())
-    # the ambient dimension of the coefficient is the lattice dimension here
-    l1 = (bulk_coefficient(FractionalOrder(s, max(domain.dim, 2)))
-          if domain.dim >= 2 else _bulk_1d(s))
+    # L1 in the lattice's own dimension; in 1-D its closed form is 2s/(pi(2s+1))
+    l1 = (bulk_coefficient(FractionalOrder(s, 2)) if domain.dim == 2
+          else 2.0 * s / (math.pi * (2.0 * s + 1.0)))
     rhs = l1 * float(np.sum(phi ** 2)) * domain.spacing ** domain.dim * h ** (-domain.dim)
-    return CheckReport("berezin_bound", lhs <= rhs * (1.0 + 1e-12) + 1e-12,
+    return CheckReport(lhs <= rhs * (1.0 + 1e-12) + 1e-12,
                        {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs})
-
-
-def _bulk_1d(s: float) -> float:
-    # (2 pi)^-1 * |{|p|<1}| momentum integral of (1 - |p|^2s), one dimension
-    return 2.0 * s / (math.pi * (2.0 * s + 1.0))
-
-
-def coherent_state_identity_check(s: float, h: float, p, domain: LatticeDomain,
-                                  phi: np.ndarray) -> CheckReport:
-    """Both sides of the modulated-state energy identity on the box lattice.
-
-    The wavevector p is snapped to the discrete frequency lattice so the
-    shift in Fourier space is exact; the residual gap is then pure
-    roundoff.  Reports the homogeneity diagnostic of the leading symbol
-    term as well.
-    """
-    box, dx = domain.box_points, domain.spacing
-    if domain.dim != 2:
-        raise ValueError("coherent-state check runs on 2-D boxes")
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (box, box):
-        raise ValueError("phi must be a full-box profile")
-    freqs = 2.0 * math.pi * np.fft.fftfreq(box, d=dx)
-    p = np.asarray(p, dtype=float)
-    ip = [int(np.argmin(np.abs(freqs - pi / h))) for pi in p]
-    p_snap = np.array([freqs[i] * h for i in ip])
-    sig = _symbol_1d(box, dx)
-    mult = (h * h * (sig[:, None] + sig[None, :])) ** s
-    x = dx * np.arange(box)
-    wave = np.exp(1j * (p_snap[0] * x[:, None] + p_snap[1] * x[None, :]) / h)
-    psi_hat = np.fft.fft2(phi * wave)
-    lhs = float(np.sum(mult * np.abs(psi_hat) ** 2) / box ** 2 * dx ** 2)
-    phi_hat2 = np.abs(np.fft.fft2(phi)) ** 2
-    m_shift_plus = np.roll(np.roll(mult, -ip[0], axis=0), -ip[1], axis=1)
-    m_shift_minus = np.roll(np.roll(mult, ip[0], axis=0), ip[1], axis=1)
-    m0 = mult[ip[0], ip[1]]
-    norm2 = float(np.sum(phi ** 2)) * dx ** 2
-    second = float(np.sum((0.5 * (m_shift_plus + m_shift_minus) - m0) * phi_hat2)
-                   / box ** 2 * dx ** 2)
-    rhs = m0 * norm2 + second
-    gap = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    return CheckReport("coherent_state_identity", gap < 1e-10,
-                       {"lhs": lhs, "rhs": rhs, "rel_gap": gap,
-                        "first_term": m0 * norm2, "p_snapped": tuple(p_snap),
-                        "symbol_at_p": m0})
 
 
 def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
@@ -502,7 +448,7 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
             - build_restricted_fractional(domain, s).entries)
     w = eigenvalues_sym(SymmetricOperator(domain.size, diff)).eigenvalues
     norm = max(-float(w[0]), float(w[-1]), 1e-300)
-    return CheckReport("operator_order", bool(w[0] >= -1e-8 * norm),
+    return CheckReport(bool(w[0] >= -1e-8 * norm),
                        {"min_eig": float(w[0]), "max_eig": float(w[-1]),
                         "norm": norm})
 
@@ -543,56 +489,6 @@ def halfspace_kernel_check(s: float, h: float,
     deep = [r for r in rows if r[1] >= 0.45 * height / h]
     interior_rel = (abs(float(np.mean([r[2] for r in deep])) * h ** 2 / l1 - 1.0)
                     if deep else math.inf)
-    return CheckReport("halfspace_kernel", worst_window < 0.10,
+    return CheckReport(worst_window < 0.10,
                        {"rows": rows, "worst_rel_in_window": worst_window,
                         "interior_rel": interior_rel})
-
-
-def ims_defect_check(domain: LatticeDomain, s: float, family,
-                     resolution: int = 8) -> CheckReport:
-    """Localization identity on the lattice singular-kernel form.
-
-    Both sides use the same double-sum quadratic form (diagonal excluded),
-    so the identity is exact up to the partition quadrature on the scale
-    grid; the reported gap shrinks as ``resolution`` grows.
-    """
-    if domain.dim != 1:
-        raise ValueError("localization defect check is implemented for 1-D blocks")
-    box, dx = domain.box_points, domain.spacing
-    xs = (np.arange(box) + 0.5) * dx
-    idx = domain.indices()[:, 0]
-    offset = xs[idx[0]] - 0.5 * dx  # block start aligned with geometry origin
-    xg = xs - offset
-    cds = c_sd(s, 1)
-    diffs = xg[:, None] - xg[None, :]
-    with np.errstate(divide="ignore"):
-        kern = np.where(np.eye(box, dtype=bool), 0.0,
-                        np.abs(diffs) ** (-(1.0 + 2.0 * s)))
-
-    def form(f, g):
-        return cds * float((f[:, None] - f[None, :]).ravel()
-                           @ (kern * (g[:, None] - g[None, :])).ravel()) * dx * dx
-
-    # three lowest modes of the restricted multiplier operator, zero-extended
-    op = build_restricted_fractional(domain, s)
-    _, v = scipy.linalg.eigh(op.entries, subset_by_index=[0, 2])
-    modes = np.zeros((3, box))
-    modes[:, idx] = v.T / math.sqrt(dx)
-
-    us, wu, ls = family.scale_grid(resolution)
-    lhs = sum(form(f, f) for f in modes)
-    rhs = 0.0
-    defect = 0.0
-    for u, wgt, l in zip(us, wu, ls):
-        phi_u = family.weight(xg[:, None], [u])
-        if not np.any(phi_u):
-            continue
-        fac = wgt / l ** domain.dim
-        pairs = (phi_u[:, None] - phi_u[None, :]) ** 2 * kern
-        for f in modes:
-            rhs += fac * form(phi_u * f, phi_u * f)
-            defect += fac * cds * float(f @ pairs @ f) * dx * dx
-    gap = abs(lhs - (rhs - defect)) / abs(lhs)
-    return CheckReport("ims_defect", gap < 0.05,
-                       {"lhs": lhs, "localized_sum": rhs, "defect": defect,
-                        "rel_gap": gap})

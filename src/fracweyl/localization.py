@@ -293,6 +293,10 @@ def neighborhood_integrals(geometry: DomainGeometry,
         collar = float(np.sum(ls[meets] ** a_exponent * ws[meets]))
         keep = interior & ~meets
         bulk = float(np.sum(ls[keep] ** -2.0 * ws[keep]))
+        for name, val in (("bulk", bulk), ("collar", collar)):
+            if not val > 0:
+                raise ArithmeticError(f"{name} integral is {val} at l0 = {l0}; "
+                                      "its log-log exponent needs it positive")
         bulk_vals.append(bulk)
         collar_vals.append(collar)
     logl0 = np.log(np.asarray(l0_values))

@@ -1,7 +1,6 @@
 """Deterministic numerical kernels shared by every other module.
 
-Provides sphere surface areas, the quadratic-form constant of the
-fractional Laplacian, and the two one-dimensional quadratures:
+Provides sphere surface areas and the two one-dimensional quadratures:
 :func:`panel_quad`, the fixed Gauss-Legendre panel rule behind the
 coefficient routes and the covering's scale grid, and :func:`integrate`,
 adaptive Gauss-Kronrod with error control, the reference the fixed rule
@@ -25,7 +24,6 @@ __all__ = [
     "IntegralResult",
     "NonConvergenceError",
     "sphere_area",
-    "c_sd",
     "integrate",
     "panel_quad",
 ]
@@ -229,22 +227,3 @@ def sphere_area(n: int) -> float:
         raise ValueError(f"sphere dimension must be a nonnegative integer, got {n}")
     n = int(n)
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-
-
-def c_sd(s: float, d: int) -> float:
-    """Constant relating the singular double integral of the fractional
-    quadratic form to its Fourier-side normalization.
-
-    Uses the reflection formula to express |Gamma(-s)| through values of
-    Gamma on the positive axis; finite for every s in (0, 1), blowing up
-    like 1/(1-s) near s = 1 only through the Gamma((d+2s)/2) factor's
-    companion, while |Gamma(-s)| itself diverges at both ends.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {s}")
-    if d != int(d) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    # |Gamma(-s)| = pi / (sin(pi s) * Gamma(1 + s)) for 0 < s < 1
-    abs_gamma_minus_s = math.pi / (math.sin(math.pi * s) * math.gamma(1.0 + s))
-    return (2.0 ** (2.0 * s - 1.0) * math.pi ** (-d / 2.0)
-            * math.gamma(d / 2.0 + s) / abs_gamma_minus_s)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,13 @@ class TestConvertCommand:
                 for r in csv.DictReader(cc.open())}
         for name, entry in rec.items():
             assert rows[name] == pytest.approx(entry["value"], rel=1e-15, abs=1e-300)
+
+
+    @pytest.mark.parametrize("A, name", [("1e308", "C = 0.0"), ("1e-308", "C = inf")])
+    def test_out_of_range_is_a_numerical_failure(self, A, name, capsys):
+        assert run(["convert", "--A", A, "--a", "0.5", "--b", "0"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {name} ")
 
 
 class TestUsageErrors:
@@ -173,6 +181,14 @@ class TestKernelsCommand:
             rel=1e-9)
 
 
+    def test_spectral_edge_past_rounding_edge(self, capsys):
+        # spectral edge 1e8: the density rows there are finite and positive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["kernels", "--s", "0.25", "--mu", "1e4", "--t", "1"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 class TestLayerCommand:
     def test_final_row_matches_constants_route(self, tmp_path):
         out = tmp_path / "layer.csv"
@@ -206,6 +222,12 @@ class TestLocalizationCommand:
         assert code == EXIT_OK
         rec = json.loads(out.read_text())
         assert rec["worst_partition_error"]["value"] < 1e-3
+
+
+    def test_domain_too_narrow_for_bulk_exits_3(self, capsys):
+        assert run(["localization-check", "--extent", "0.01"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: bulk integral")
 
 
 class TestOrderCheckCommand:

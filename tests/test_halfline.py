@@ -173,6 +173,18 @@ class TestSpectralDensity:
             np.testing.assert_allclose(row, model_half.gamma_table(lam)[1],
                                        rtol=1e-14, atol=0.0)
 
+    def test_rows_past_rounding_edge(self):
+        # past lam ~ 1e8, 1 + lam^2 rounds to lam^2 and the Poisson log
+        # argument to -1 at the smallest z; the rows must not collapse to 0.
+        # Their peak falls like 1/lam, on both sides of that edge.
+        m = HalfLineModel(FractionalOrder(0.25, 2))
+        xi, _ = m.gamma_table(1.0)
+        peaks = m.gamma_values(np.array([3e7, 1e8, 1e9]), xi).max(axis=1)
+        assert np.all(peaks > 0.0)
+        assert peaks[1] / peaks[0] == pytest.approx(0.3, rel=0.1)
+        assert peaks[2] / peaks[1] == pytest.approx(0.1, rel=0.1)
+        assert m.laplace_tail(1e8, 1.0) > 0.0
+
     def test_table_matches_adaptive_laplace(self, model_half):
         # the fixed density table reproduces an adaptive transform
         lam = 1.3

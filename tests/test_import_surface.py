@@ -1,7 +1,8 @@
 """The public surface resolves: every name a module exports in ``__all__``
 and every function the benchmark tracer wraps.  A deleted or renamed
 function fails here in a second instead of in the benchmark self-check.
-No module reaches into another's private names."""
+No module reaches into another's private names, and none imports a name
+it does not use."""
 
 import ast
 import importlib
@@ -13,10 +14,12 @@ import pytest
 
 import fracweyl
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 PACKAGE = Path(fracweyl.__file__).resolve().parent
 MODULES = ["fracweyl"] + sorted(
     m.name for m in pkgutil.iter_modules(fracweyl.__path__, "fracweyl."))
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -50,3 +53,38 @@ def test_no_private_cross_module_imports():
                 found += [f"{path.name}: {node.module}.{a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert not found
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def _unused_imports(tree):
+    """Imported names a module neither reads nor lists in ``__all__``.
+    ``import a.b`` counts as used only where ``a.b`` itself is read."""
+    used = set()
+    for node in ast.walk(tree):
+        dotted = _dotted(node)
+        if dotted:
+            parts = dotted.split(".")
+            used.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for a in node.names if (a.asname or a.name) not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert not _unused_imports(ast.parse(path.read_text()))

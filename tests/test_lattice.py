@@ -14,10 +14,8 @@ from fracweyl.lattice import (LatticeDomain, MarginError, interval_domain,
                               build_restricted_fractional, build_dirichlet_power,
                               eigenvalues_sym, lowest_spectrum, riesz_mean,
                               two_term_fit,
-                              berezin_bound_check, coherent_state_identity_check,
-                              operator_order_check, ims_defect_check,
+                              berezin_bound_check, operator_order_check,
                               SymmetricOperator, SpectrumResult)
-from fracweyl.localization import LocalizationFamily, interval_geometry
 
 
 class TestDomains:
@@ -359,39 +357,6 @@ class TestBerezinBound:
         assert lhs == pytest.approx(expected, rel=1e-12)
 
 
-class TestCoherentState:
-    @pytest.fixture(scope="class")
-    @staticmethod
-    def setup():
-        dom = rectangle_domain(20, 20, 0.05)
-        box = dom.box_points
-        x = (np.arange(box) + 0.5) * dom.spacing
-        cx = x[box // 2]
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        phi = np.exp(-((X - cx) ** 2 + (Y - cx) ** 2) / (2.0 * 0.15 ** 2))
-        return dom, phi
-
-    def test_identity_is_exact(self, setup):
-        dom, phi = setup
-        rep = coherent_state_identity_check(0.5, 0.1, (1.0, 0.0), dom, phi)
-        assert rep.passed
-        assert rep.quantities["rel_gap"] < 1e-10
-
-    def test_degenerate_at_zero_momentum(self, setup):
-        dom, phi = setup
-        rep = coherent_state_identity_check(0.5, 0.1, (0.0, 0.0), dom, phi)
-        assert rep.quantities["rel_gap"] < 1e-10
-        assert rep.quantities["first_term"] == 0.0
-
-    def test_homogeneity_of_leading_term(self, setup):
-        dom, phi = setup
-        r1 = coherent_state_identity_check(0.5, 0.1, (1.0, 0.0), dom, phi)
-        r2 = coherent_state_identity_check(0.5, 0.1, (2.0, 0.0), dom, phi)
-        ratio = r2.quantities["first_term"] / r1.quantities["first_term"]
-        # discrete symbol: homogeneity holds up to the chord/arc deficit
-        assert ratio == pytest.approx(2.0 ** (2 * 0.5), rel=0.05)
-
-
 class TestOperatorOrder:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_interval(self, s):
@@ -429,31 +394,3 @@ class TestHalfspaceKernel:
         _tamper_first_solve(monkeypatch, _withhold_second)
         with pytest.raises(ArithmeticError):
             lat.halfspace_kernel_check(0.5, 0.5, model=model_half)
-
-
-class TestImsDefect:
-    def test_constant_family_degenerates(self):
-        # a single constant weight has zero localization kernel
-        dom = interval_domain(24)
-
-        class Flat:
-            def scale_grid(self, resolution):
-                return np.array([0.5]), np.array([1.0]), np.array([1.0])
-
-            def weight(self, xs, us):
-                return np.ones(len(xs))
-
-        rep = ims_defect_check(dom, 0.5, Flat(), resolution=1)
-        assert rep.quantities["defect"] == 0.0
-        assert rep.quantities["rel_gap"] < 1e-12
-
-    def test_standard_family_and_refinement(self):
-        dom = interval_domain(40)
-        fam = LocalizationFamily(interval_geometry(1.0), 0.25)
-        coarse = ims_defect_check(dom, 0.5, fam, resolution=2)
-        fine = ims_defect_check(dom, 0.5, fam, resolution=4)
-        assert fine.passed
-        assert fine.quantities["rel_gap"] < 0.05
-        assert fine.quantities["rel_gap"] <= 0.75 * coarse.quantities["rel_gap"] + 1e-9
-        # the defect term is genuinely exercised
-        assert fine.quantities["defect"] > 0.01 * abs(fine.quantities["lhs"])

@@ -175,3 +175,9 @@ class TestNeighborhoodIntegrals:
         rep = neighborhood_integrals(disk_geometry(2.0),
                                      l0_values=(0.08, 0.04, 0.02), resolution=8)
         assert abs(rep["collar_exponent"] - 1.0) < 0.25
+
+    def test_empty_bulk_is_refused(self):
+        # on an interval of length 0.01 every ball of the coarsest l0 meets
+        # the boundary: the bulk integral is 0 and has no log
+        with pytest.raises(ArithmeticError, match="bulk integral is 0.0 at l0 = 0.04"):
+            neighborhood_integrals(interval_geometry(0.01))

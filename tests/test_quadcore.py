@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracweyl.quadcore import (QuadratureSpec, IntegralResult, NonConvergenceError,
-                               sphere_area, c_sd, integrate)
+                               sphere_area, integrate)
 
 
 class TestSphereArea:
@@ -24,38 +24,6 @@ class TestSphereArea:
         vol = sphere_area(n - 1) / n
         assert vol == pytest.approx(math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0),
                                     rel=1e-13)
-
-
-class TestFormConstant:
-    def test_one_dimensional_value(self):
-        # double-integral oracle with a Gaussian, inner x-integral closed:
-        # int (u(x)-u(x+r))^2 dx = 2 sqrt(pi) (1 - exp(-r^2/4)) for u = e^{-x^2/2},
-        # Fourier side equals 1 at s = 1/2
-        c = c_sd(0.5, 1)
-        spec = QuadratureSpec(rel_tol=1e-10)
-        lhs = 2.0 * c * integrate(
-            lambda r: 2.0 * math.sqrt(math.pi) * (1.0 - np.exp(-r * r / 4.0)) / r ** 2,
-            0.0, math.inf, spec).value
-        rhs = integrate(lambda p: p * np.exp(-p * p), 0.0, math.inf, spec).value * 2.0
-        assert lhs == pytest.approx(rhs, rel=1e-8)
-
-    def test_near_one_growth(self):
-        # |Gamma(-s)| (1-s) -> 1 as s -> 1, so c_sd stays finite
-        s = 0.999
-        abs_gamma = math.pi / (math.sin(math.pi * s) * math.gamma(1.0 + s))
-        assert abs_gamma * (1.0 - s) == pytest.approx(1.0, abs=2e-3)
-        assert np.isfinite(c_sd(s, 2))
-
-    def test_continuity(self):
-        ss = np.linspace(0.1, 0.9, 33)
-        vals = [c_sd(s, 2) for s in ss]
-        steps = np.abs(np.diff(vals))
-        assert steps.max() < 0.2
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                c_sd(bad, 2)
 
 
 class TestIntegrate:
@@ -101,4 +69,3 @@ class TestIntegrate:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
-
