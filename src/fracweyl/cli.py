@@ -27,8 +27,27 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_ASSERTION = 4
 
-# disk sample points of localization-check keep this distance from the circle
+# localization-check draws each coordinate of a sample point from this
+# share of the domain's box; on a disk it redraws until the point lies
+# _DISK_MARGIN inside the circle, and refuses to start when fewer than
+# _MIN_DISK_SHARE of the draws would be accepted
+_SAMPLE_RANGE = (0.08, 0.92)
 _DISK_MARGIN = 0.02
+_MIN_DISK_SHARE = 0.01
+
+
+def _disk_share(radius: float, half_side: float) -> float:
+    """Share of the square [-half_side, half_side]^2 that lies inside the
+    disk of the given radius about its center."""
+    rho, a = max(radius, 0.0), half_side
+    if rho >= a * math.sqrt(2.0):
+        return 1.0
+    area = math.pi * rho ** 2
+    if rho > a:
+        # the four circular segments beyond the sides are disjoint while
+        # the corners lie outside the disk
+        area -= 4.0 * (rho ** 2 * math.acos(a / rho) - a * math.sqrt(rho ** 2 - a ** 2))
+    return area / (2.0 * a) ** 2
 
 
 class UsageError(Exception):
@@ -279,11 +298,14 @@ def cmd_localization_check(args) -> int:
     elif args.shape == "rectangle":
         geom = loc.rectangle_geometry(args.extent, args.extent)
     else:
-        geom = loc.disk_geometry(args.extent / 2.0)
-        if not args.extent / 2.0 > _DISK_MARGIN:
-            raise UsageError(f"--extent {args.extent}: a disk of radius at most "
-                             f"{_DISK_MARGIN} has no point farther than "
-                             f"{_DISK_MARGIN} from its boundary to sample")
+        radius = args.extent / 2.0
+        geom = loc.disk_geometry(radius)
+        share = _disk_share(radius - _DISK_MARGIN,
+                            (_SAMPLE_RANGE[1] - 0.5) * args.extent)
+        if share < _MIN_DISK_SHARE:
+            raise UsageError(f"--extent {args.extent}: only {share:.3g} of the "
+                             f"sampling box lies farther than {_DISK_MARGIN} "
+                             f"inside the disk (at least {_MIN_DISK_SHARE} needed)")
     try:
         fam = loc.LocalizationFamily(geom, args.l0)
     except ValueError as exc:
@@ -293,10 +315,10 @@ def cmd_localization_check(args) -> int:
     rec = ReportRecord()
     worst = 0.0
     for i in range(args.points):
-        x = lo + (hi - lo) * rng.uniform(0.08, 0.92, size=geom.dim)
+        x = lo + (hi - lo) * rng.uniform(*_SAMPLE_RANGE, size=geom.dim)
         if geom.shape == "disk":
             while geom.distance(x) <= _DISK_MARGIN:
-                x = lo + (hi - lo) * rng.uniform(0.08, 0.92, size=geom.dim)
+                x = lo + (hi - lo) * rng.uniform(*_SAMPLE_RANGE, size=geom.dim)
         val = loc.partition_check(x, fam, args.resolution)
         worst = max(worst, abs(val - 1.0))
         rec.add(f"partition_{i}", val, abs(val - 1.0), "scale_grid_quadrature")

@@ -212,6 +212,11 @@ class LocalizationFamily:
         Level-synchronous refinement over arrays, so the cost is a few
         vector operations per depth level.  ``prune(centers, halves)``
         may mark whole cells as irrelevant; they are dropped unrefined.
+        A cell's refinement does not depend on its neighbours, so the
+        pruned grid is the unpruned one minus the descendants of the
+        dropped cells.  ``partition_check`` prunes the cells out of its
+        point's reach, ``neighborhood_integrals`` those far outside the
+        domain; both rely on l being 1/2-Lipschitz to bound l over a cell.
         """
         centers = np.asarray(center, dtype=float)[None, :]
         halves = np.array([halfwidth])
@@ -241,14 +246,33 @@ class LocalizationFamily:
 
 def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float:
     """Quadrature value of the partition integral at one point; tends to 1
-    as the center grid refines."""
+    as the center grid refines.
+
+    Only centers within reach of ``x`` (``|x - u| < l(u)``) carry weight.
+    In 1-D the scale grid spans x +- 0.75, past the largest scale 1/2; in
+    2-D ``cell_grid`` drops, unrefined, every cell whose centers all lie
+    out of reach, so the sum is the one over the full grid of the
+    +-0.75 box with its exact zeros left out."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if family.geometry.dim == 1:
         # centers can only reach x from within max scale 1/2
         us, ws, ls = family.scale_grid(resolution, lo=x[0] - 0.75, hi=x[0] + 0.75)
         centers = us[:, None]
     else:
-        centers, ws = family.cell_grid(x, 0.75, resolution)
+        def out_of_reach(cs, hs):
+            # l is 1/2-Lipschitz, so every center u of a cell with center c
+            # and half-diagonal delta has |x - u| >= |x - c| - delta and
+            # l(u) <= l(c) + delta/2: once the first bound reaches the
+            # second, no center in the cell reaches x.  Such cells hold only
+            # offsets with r^2 >= 1, whose weight is exactly 0.0 (the bump
+            # exp(-1/(1 - r^2)) already underflows to 0.0 for r^2 > 0.9987,
+            # far beyond the rounding of either side), so dropping them
+            # changes the sum only through its order
+            delta = hs * math.sqrt(2.0)
+            dist = np.hypot(cs[:, 0] - x[0], cs[:, 1] - x[1])
+            return dist - delta >= family.scale(cs) + 0.5 * delta
+
+        centers, ws = family.cell_grid(x, 0.75, resolution, prune=out_of_reach)
         ls = family.scale(centers)
     w = family.weight(x, centers)
     return float(np.sum(w * w / ls ** family.geometry.dim * ws))

@@ -223,6 +223,29 @@ class TestLocalizationCommand:
         rec = json.loads(out.read_text())
         assert rec["worst_partition_error"]["value"] < 1e-3
 
+    @pytest.mark.parametrize("argv", [["--shape", "disk"],
+                                      ["--shape", "rectangle", "--extent", "3"]],
+                             ids="_".join)
+    def test_two_dimensional_run(self, argv, tmp_path):
+        out = tmp_path / "locz.json"
+        code = run(["localization-check", *argv, "--resolution", "8", "--points", "8",
+                    "--tolerance", "1e-3", "--format", "json", "--output", str(out)])
+        assert code == EXIT_OK
+        rec = json.loads(out.read_text())
+        assert 0.0 < rec["worst_partition_error"]["value"] < 1e-3
+
+    @pytest.mark.parametrize("extent, code", [("0.04004", EXIT_USAGE),
+                                              ("0.05", EXIT_ASSERTION)])
+    def test_disk_sampling_refused_below_one_percent(self, extent, code):
+        # at 0.04004 about 1e-6 of the sampling box lies 0.02 inside the
+        # circle, and rejection sampling took over a minute; at 0.05 the
+        # share is 4.5% and the run ends in a failed exponent check
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracweyl.cli", "localization-check", "--shape", "disk",
+             "--extent", extent, "--resolution", "2", "--output", os.devnull],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == code, proc.stderr
 
     def test_domain_too_narrow_for_bulk_exits_3(self, capsys):
         assert run(["localization-check", "--extent", "0.01"]) == EXIT_NUMERICAL

@@ -1,8 +1,8 @@
 """The public surface resolves: every name a module exports in ``__all__``
 and every function the benchmark tracer wraps.  A deleted or renamed
 function fails here in a second instead of in the benchmark self-check.
-No module reaches into another's private names, and none imports a name
-it does not use."""
+No module reaches into another's private names, and no module, script or
+test imports a name it does not use."""
 
 import ast
 import importlib
@@ -19,7 +19,8 @@ BENCH = ROOT / "bench"
 PACKAGE = Path(fracweyl.__file__).resolve().parent
 MODULES = ["fracweyl"] + sorted(
     m.name for m in pkgutil.iter_modules(fracweyl.__path__, "fracweyl."))
-SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+           + sorted((ROOT / "tests").glob("*.py")))
 
 
 @pytest.mark.parametrize("module_name", MODULES)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ from fracweyl.lattice import (LatticeDomain, MarginError, interval_domain,
                               eigenvalues_sym, lowest_spectrum, riesz_mean,
                               two_term_fit,
                               berezin_bound_check, operator_order_check,
-                              SymmetricOperator, SpectrumResult)
+                              SymmetricOperator)
 
 
 class TestDomains:
@@ -71,6 +72,20 @@ class TestOperators:
         ref = (v * w ** s) @ v.T
         a = build_dirichlet_power(dom, s).entries
         assert np.max(np.abs(a - ref)) < 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("dom", [interval_domain(33), rectangle_domain(7, 5, 0.1),
+                                     square_domain(12)],
+                             ids=["interval33", "rect7x5", "square12"])
+    def test_dirichlet_power_matches_kronecker(self, dom, s):
+        # reference: the dense tensor-product sine basis, (V w^s) V^T
+        ws, vs = zip(*(lat._sine_basis(c) for c in dom.cells))
+        w = functools.reduce(np.add.outer, ws).ravel()
+        v = functools.reduce(np.kron, vs)
+        ref = (v * (w / dom.spacing ** 2) ** s) @ v.T
+        a = build_dirichlet_power(dom, s).entries
+        assert np.array_equal(a, a.T)
+        assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_power_spectrum_is_powered(self):
         dom = interval_domain(10)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracweyl.localization import (DomainGeometry, LocalizationFamily,
-                                   interval_geometry, rectangle_geometry,
-                                   disk_geometry, partition_check,
-                                   neighborhood_integrals)
+from fracweyl.localization import (LocalizationFamily, interval_geometry,
+                                   rectangle_geometry, disk_geometry,
+                                   partition_check, neighborhood_integrals)
 
 
 class TestScale:
@@ -105,6 +104,61 @@ class TestPartition:
     def test_rectangle(self):
         fam = LocalizationFamily(rectangle_geometry(3.0, 2.0), 0.2)
         assert partition_check((1.5, 1.0), fam, 8) == pytest.approx(1.0, abs=1e-3)
+
+
+# 2-D points deep inside, within 0.05 of an edge and within 0.05 of a corner
+REACH_CASES = [
+    (disk_geometry(2.0), 0.25, [(0.0, 0.0), (1.2, 0.6), (1.97, 0.0),
+                                (1.96 * math.cos(2.3), 1.96 * math.sin(2.3))]),
+    (rectangle_geometry(3.0, 2.0), 0.2, [(1.5, 1.0), (0.03, 1.1), (2.2, 1.98),
+                                         (0.04, 0.02), (2.97, 1.96)]),
+]
+
+
+def _recorded_prunes(monkeypatch):
+    """Patches cell_grid to record what its prune drops; returns the list
+    of (centers, halves) it fills, one entry per refinement level."""
+    dropped = []
+    cell_grid = LocalizationFamily.cell_grid
+
+    def recording(self, center, halfwidth, resolution, prune=None):
+        def recorded(cs, hs):
+            drop = prune(cs, hs)
+            dropped.append((cs[drop], hs[drop]))
+            return drop
+        return cell_grid(self, center, halfwidth, resolution, prune=recorded)
+
+    monkeypatch.setattr(LocalizationFamily, "cell_grid", recording)
+    return dropped
+
+
+class TestReachPruning:
+    @pytest.mark.parametrize("geom, l0, points", REACH_CASES, ids=["disk", "rectangle"])
+    def test_matches_unpruned_grid(self, geom, l0, points):
+        fam = LocalizationFamily(geom, l0)
+        for x in points:
+            # brute force: every cell of the +-0.75 box, exact zeros included
+            centers, ws = fam.cell_grid(np.array(x), 0.75, 12)
+            w = fam.weight(np.array(x), centers)
+            full = float(np.sum(w * w / fam.scale(centers) ** 2 * ws))
+            assert partition_check(x, fam, 12) == pytest.approx(full, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("geom, l0, points", REACH_CASES, ids=["disk", "rectangle"])
+    def test_dropped_cells_carry_no_weight(self, geom, l0, points, monkeypatch):
+        fam = LocalizationFamily(geom, l0)
+        dropped = _recorded_prunes(monkeypatch)
+        rng = np.random.default_rng(11)
+        for x in points:
+            dropped.clear()
+            partition_check(x, fam, 12)
+            cs = np.concatenate([c for c, _ in dropped])
+            hs = np.concatenate([h for _, h in dropped])
+            assert len(hs) > 100
+            # random centers in each dropped cell, and the one nearest x
+            us = cs[:, None, :] + hs[:, None, None] * rng.uniform(-1.0, 1.0, (len(hs), 8, 2))
+            nearest = np.clip(x, cs - hs[:, None], cs + hs[:, None])[:, None, :]
+            us = np.concatenate([us, nearest], axis=1)
+            assert np.all(fam.weight(np.array(x), us) == 0.0)
 
 
 class TestComparability:
