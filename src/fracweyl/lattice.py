@@ -1,28 +1,15 @@
 """Dense lattice discretizations for desk-scale spectral verification.
 
-The fractional operator is realized on a periodic box as a Fourier
-multiplier in the discrete symbol
-
-    sigma(k) = sum_j (2 - 2 cos(2 pi k_j / N)) / spacing^2,
-
-raised to the power s; restricting rows and columns to a block of
-interior sites reproduces the exterior-condition form domain at lattice
-level.  A domain is an interval or rectangle of cells centered in a box
-of ``BOX_MULTIPLE`` = 3 times its longest side, so the margin to the box
-boundary is at least a third of the box.  That makes wrap-around
-negligible for s = 1 but not for s < 1: the torus has a finite exterior,
-so the killing part of the form is too small and the low spectrum is
-biased low (on (-1, 1), 256 cells, lam_1 is 4.6% below its large-box
-limit at s = 1/2 and 13.7% below at s = 1/4).  The fractional power of
-the Dirichlet Laplacian is built from the stencil's closed-form sine
-eigenbasis, applied one axis at a time.  On top of the two operators sit Riesz means, two-term fits, and
+A domain is a block of cells: an interval or a rectangle.  One function,
+``_multiplier_kernel``, defines the restricted fractional operator P M_s P
+on it by its real-space kernel on the block's offset circle.  The dense
+build gathers that kernel at every site pair's offset; the matrix-free
+apply convolves the block with it on a grid of twice the block, where no
+block offset wraps.  The fractional power of the Dirichlet Laplacian is
+built from the stencil's closed-form sine eigenbasis, applied one axis at
+a time.  On top of the two operators sit Riesz means, two-term fits, and
 the operator-level property checks (sharp trace bound, operator ordering,
 half-space kernel law).
-
-One function, ``_multiplier_kernel``, defines the restricted operator
-P M_s P by its real-space kernel.  The dense build gathers it at every
-site pair's offset; the matrix-free apply convolves the block with it on a
-grid of twice the block, where no block offset wraps.
 
 Two solvers give spectra.  ``eigenvalues_sym`` is the dense reference: it
 returns the whole spectrum of a matrix and checks it against the matrix's
@@ -54,9 +41,7 @@ __all__ = [
     "SymmetricOperator",
     "SpectrumResult",
     "AsymptoticFit",
-    "MarginError",
     "interval_domain",
-    "rectangle_domain",
     "square_domain",
     "build_restricted_fractional",
     "build_dirichlet_power",
@@ -71,27 +56,21 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4096
-#: box side over the domain's longest side
+#: periodic box side of ``_multiplier_kernel`` over the block's longest side
 BOX_MULTIPLE = 3
-
-
-class MarginError(ValueError):
-    """Block sits too close to the periodic box boundary."""
 
 
 @dataclass(frozen=True)
 class LatticeDomain:
-    """Block of cells centered in a periodic embedding box.
+    """Block of cells of side ``spacing``.
 
-    ``cells`` is ``(m,)`` for an interval or ``(mx, my)`` for a rectangle;
-    along each axis the block starts at box index ``(box_points - c) // 2``.
+    ``cells`` is ``(m,)`` for an interval or ``(mx, my)`` for a rectangle.
     Sites are cell-centered and ordered lexicographically, so a block of m
     cells represents an interval of length m*spacing.
     """
 
     cells: tuple
     spacing: float
-    box_points: int
 
     def __post_init__(self):
         if len(self.cells) not in (1, 2):
@@ -100,12 +79,6 @@ class LatticeDomain:
             raise ValueError("cell counts must be positive")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
-        margin = min(min(int(ax[0]), self.box_points - 1 - int(ax[-1]))
-                     for ax in self._axes())
-        if margin < self.box_points / 3 - 1:
-            raise MarginError(
-                f"block margin {margin} below box/3 = {self.box_points / 3:.1f}; "
-                "enlarge the box to suppress wrap-around")
 
     @property
     def dim(self) -> int:
@@ -124,15 +97,6 @@ class LatticeDomain:
         """Boundary measure: twice the face of each axis (2 points in 1-D)."""
         return 2 * sum(self.size // c for c in self.cells) * self.spacing ** (self.dim - 1)
 
-    def _axes(self) -> list:
-        """Box indices of the block along each axis."""
-        return [(self.box_points - c) // 2 + np.arange(c) for c in self.cells]
-
-    def indices(self) -> np.ndarray:
-        """Box index tuple of every site, one row per site."""
-        grids = np.meshgrid(*self._axes(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
     def coordinates(self) -> np.ndarray:
         """Cell-center coordinates relative to the block's lower faces."""
         local = [(np.arange(c, dtype=float) + 0.5) * self.spacing for c in self.cells]
@@ -142,30 +106,26 @@ class LatticeDomain:
 
 def interval_domain(m: int) -> LatticeDomain:
     """Unit interval of m cells."""
-    return LatticeDomain((m,), 1.0 / m, BOX_MULTIPLE * m)
-
-
-def rectangle_domain(mx: int, my: int, spacing: float) -> LatticeDomain:
-    """Rectangle of mx x my cells of side ``spacing``."""
-    return LatticeDomain((mx, my), spacing, BOX_MULTIPLE * max(mx, my))
+    return LatticeDomain((m,), 1.0 / m)
 
 
 def square_domain(m: int) -> LatticeDomain:
     """Unit square of m x m cells."""
-    return rectangle_domain(m, m, 1.0 / m)
+    return LatticeDomain((m, m), 1.0 / m)
 
 
 @dataclass(frozen=True)
 class SymmetricOperator:
-    n: int
     entries: np.ndarray
 
     def __post_init__(self):
         a = self.entries
-        if a.shape != (self.n, self.n):
-            raise ValueError("entries shape mismatch")
         if not np.array_equal(a, a.T):
             raise ValueError("matrix is not exactly symmetric")
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -194,39 +154,58 @@ class AsymptoticFit:
 
 
 def _multiplier_kernel(domain: LatticeDomain, s: float) -> np.ndarray:
-    """Real-space convolution kernel of the box multiplier sigma^s, the one
-    definition of P M_s P: the dense build gathers it, the matrix-free apply
-    transforms it.  Made exactly even (k(-n) == k(n) bitwise) so every
-    restriction of it is an exactly symmetric matrix."""
-    box = domain.box_points
+    """Real-space kernel of P M_s P on the block's offset circle, the one
+    definition of the restricted fractional operator: the dense build
+    gathers it, the matrix-free apply transforms it.
+
+    M_s is the Fourier multiplier, on a periodic box of N = ``BOX_MULTIPLE``
+    times the block's longest side, of the discrete symbol
+
+        sigma(k) = sum_j (2 - 2 cos(2 pi k_j / N)) / spacing^2
+
+    raised to the power s; restricting rows and columns to the block
+    reproduces the exterior-condition form domain at lattice level.  Across
+    the box's wrap, two block sites are at least 2N/3 apart.  That makes
+    wrap-around negligible for s = 1 but not for s < 1: the torus has a
+    finite exterior, so the killing part of the form is too small and the
+    low spectrum is biased low (on (-1, 1), 256 cells, lam_1 is 4.6% below
+    its large-box limit at s = 1/2 and 13.7% below at s = 1/4).
+
+    The box kernel is made exactly even (k(-n) == k(n) bitwise), so every
+    restriction of it is an exactly symmetric matrix.  Along an axis of c
+    cells the block reads offsets -(c-1)..c-1.  The returned array, of
+    shape (2c_1, ...), holds offset n mod 2c at entry n: on that circle the
+    read offsets stay distinct and exactly even.
+    """
+    box = BOX_MULTIPLE * max(domain.cells)
     sig = (2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(box) / box)) / domain.spacing ** 2
     kern = np.fft.ifftn(functools.reduce(np.add.outer, [sig] * domain.dim) ** s).real
     mirrored = np.roll(np.flip(kern), 1, axis=tuple(range(kern.ndim)))
-    return 0.5 * (kern + mirrored)
+    kern = 0.5 * (kern + mirrored)
+    return kern[np.ix_(*(np.r_[0:c, -c:0] % box for c in domain.cells))]
 
 
 def build_restricted_fractional(domain: LatticeDomain, s: float) -> SymmetricOperator:
-    """Block restriction of the periodic-box fractional multiplier.
+    """Block restriction P M_s P of the fractional multiplier.
 
-    The matrix is the compression P M_s P of the periodic-box operator.
-    With s = 1 it reduces to the Dirichlet stencil up to wrap-around,
-    which the margin invariant keeps below 1e-10; for s < 1 wrap-around
-    biases the low spectrum low (see the module docstring).
+    With s = 1 it reduces to the Dirichlet stencil up to wrap-around, which
+    the box keeps below 1e-10; for s < 1 wrap-around biases the low
+    spectrum low (see ``_multiplier_kernel``).
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
-    kern = _multiplier_kernel(domain, s)
-    # per-axis offset tables: entry (p, q) is kern at the box offset of
-    # site p from site q, gathered without any n x n index matrix
-    offsets = [(ax[:, None] - ax[None, :]) % domain.box_points
-               for ax in domain._axes()]
-    if domain.dim == 1:
-        a = kern[offsets[0]]
-    else:
-        di, dj = offsets
-        a = kern[di[:, None, :, None], dj[None, :, None, :]].reshape(
-            domain.size, domain.size)
-    return SymmetricOperator(domain.size, a)
+    circle = _multiplier_kernel(domain, s)
+    # entry (p, q) is the circle at (p - q) mod 2c along each axis: one
+    # (c, c) offset table per axis, broadcast over the row axes and then
+    # the column axes, gathers it without any n x n index matrix
+    dim = domain.dim
+    offsets = []
+    for k, c in enumerate(domain.cells):
+        i = np.arange(c)
+        shape = [1] * (2 * dim)
+        shape[k] = shape[dim + k] = c
+        offsets.append(((i[:, None] - i) % (2 * c)).reshape(shape))
+    return SymmetricOperator(circle[tuple(offsets)].reshape(domain.size, domain.size))
 
 
 def _dirichlet_stencil(domain: LatticeDomain) -> np.ndarray:
@@ -272,7 +251,7 @@ def build_dirichlet_power(domain: LatticeDomain, s: float) -> SymmetricOperator:
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
     if s == 1.0:
-        return SymmetricOperator(domain.size, _dirichlet_stencil(domain))
+        return SymmetricOperator(_dirichlet_stencil(domain))
     ws, vs = zip(*(_sine_basis(c) for c in domain.cells))
     w = functools.reduce(np.add.outer, ws).ravel()
 
@@ -286,7 +265,7 @@ def build_dirichlet_power(domain: LatticeDomain, s: float) -> SymmetricOperator:
 
     out = apply_basis(apply_basis(np.diag((w / domain.spacing ** 2) ** s)).T)
     out = 0.5 * (out + out.T)
-    return SymmetricOperator(domain.size, out)
+    return SymmetricOperator(out)
 
 
 def eigenvalues_sym(op: SymmetricOperator) -> SpectrumResult:
@@ -306,18 +285,17 @@ def eigenvalues_sym(op: SymmetricOperator) -> SpectrumResult:
 def _block_operator(domain: LatticeDomain, s: float):
     """Matrix-free P M_s P and max|mult|, its norm bound.
 
-    Along an axis of c cells the operator reads ``_multiplier_kernel`` only
-    at offsets -(c-1)..c-1.  Wrapped onto a circle of 2c sites they stay
-    distinct, so convolving the zero-padded block with them by ``rfftn`` on
-    that grid is exact: the operator of ``build_restricted_fractional``
-    without its n x n matrix.  The returned function takes a block vector,
+    ``_multiplier_kernel`` gives the kernel on a circle of 2c sites per axis
+    of c cells, where the block's offsets stay distinct, so convolving the
+    zero-padded block with it by ``rfftn`` on that grid is exact: the
+    operator of ``build_restricted_fractional`` without its n x n matrix.  The returned function takes a block vector,
     shape (n,), or a block of them, shape (n, k).
     """
     n, cells = domain.size, domain.cells
     grid = tuple(2 * c for c in cells)
-    circle = np.ix_(*(np.r_[0:c, -c:0] % domain.box_points for c in cells))
-    # the wrapped kernel is even on the circle, so its transform is real
-    mult = scipy.fft.rfftn(_multiplier_kernel(domain, s)[circle]).real
+    # the kernel is even on the circle up to rounding at the unread offset
+    # -c, so its transform is real
+    mult = scipy.fft.rfftn(_multiplier_kernel(domain, s)).real
     block = (slice(None),) + tuple(slice(0, c) for c in cells)
     axes = tuple(range(1, domain.dim + 1))
 
@@ -445,7 +423,7 @@ def berezin_bound_check(domain: LatticeDomain, s: float, phi: np.ndarray,
     m = np.outer(phi, phi) * build_restricted_fractional(domain, s).entries
     m *= h ** (2.0 * s)
     np.fill_diagonal(m, m.diagonal() - phi ** 2)
-    w = eigenvalues_sym(SymmetricOperator(domain.size, m)).eigenvalues
+    w = eigenvalues_sym(SymmetricOperator(m)).eigenvalues
     lhs = float(-w[w < 0].sum())
     # L1 in the lattice's own dimension; in 1-D its closed form is 2s/(pi(2s+1))
     l1 = (bulk_coefficient(FractionalOrder(s, 2)) if domain.dim == 2
@@ -460,7 +438,7 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
     is positive semidefinite up to roundoff (exact finite matrix theorem)."""
     diff = (build_dirichlet_power(domain, s).entries
             - build_restricted_fractional(domain, s).entries)
-    w = eigenvalues_sym(SymmetricOperator(domain.size, diff)).eigenvalues
+    w = eigenvalues_sym(SymmetricOperator(diff)).eigenvalues
     norm = max(-float(w[0]), float(w[-1]), 1e-300)
     return CheckReport(bool(w[0] >= -1e-8 * norm),
                        {"min_eig": float(w[0]), "max_eig": float(w[-1]),
@@ -480,7 +458,7 @@ def halfspace_kernel_check(s: float, h: float,
     residuals and completeness, without forming A.
     """
     m, spacing = 64, h / 6.0
-    domain = rectangle_domain(m, m, spacing)
+    domain = LatticeDomain((m, m), spacing)
     order = FractionalOrder(s, 2)
     model = model or HalfLineModel(order)
     spectrum, v = lowest_spectrum(domain, s, h ** (-2.0 * s), vectors=True)

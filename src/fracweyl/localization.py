@@ -49,7 +49,10 @@ class DomainGeometry:
 
     shape: str
     parameters: tuple
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return 1 if self.shape == "interval" else 2
 
     def distance(self, pts) -> np.ndarray:
         """Distance to the complement of the domain."""
@@ -110,15 +113,15 @@ class DomainGeometry:
 
 
 def interval_geometry(length: float = 4.0) -> DomainGeometry:
-    return DomainGeometry("interval", (float(length),), 1)
+    return DomainGeometry("interval", (float(length),))
 
 
 def rectangle_geometry(a: float, b: float) -> DomainGeometry:
-    return DomainGeometry("rectangle", (float(a), float(b)), 2)
+    return DomainGeometry("rectangle", (float(a), float(b)))
 
 
 def disk_geometry(radius: float = 2.0) -> DomainGeometry:
-    return DomainGeometry("disk", (float(radius),), 2)
+    return DomainGeometry("disk", (float(radius),))
 
 
 @lru_cache(maxsize=8)

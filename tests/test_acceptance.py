@@ -128,7 +128,7 @@ def test_a6_operator_ordering():
     for s in (0.25, 0.5, 0.75):
         r1 = lattice.operator_order_check(lattice.interval_domain(64), s)
         r2 = lattice.operator_order_check(
-            lattice.rectangle_domain(20, 20, 0.05), s)
+            lattice.LatticeDomain((20, 20), 0.05), s)
         ok &= r1.passed and r2.passed
         worst = min(worst, r1.quantities["min_eig"] / r1.quantities["norm"],
                     r2.quantities["min_eig"] / r2.quantities["norm"])

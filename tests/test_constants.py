@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from hypothesis import given, settings, strategies as st
 
 from fracweyl.halfline import FractionalOrder, DirichletLineModel
@@ -53,7 +54,7 @@ class TestLocalLayer:
         # same trace via the modified Bessel closed form in d = 2
         from scipy.special import k0
         ts = np.geomspace(1e-6, 30.0, 4000)
-        trace = np.trapezoid(k0(2.0 * ts), ts) / math.pi
+        trace = trapezoid(k0(2.0 * ts), ts) / math.pi
         assert trace == pytest.approx(0.25, abs=1e-4)
         from fracweyl.quadcore import sphere_area
         pref = sphere_area(0) / (2 * math.pi) * 2.0 / (1.0 * 3.0)

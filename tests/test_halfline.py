@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from fracweyl.quadcore import QuadratureSpec, integrate
 from fracweyl.constants import surface_via_energy_shift, surface_via_layer
@@ -439,7 +440,7 @@ class TestBoundaryLayer:
     def test_halfpower_moment_finite(self, model_half):
         ts = np.geomspace(1e-3, 60.0, 40)
         vals = np.abs(model_half.boundary_layer(ts))
-        moment = np.trapezoid(np.sqrt(ts) * vals, ts)
+        moment = trapezoid(np.sqrt(ts) * vals, ts)
         assert np.isfinite(moment)
         assert moment < 1.0
 

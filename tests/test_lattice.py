@@ -10,8 +10,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 import fracweyl.lattice as lat
-from fracweyl.lattice import (LatticeDomain, MarginError, interval_domain,
-                              rectangle_domain, square_domain,
+from fracweyl.lattice import (LatticeDomain, interval_domain, square_domain,
                               build_restricted_fractional, build_dirichlet_power,
                               eigenvalues_sym, lowest_spectrum, riesz_mean,
                               two_term_fit,
@@ -19,13 +18,18 @@ from fracweyl.lattice import (LatticeDomain, MarginError, interval_domain,
                               SymmetricOperator)
 
 
-class TestDomains:
-    def test_margin_enforced(self):
-        with pytest.raises(MarginError):
-            LatticeDomain(cells=(26,), spacing=0.1, box_points=30)
+def _box_kernel(dom, s):
+    """Reference kernel of P M_s P on the periodic box of 3 * max(cells)
+    sites per axis: the inverse FFT of sigma^s, made even."""
+    box = 3 * max(dom.cells)
+    sig = (2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(box) / box)) / dom.spacing ** 2
+    kern = np.fft.ifftn(functools.reduce(np.add.outer, [sig] * dom.dim) ** s).real
+    return 0.5 * (kern + np.roll(np.flip(kern), 1, axis=tuple(range(dom.dim))))
 
+
+class TestDomains:
     def test_estimates(self):
-        dom = rectangle_domain(6, 4, 0.5)
+        dom = LatticeDomain((6, 4), 0.5)
         assert dom.volume == pytest.approx(6 * 4 * 0.25)
         assert dom.surface == pytest.approx((2 * (6 + 4)) * 0.5)
 
@@ -44,13 +48,13 @@ class TestOperators:
 
     def test_symmetry_and_psd(self):
         for dom, s in itertools.product(
-                (interval_domain(20), rectangle_domain(7, 5, 0.1)), (0.3, 0.7)):
+                (interval_domain(20), LatticeDomain((7, 5), 0.1)), (0.3, 0.7)):
             op = build_restricted_fractional(dom, s)
             assert np.array_equal(op.entries, op.entries.T)
-            # per-pair reference: kern at the box offset of every site pair
-            kern = lat._multiplier_kernel(dom, s)
-            idx = dom.indices()
-            offs = (idx[:, None, :] - idx[None, :, :]) % dom.box_points
+            # per-pair reference: the box kernel at every site pair's offset
+            kern = _box_kernel(dom, s)
+            idx = np.array(list(np.ndindex(*dom.cells)))
+            offs = (idx[:, None, :] - idx[None, :, :]) % kern.shape[0]
             assert np.array_equal(op.entries, kern[tuple(np.moveaxis(offs, -1, 0))])
             w = np.linalg.eigvalsh(op.entries)
             assert w[0] >= -1e-10 * abs(w[-1])
@@ -63,7 +67,7 @@ class TestOperators:
         assert np.max(np.abs(rebuilt - a)) < 1e-10
 
     @pytest.mark.parametrize("s", [0.3, 0.7])
-    @pytest.mark.parametrize("dom", [interval_domain(256), rectangle_domain(7, 5, 0.1)],
+    @pytest.mark.parametrize("dom", [interval_domain(256), LatticeDomain((7, 5), 0.1)],
                              ids=["interval256", "rect7x5"])
     def test_dirichlet_power_matches_eigh(self, dom, s):
         # reference: the power through a numerical eigendecomposition of the
@@ -74,7 +78,7 @@ class TestOperators:
         assert np.max(np.abs(a - ref)) < 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("dom", [interval_domain(33), rectangle_domain(7, 5, 0.1),
+    @pytest.mark.parametrize("dom", [interval_domain(33), LatticeDomain((7, 5), 0.1),
                                      square_domain(12)],
                              ids=["interval33", "rect7x5", "square12"])
     def test_dirichlet_power_matches_kronecker(self, dom, s):
@@ -105,16 +109,15 @@ class TestOperators:
         spec = eigenvalues_sym(build_dirichlet_power(dom, 1.0))
         assert np.allclose(spec.eigenvalues, np.sort(sines(m)), rtol=1e-12)
         # the 2-D stencil is a Kronecker sum: its spectrum is all pair sums
-        spec = eigenvalues_sym(build_dirichlet_power(rectangle_domain(4, 3, dx), 1.0))
+        spec = eigenvalues_sym(build_dirichlet_power(LatticeDomain((4, 3), dx), 1.0))
         exact = np.sort((sines(4)[:, None] + sines(3)[None, :]).ravel())
         assert np.allclose(spec.eigenvalues, exact, rtol=1e-12)
 
     def test_mask_monotonicity(self):
-        # enlarging the block cannot raise any of the first eigenvalues
+        # enlarging the block cannot raise any of the first eigenvalues,
+        # each block in the box derived from its own size
         small = interval_domain(20)
-        big = LatticeDomain(cells=(21,), spacing=small.spacing,
-                            box_points=small.box_points)
-        assert set(small.indices()[:, 0]) < set(big.indices()[:, 0])
+        big = LatticeDomain((21,), small.spacing)
         w_small = eigenvalues_sym(build_restricted_fractional(small, 0.5)).eigenvalues
         w_big = eigenvalues_sym(build_restricted_fractional(big, 0.5)).eigenvalues
         assert np.all(w_big[:w_small.size] <= w_small + 1e-10)
@@ -133,14 +136,35 @@ class TestOperators:
 
     def test_one_ulp_asymmetry_rejected(self):
         a = build_restricted_fractional(interval_domain(8), 0.5).entries.copy()
-        SymmetricOperator(8, a)
+        assert SymmetricOperator(a).n == 8
         a[0, 1] = np.nextafter(a[0, 1], np.inf)
         with pytest.raises(ValueError):
-            SymmetricOperator(8, a)
+            SymmetricOperator(a)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            SymmetricOperator(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("s", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("dom", [interval_domain(33), LatticeDomain((7, 5), 0.1),
+                                     square_domain(12)],
+                             ids=["interval33", "rect7x5", "square12"])
+    def test_kernel_on_the_offset_circle(self, dom, s):
+        # entry n of the circle holds the box kernel at offset n mod 2c
+        kern = _box_kernel(dom, s)
+        ref = kern[np.ix_(*(np.r_[0:c, -c:0] % kern.shape[0] for c in dom.cells))]
+        circle = lat._multiplier_kernel(dom, s)
+        assert circle.shape == tuple(2 * c for c in dom.cells)
+        assert np.array_equal(circle, ref)
+        # exactly even on the offsets -(c-1)..c-1 the block reads; -c is
+        # never read and even only up to rounding in 2-D
+        read = [np.r_[0:c, c + 1:2 * c] for c in dom.cells]
+        assert np.array_equal(circle[np.ix_(*read)],
+                              circle[np.ix_(*(-r % (2 * c) for r, c in zip(read, dom.cells)))])
 
     def test_dense_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(lat, "DENSE_LIMIT", 3)
-        op = SymmetricOperator(4, np.eye(4))
+        op = SymmetricOperator(np.eye(4))
         with pytest.raises(ValueError):
             eigenvalues_sym(op)
 
@@ -178,9 +202,9 @@ class TestOperators:
             berezin_bound_check(dom, 0.5, np.ones(16), 0.1)
 
     def test_trivial_spectra(self):
-        op = SymmetricOperator(2, np.array([[2.0, 1.0], [1.0, 2.0]]))
+        op = SymmetricOperator(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(eigenvalues_sym(op).eigenvalues, [1.0, 3.0])
-        eye = SymmetricOperator(3, np.eye(3))
+        eye = SymmetricOperator(np.eye(3))
         assert np.allclose(eigenvalues_sym(eye).eigenvalues, 1.0)
 
 
@@ -207,7 +231,7 @@ class TestLowestSpectrum:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("dom", [square_domain(16), square_domain(32),
                                      square_domain(64), interval_domain(256),
-                                     rectangle_domain(7, 5, 0.1)],
+                                     LatticeDomain((7, 5), 0.1)],
                              ids=["square16", "square32", "square64", "interval256",
                                   "rect7x5"])
     def test_matches_dense(self, dom, s):
@@ -257,7 +281,7 @@ class TestLowestSpectrum:
 
 class TestBlockOperator:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("dom", [interval_domain(256), rectangle_domain(7, 5, 0.1),
+    @pytest.mark.parametrize("dom", [interval_domain(256), LatticeDomain((7, 5), 0.1),
                                      square_domain(32)],
                              ids=["interval256", "rect7x5", "square32"])
     def test_matches_dense(self, dom, s):
@@ -380,7 +404,7 @@ class TestOperatorOrder:
         assert rep.quantities["max_eig"] > 0
 
     def test_square(self):
-        rep = operator_order_check(rectangle_domain(12, 12, 1.0 / 12), 0.5)
+        rep = operator_order_check(LatticeDomain((12, 12), 1.0 / 12), 0.5)
         assert rep.passed
 
     def test_local_case_near_zero(self):

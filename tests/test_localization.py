@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from hypothesis import given, settings, strategies as st
 
 from fracweyl.localization import (LocalizationFamily, interval_geometry,
@@ -70,10 +71,10 @@ class TestWeights:
             fam = LocalizationFamily(geom, 0.25)
             if geom.dim == 1:
                 ys = np.linspace(-1, 1, 20001)
-                norm = np.trapezoid(fam.profile_r2(ys * ys) ** 2, ys)
+                norm = trapezoid(fam.profile_r2(ys * ys) ** 2, ys)
             else:
                 rs = np.linspace(0, 1, 20001)
-                norm = 2 * math.pi * np.trapezoid(
+                norm = 2 * math.pi * trapezoid(
                     rs * fam.profile_r2(rs * rs) ** 2, rs)
             assert norm == pytest.approx(1.0, rel=1e-6)
 
