@@ -9,7 +9,10 @@ block offset wraps.  The fractional power of the Dirichlet Laplacian is
 built from the stencil's closed-form sine eigenbasis, applied one axis at
 a time.  On top of the two operators sit Riesz means, two-term fits, and
 the operator-level property checks (sharp trace bound, operator ordering,
-half-space kernel law).
+half-space kernel law).  The ordering check forms neither n x n matrix:
+both operators commute with the reflection of each axis, so it builds the
+2^d reflection-parity blocks of their difference, about n/2^d sites each,
+straight from the kernel and the sine modes, and solves each on its own.
 
 Two solvers give spectra.  ``eigenvalues_sym`` is the dense reference: it
 returns the whole spectrum of a matrix and checks it against the matrix's
@@ -26,6 +29,7 @@ and ``riesz_mean`` refuses an ``h`` that would read beyond it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -194,36 +198,46 @@ def build_restricted_fractional(domain: LatticeDomain, s: float) -> SymmetricOpe
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
-    circle = _multiplier_kernel(domain, s)
-    # entry (p, q) is the circle at (p - q) mod 2c along each axis: one
-    # (c, c) offset table per axis, broadcast over the row axes and then
-    # the column axes, gathers it without any n x n index matrix
-    dim = domain.dim
-    offsets = []
-    for k, c in enumerate(domain.cells):
-        i = np.arange(c)
+    return SymmetricOperator(_restrict(_multiplier_kernel(domain, s)))
+
+
+def _restrict(circle: np.ndarray) -> np.ndarray:
+    """Block matrix of a kernel given on the block's offset circle, shape
+    (2c_1, ...): entry (p, q) is the circle at (p - q) mod 2c along each
+    axis."""
+    tables = []
+    for n in circle.shape:
+        i = np.arange(n // 2)
+        tables.append((i[:, None] - i) % n)
+    return _gather(circle, tables)
+
+
+def _gather(circle: np.ndarray, tables) -> np.ndarray:
+    """The circle at one (r_k, r_k) offset table per axis, as a square
+    matrix over the rows r_1 x r_2 x ... in C order.  Each table is
+    broadcast over the row axes and then the column axes, so no
+    matrix-sized index array is formed."""
+    dim = len(tables)
+    index = []
+    for k, t in enumerate(tables):
         shape = [1] * (2 * dim)
-        shape[k] = shape[dim + k] = c
-        offsets.append(((i[:, None] - i) % (2 * c)).reshape(shape))
-    return SymmetricOperator(circle[tuple(offsets)].reshape(domain.size, domain.size))
+        shape[k] = shape[dim + k] = t.shape[0]
+        index.append(t.reshape(shape))
+    n = math.prod(t.shape[0] for t in tables)
+    return circle[tuple(index)].reshape(n, n)
 
 
-def _dirichlet_stencil(domain: LatticeDomain) -> np.ndarray:
-    """Negative Dirichlet Laplacian of the block: the Kronecker sum of the
-    1-D second differences (2 on the diagonal, -1 to each neighbour) over
-    spacing^2."""
-    shifts = [np.eye(c, k=1) + np.eye(c, k=-1) for c in domain.cells]
-    if domain.dim == 1:
-        a = shifts[0]
-    else:
-        (mx, my), (sx, sy) = domain.cells, shifts
-        a = np.kron(sx, np.eye(my))
-        a += np.kron(np.eye(mx), sy)
+def _stencil_circle(domain: LatticeDomain) -> np.ndarray:
+    """Kernel of the negative lattice Laplacian (2 dim on the centre, -1 at
+    each axis neighbour, over spacing^2) on the block's offset circle; its
+    block restriction is the Dirichlet stencil."""
     inv_h2 = 1.0 / domain.spacing ** 2
-    np.subtract(0.0, a, out=a)  # unlike -a, leaves no signed zeros
-    a *= inv_h2
-    np.fill_diagonal(a, 2.0 * domain.dim * inv_h2)
-    return a
+    circle = np.zeros(tuple(2 * c for c in domain.cells))
+    for k in range(domain.dim):
+        for step in (1, -1):
+            circle[tuple(step if a == k else 0 for a in range(domain.dim))] = -inv_h2
+    circle[(0,) * domain.dim] = 2.0 * domain.dim * inv_h2
+    return circle
 
 
 def _sine_basis(c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,21 +265,29 @@ def build_dirichlet_power(domain: LatticeDomain, s: float) -> SymmetricOperator:
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
     if s == 1.0:
-        return SymmetricOperator(_dirichlet_stencil(domain))
+        return SymmetricOperator(_restrict(_stencil_circle(domain)))
     ws, vs = zip(*(_sine_basis(c) for c in domain.cells))
+    return SymmetricOperator(_basis_power(ws, vs, domain.spacing, s))
+
+
+def _basis_power(ws, vs, spacing: float, s: float) -> np.ndarray:
+    """V diag((w / spacing^2)^s) V^T, made exactly symmetric, for V the
+    tensor product of the per-axis orthonormal bases ``vs`` (square, modes
+    as columns) with eigenvalues ``ws``."""
+    rows = tuple(v.shape[0] for v in vs)
+    n = math.prod(rows)
     w = functools.reduce(np.add.outer, ws).ravel()
 
     def apply_basis(x):
-        # V x: the rows of x are the block's sites in C order, so this
-        # reshape puts site axis i in the middle and one batched matmul
-        # applies that axis's basis
-        for i, (c, v) in enumerate(zip(domain.cells, vs)):
-            x = np.matmul(v, x.reshape(math.prod(domain.cells[:i]), c, -1))
-        return x.reshape(domain.size, domain.size)
+        # V x: the rows of x are sites in C order, so this reshape puts
+        # site axis i in the middle and one batched matmul applies that
+        # axis's basis
+        for i, (r, v) in enumerate(zip(rows, vs)):
+            x = np.matmul(v, x.reshape(math.prod(rows[:i]), r, -1))
+        return x.reshape(n, n)
 
-    out = apply_basis(apply_basis(np.diag((w / domain.spacing ** 2) ** s)).T)
-    out = 0.5 * (out + out.T)
-    return SymmetricOperator(out)
+    out = apply_basis(apply_basis(np.diag((w / spacing ** 2) ** s)).T)
+    return 0.5 * (out + out.T)
 
 
 def eigenvalues_sym(op: SymmetricOperator) -> SpectrumResult:
@@ -433,16 +455,76 @@ def berezin_bound_check(domain: LatticeDomain, s: float, phi: np.ndarray,
                        {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs})
 
 
+def _parity_half(c: int, parity: int) -> tuple:
+    """One reflection parity (+1 or -1) of a c-cell axis, in the orthonormal
+    basis (e_i + parity e_(c-1-i))/sqrt(2), plus e_centre in the even half
+    when c is odd.  Returns the parity, the half's offset tables into a
+    circle kernel, direct (i - j) and mirrored (i + j - (c-1)) mod 2c, its
+    row weights (1/sqrt(2) on the centre row), and the eigenvalues and rows
+    in this basis of the sine modes of that parity (mode j has parity
+    (-1)^(j+1))."""
+    rows = np.arange((c + 1) // 2 if parity > 0 else c // 2)
+    tables = ((rows[:, None] - rows) % (2 * c), (rows[:, None] + rows - (c - 1)) % (2 * c))
+    weight = np.ones(rows.size)
+    scale = np.full(rows.size, math.sqrt(2.0))
+    if parity > 0 and c % 2 == 1:
+        weight[-1], scale[-1] = math.sqrt(0.5), 1.0
+    w, v = _sine_basis(c)
+    modes = slice(0 if parity > 0 else 1, None, 2)
+    return parity, tables, weight, w[modes], v[rows, modes] * scale[:, None]
+
+
+def _parity_block(circle: np.ndarray, parities, tables, weights) -> np.ndarray:
+    """Block of the operator with an axis-even kernel on the block's offset
+    circle in one reflection-parity basis: along each axis of parity p the
+    entry is K(i - j) + p K(i + j - (c-1)), times the row weights."""
+    out = 0.0
+    for pick in itertools.product((0, 1), repeat=len(parities)):
+        sign = math.prod(p for p, mirrored in zip(parities, pick) if mirrored)
+        out = out + sign * _gather(circle, [t[a] for t, a in zip(tables, pick)])
+    weight = functools.reduce(np.multiply.outer, weights).ravel()
+    out *= np.multiply.outer(weight, weight)
+    # a kernel even along each axis only up to rounding leaves the terms
+    # that mix direct and mirrored axes symmetric only up to rounding
+    return 0.5 * (out + out.T)
+
+
 def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
     """Dirichlet power dominates the restricted multiplier: the difference
-    is positive semidefinite up to roundoff (exact finite matrix theorem)."""
-    diff = (build_dirichlet_power(domain, s).entries
-            - build_restricted_fractional(domain, s).entries)
-    w = eigenvalues_sym(SymmetricOperator(diff)).eigenvalues
-    norm = max(-float(w[0]), float(w[-1]), 1e-300)
-    return CheckReport(bool(w[0] >= -1e-8 * norm),
-                       {"min_eig": float(w[0]), "max_eig": float(w[-1]),
-                        "norm": norm})
+    is positive semidefinite up to roundoff (exact finite matrix theorem).
+
+    Both operators commute with the reflection i -> c-1-i of each axis: the
+    multiplier kernel is even in each axis offset, and the sine modes have
+    definite parity.  In the reflection-parity bases of ``_parity_half``
+    the difference is block diagonal, with 2^d blocks of about n/2^d sites,
+    so each block is built directly and checked by ``eigenvalues_sym`` on
+    its own; no n x n matrix is formed.  ArithmeticError if the kernel is
+    not even along each axis to 1e-12 of its largest entry, since the split
+    would then drop a coupling.
+    """
+    if not 0.0 < s <= 1.0:
+        raise ValueError("fractional power must lie in (0, 1]")
+    circle = _multiplier_kernel(domain, s)
+    for k in range(domain.dim):
+        odd = float(np.abs(circle - np.roll(np.flip(circle, k), 1, k)).max())
+        if odd > 1e-12 * np.abs(circle).max():
+            raise ArithmeticError(f"multiplier kernel is odd along axis {k} by {odd}, "
+                                  f"above 1e-12 of its largest entry")
+    stencil = _stencil_circle(domain) if s == 1.0 else None
+    halves = [[_parity_half(c, p) for p in (1, -1)] for c in domain.cells]
+    lo, hi = math.inf, -math.inf
+    for block in itertools.product(*halves):
+        parities, tables, weights, ws, us = zip(*block)
+        if not all(w.size for w in ws):
+            continue
+        dirichlet = (_parity_block(stencil, parities, tables, weights) if s == 1.0
+                     else _basis_power(ws, us, domain.spacing, s))
+        diff = dirichlet - _parity_block(circle, parities, tables, weights)
+        w = eigenvalues_sym(SymmetricOperator(diff)).eigenvalues
+        lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
+    norm = max(-lo, hi, 1e-300)
+    return CheckReport(bool(lo >= -1e-8 * norm),
+                       {"min_eig": lo, "max_eig": hi, "norm": norm})
 
 
 def halfspace_kernel_check(s: float, h: float,

@@ -250,3 +250,20 @@ def test_a10_conversion_oracle():
     report("A10", ok, f"sequence-sum oracle: worst fit dev {worst_fit:.2e} "
                       f"(tol 5e-3); round-trip worst {worst_rt:.1e} (tol 1e-10)")
     assert ok
+
+
+def test_a11_sharp_trace_bound():
+    ok = True
+    worst = math.inf
+    for dom in (lattice.square_domain(20), lattice.interval_domain(64)):
+        for s in (0.25, 0.5, 0.75):
+            for h in (0.2, 0.1):
+                rep = lattice.berezin_bound_check(dom, s, np.ones(dom.size), h)
+                q = rep.quantities
+                ok &= rep.passed
+                worst = min(worst, q["slack"] / q["rhs"])
+    report("A11", ok, f"sharp trace bound Tr(h^2s A - 1)_- <= L1 |block| h^-d with "
+                      f"phi = 1 on the 20^2 square and the 64-cell interval, "
+                      f"s in (0.25, 0.5, 0.75), h in (0.2, 0.1); smallest "
+                      f"relative slack {worst:.3f}")
+    assert ok

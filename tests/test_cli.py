@@ -263,6 +263,20 @@ class TestOrderCheckCommand:
         rec = json.loads(out.read_text())
         assert rec["interval_min_eig_s=0.5"]["value"] >= -1e-10
 
+    def test_uneven_kernel_is_a_numerical_failure(self, monkeypatch, capsys):
+        import fracweyl.lattice as lat
+        exact = lat._multiplier_kernel
+
+        def uneven(domain, s):
+            circle = exact(domain, s)
+            circle[1] *= 1 + 1e-9
+            return circle
+
+        monkeypatch.setattr(lat, "_multiplier_kernel", uneven)
+        assert run(["order-check", "--s-list", "0.5", "--interval-points", "8",
+                    "--square-points", "6"]) == EXIT_NUMERICAL
+        assert "odd along axis 0" in capsys.readouterr().err
+
 
 # every entry of `constants --s 0.5 --d 2 --volume 1 --surface 4` as
 # (value, err), recorded before the quadrature spec was removed

@@ -201,6 +201,25 @@ class TestOperators:
         with pytest.raises(ArithmeticError):
             berezin_bound_check(dom, 0.5, np.ones(16), 0.1)
 
+    @pytest.mark.parametrize("block", range(4))
+    def test_order_check_checks_every_parity_block(self, block, monkeypatch):
+        # the order check solves one parity block per eigvalsh call: a
+        # spectrum off by 1e-6 of the norm in any one of them fails it
+        exact = np.linalg.eigvalsh
+        calls = []
+
+        def perturbed(a):
+            w = exact(a)
+            if len(calls) == block:
+                w[-1] += 1e-6 * max(abs(w[0]), abs(w[-1]))
+            calls.append(a.shape[0])
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        with pytest.raises(ArithmeticError):
+            operator_order_check(LatticeDomain((5, 7), 0.1), 0.5)
+        assert len(calls) == block + 1
+
     def test_trivial_spectra(self):
         op = SymmetricOperator(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(eigenvalues_sym(op).eigenvalues, [1.0, 3.0])
@@ -397,6 +416,68 @@ class TestBerezinBound:
 
 
 class TestOperatorOrder:
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("cells", [(7,), (8,), (5, 7), (6, 6), (9, 9)])
+    def test_parity_blocks_match_full_spectrum(self, cells, s, monkeypatch):
+        # the union of the block spectra is the spectrum of the n x n
+        # difference; odd sides put a centre site in the even blocks
+        dom = LatticeDomain(cells, 1.0 / max(cells))
+        solve = lat.eigenvalues_sym
+        blocks = []
+
+        def recording(op):
+            spec = solve(op)
+            blocks.append(spec.eigenvalues)
+            return spec
+
+        monkeypatch.setattr(lat, "eigenvalues_sym", recording)
+        rep = operator_order_check(dom, s)
+        full = np.linalg.eigvalsh(build_dirichlet_power(dom, s).entries
+                                  - build_restricted_fractional(dom, s).entries)
+        norm = max(-full[0], full[-1])
+        assert sum(w.size for w in blocks) == dom.size
+        assert len(blocks) == 2 ** dom.dim
+        assert np.abs(np.sort(np.concatenate(blocks)) - full).max() <= 1e-12 * norm
+        assert rep.quantities["min_eig"] == min(w[0] for w in blocks)
+        assert rep.quantities["max_eig"] == pytest.approx(full[-1], rel=1e-12)
+        assert rep.passed
+
+    def test_no_full_matrix(self):
+        # the largest dense matrix is one parity block, a quarter of the
+        # sites of a square
+        n = 40 * 40
+        tracemalloc.start()
+        try:
+            operator_order_check(square_domain(40), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n ** 2 * 8
+
+    @pytest.mark.parametrize("dom, axis", [(interval_domain(9), 0),
+                                           (LatticeDomain((6, 7), 0.1), 0),
+                                           (LatticeDomain((6, 7), 0.1), 1)])
+    def test_uneven_kernel_refused(self, dom, axis, monkeypatch):
+        # the parity split would drop the coupling of a kernel whose offset
+        # +1 along the axis differs from its offset -1
+        exact = lat._multiplier_kernel
+
+        def uneven(domain, s):
+            circle = exact(domain, s)
+            circle[tuple(1 if k == axis else slice(None) for k in range(domain.dim))] *= 1 + 1e-9
+            return circle
+
+        operator_order_check(dom, 0.5)
+        monkeypatch.setattr(lat, "_multiplier_kernel", uneven)
+        with pytest.raises(ArithmeticError, match=f"odd along axis {axis}"):
+            operator_order_check(dom, 0.5)
+
+    def test_single_cell_blocks(self):
+        # one cell per axis leaves the odd parity blocks empty
+        for cells in [(1,), (1, 4)]:
+            rep = operator_order_check(LatticeDomain(cells, 0.25), 0.5)
+            assert rep.passed and rep.quantities["min_eig"] > 0
+
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     def test_interval(self, s):
         rep = operator_order_check(interval_domain(48), s)
