@@ -501,6 +501,12 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
     its own; no n x n matrix is formed.  ArithmeticError if the kernel is
     not even along each axis to 1e-12 of its largest entry, since the split
     would then drop a coupling.
+
+    The check passes when the lowest eigenvalue is at least
+    -max(1e-8 norm, 1e-12 top), with norm the difference's and top the
+    Dirichlet power's largest eigenvalue, (sum_k max w_k / spacing^2)^s.
+    The floor matters at s = 1, where the difference is rounding only and
+    a bound relative to its own norm would be a bound on rounding.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
@@ -523,7 +529,9 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
         w = eigenvalues_sym(SymmetricOperator(diff)).eigenvalues
         lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
     norm = max(-lo, hi, 1e-300)
-    return CheckReport(bool(lo >= -1e-8 * norm),
+    top = sum(4.0 * math.sin(math.pi * c / (2 * (c + 1))) ** 2 for c in domain.cells)
+    floor = 1e-12 * (top / domain.spacing ** 2) ** s
+    return CheckReport(bool(lo >= -max(1e-8 * norm, floor)),
                        {"min_eig": lo, "max_eig": hi, "norm": norm})
 
 

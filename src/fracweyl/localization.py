@@ -15,6 +15,14 @@ variables that Jacobian makes exact, they form a continuous partition of
 unity: the integral of phi_u(x)^2 l(u)^-dim over centers equals one at
 every point.  The quadrature version of that identity is the module's
 main verification surface.
+
+Centers are summed on a quadrature grid fitted to the local scale: Gauss
+panels in 1-D (``scale_grid``), square cells refined until their side is
+below l/resolution in 2-D (``cell_grid``).  The 2-D grid is streamed in
+bounded batches of finished cells, and the partition and neighbourhood
+integrals are sums over it, so neither holds the whole grid: at
+l0 = 0.01 on the disk of radius 2 it has 662k cells, and
+``neighborhood_integrals`` peaks at about 4 MiB of traced allocations.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ __all__ = [
     "partition_check",
     "neighborhood_integrals",
 ]
+
+# most cells ``LocalizationFamily.cell_grid`` scales and tests at once
+_CELL_BATCH = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -212,39 +223,45 @@ class LocalizationFamily:
                   prune=None):
         """Adaptive 2-D cells: split until size <= l(cell)/resolution.
 
-        Level-synchronous refinement over arrays, so the cost is a few
-        vector operations per depth level.  ``prune(centers, halves)``
-        may mark whole cells as irrelevant; they are dropped unrefined.
-        A cell's refinement does not depend on its neighbours, so the
-        pruned grid is the unpruned one minus the descendants of the
-        dropped cells.  ``partition_check`` prunes the cells out of its
-        point's reach, ``neighborhood_integrals`` those far outside the
-        domain; both rely on l being 1/2-Lipschitz to bound l over a cell.
+        A generator of ``(centers, areas, scales)`` batches of finished
+        cells.  The frontier is refined depth first, at most
+        ``_CELL_BATCH`` cells at a time, so memory stays bounded by the
+        batch size times the depth instead of growing with the grid; a
+        frontier that fits one batch is refined level by level, in the
+        order of a level-synchronous sweep.  l is evaluated once per cell
+        and passed to ``prune(centers, halves, scales)``, which may mark
+        whole cells as irrelevant; they are dropped unrefined.  A cell's
+        refinement does not depend on its neighbours, so the pruned grid
+        is the unpruned one minus the descendants of the dropped cells.
+        ``partition_check`` prunes the cells out of its point's reach,
+        ``neighborhood_integrals`` those far outside the domain; both rely
+        on l being 1/2-Lipschitz to bound l over a cell.
         """
+        quarters = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+        parents = _CELL_BATCH // 4
         centers = np.asarray(center, dtype=float)[None, :]
         halves = np.array([halfwidth])
-        out_c, out_a = [], []
-        quarters = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-        while centers.size:
+        pending = []
+        while True:
+            scales = self.scale(centers)
             if prune is not None:
-                keep = ~prune(centers, halves)
-                centers, halves = centers[keep], halves[keep]
-                if not centers.size:
-                    break
-            done = 2.0 * halves <= self.scale(centers) / resolution
+                keep = ~prune(centers, halves, scales)
+                centers, halves, scales = centers[keep], halves[keep], scales[keep]
+            done = 2.0 * halves <= scales / resolution
             if done.any():
-                out_c.append(centers[done])
-                out_a.append((2.0 * halves[done]) ** 2)
-            centers = centers[~done]
-            halves = halves[~done]
-            if centers.size:
-                q = 0.5 * halves
-                centers = (centers[:, None, :]
-                           + quarters[None, :, :] * q[:, None, None]).reshape(-1, 2)
-                halves = np.repeat(q, 4)
-        if not out_c:
-            return np.empty((0, 2)), np.empty(0)
-        return np.concatenate(out_c), np.concatenate(out_a)
+                yield centers[done], (2.0 * halves[done]) ** 2, scales[done]
+            if not done.all():
+                pending.append((centers[~done], halves[~done]))
+            if not pending:
+                return
+            centers, halves = pending.pop()
+            if halves.size > parents:
+                pending.append((centers[parents:], halves[parents:]))
+                centers, halves = centers[:parents], halves[:parents]
+            q = 0.5 * halves
+            centers = (centers[:, None, :]
+                       + quarters[None, :, :] * q[:, None, None]).reshape(-1, 2)
+            halves = np.repeat(q, 4)
 
 
 def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float:
@@ -262,7 +279,7 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
         us, ws, ls = family.scale_grid(resolution, lo=x[0] - 0.75, hi=x[0] + 0.75)
         centers = us[:, None]
     else:
-        def out_of_reach(cs, hs):
+        def out_of_reach(cs, hs, ls):
             # l is 1/2-Lipschitz, so every center u of a cell with center c
             # and half-diagonal delta has |x - u| >= |x - c| - delta and
             # l(u) <= l(c) + delta/2: once the first bound reaches the
@@ -273,10 +290,10 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
             # changes the sum only through its order
             delta = hs * math.sqrt(2.0)
             dist = np.hypot(cs[:, 0] - x[0], cs[:, 1] - x[1])
-            return dist - delta >= family.scale(cs) + 0.5 * delta
+            return dist - delta >= ls + 0.5 * delta
 
-        centers, ws = family.cell_grid(x, 0.75, resolution, prune=out_of_reach)
-        ls = family.scale(centers)
+        batches = family.cell_grid(x, 0.75, resolution, prune=out_of_reach)
+        centers, ws, ls = map(np.concatenate, zip(*batches))
     w = family.weight(x, centers)
     return float(np.sum(w * w / ls ** family.geometry.dim * ws))
 
@@ -291,35 +308,32 @@ def neighborhood_integrals(geometry: DomainGeometry,
     boundary (expected ~ l0^-1).  Collar: integral of l(u)^a over centers
     whose ball meets the boundary (expected ~ l0^(a+1)).
     """
+    def far_exterior(cs, hs, ls):
+        # cells with no domain points and no collar reach: the scale is
+        # 1/2-Lipschitz, so l inside the cell stays below l(center) + diag/2
+        diag = hs * math.sqrt(2.0)
+        exterior = geometry.distance(cs) == 0.0
+        no_collar = geometry.boundary_distance(cs) > ls + 1.5 * diag
+        return exterior & no_collar
+
     bulk_vals, collar_vals = [], []
     for l0 in l0_values:
         fam = LocalizationFamily(geometry, l0)
         if geometry.dim == 1:
             us, ws, ls = fam.scale_grid(resolution)
-            centers = us[:, None]
+            batches = [(us[:, None], ws, ls)]
         else:
             lo, hi = geometry.interior_box()
             center = 0.5 * (lo + hi)
             half = 0.5 * float(np.max(hi - lo)) + 0.6
-
-            def far_exterior(cs, hs, fam=fam, geometry=geometry):
-                # cells with no domain points and no collar reach: the
-                # scale is 1/2-Lipschitz, so l inside the cell stays below
-                # l(center) + diag/2
-                diag = hs * math.sqrt(2.0)
-                exterior = geometry.distance(cs) == 0.0
-                no_collar = (geometry.boundary_distance(cs)
-                             > fam.scale(cs) + 1.5 * diag)
-                return exterior & no_collar
-
-            centers, ws = fam.cell_grid(center, half, resolution // 2,
-                                        prune=far_exterior)
-            ls = fam.scale(centers)
-        meets = geometry.boundary_distance(centers) < ls
-        interior = geometry.distance(centers) > 0.0
-        collar = float(np.sum(ls[meets] ** a_exponent * ws[meets]))
-        keep = interior & ~meets
-        bulk = float(np.sum(ls[keep] ** -2.0 * ws[keep]))
+            batches = fam.cell_grid(center, half, resolution // 2, prune=far_exterior)
+        bulk = collar = 0.0
+        for centers, ws, ls in batches:
+            meets = geometry.boundary_distance(centers) < ls
+            interior = geometry.distance(centers) > 0.0
+            collar += float(np.sum(ls[meets] ** a_exponent * ws[meets]))
+            keep = interior & ~meets
+            bulk += float(np.sum(ls[keep] ** -2.0 * ws[keep]))
         for name, val in (("bulk", bulk), ("collar", collar)):
             if not val > 0:
                 raise ArithmeticError(f"{name} integral is {val} at l0 = {l0}; "

@@ -415,6 +415,9 @@ class TestBerezinBound:
         assert lhs == pytest.approx(expected, rel=1e-12)
 
 
+ORDER_DOMAINS = [interval_domain(32), interval_domain(256), square_domain(20), square_domain(40)]
+
+
 class TestOperatorOrder:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("cells", [(7,), (8,), (5, 7), (6, 6), (9, 9)])
@@ -494,6 +497,30 @@ class TestOperatorOrder:
         assert rep.quantities["min_eig"] >= -1e-12 * max(norm, 1.0)
         # locality: the two constructions agree up to wrap-around
         assert norm < 1e-9
+
+    @pytest.mark.parametrize("dom", ORDER_DOMAINS, ids=lambda d: "x".join(map(str, d.cells)))
+    def test_local_case_passes(self, dom):
+        # at s = 1 the difference is rounding only, far below its floor of
+        # 1e-12 of the Dirichlet stencil's top eigenvalue
+        rep = operator_order_check(dom, 1.0)
+        assert rep.passed
+        assert rep.quantities["norm"] < 1e-9
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("dom", ORDER_DOMAINS, ids=lambda d: "x".join(map(str, d.cells)))
+    def test_floor_leaves_fractional_verdicts(self, dom, s, monkeypatch):
+        # below s = 1 the verdict is the one of the 1e-8 * norm bound alone,
+        # and swapping the two operators (negating each block) still fails
+        rep = operator_order_check(dom, s)
+        q = rep.quantities
+        assert rep.passed and q["min_eig"] >= -1e-8 * q["norm"]
+        solve = lat.eigenvalues_sym
+        monkeypatch.setattr(lat, "eigenvalues_sym",
+                            lambda op: solve(SymmetricOperator(-op.entries)))
+        swapped = operator_order_check(dom, s)
+        assert not swapped.passed
+        assert swapped.quantities["min_eig"] == pytest.approx(-q["max_eig"], rel=1e-12)
+        assert swapped.quantities["norm"] == pytest.approx(q["norm"], rel=1e-12)
 
 
 class TestHalfspaceKernel:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 from hypothesis import given, settings, strategies as st
 
+from fracweyl import localization as loc
 from fracweyl.localization import (LocalizationFamily, interval_geometry,
                                    rectangle_geometry, disk_geometry,
                                    partition_check, neighborhood_integrals)
@@ -117,20 +119,26 @@ REACH_CASES = [
 
 
 def _recorded_prunes(monkeypatch):
-    """Patches cell_grid to record what its prune drops; returns the list
-    of (centers, halves) it fills, one entry per refinement level."""
-    dropped = []
+    """Patches cell_grid to record what its prune sees; returns the list
+    of (centers, halves, dropped) it fills, one entry per batch."""
+    seen = []
     cell_grid = LocalizationFamily.cell_grid
 
     def recording(self, center, halfwidth, resolution, prune=None):
-        def recorded(cs, hs):
-            drop = prune(cs, hs)
-            dropped.append((cs[drop], hs[drop]))
+        def recorded(cs, hs, ls):
+            drop = prune(cs, hs, ls)
+            seen.append((cs, hs, drop))
             return drop
         return cell_grid(self, center, halfwidth, resolution, prune=recorded)
 
     monkeypatch.setattr(LocalizationFamily, "cell_grid", recording)
-    return dropped
+    return seen
+
+
+def _whole_grid(fam, center, halfwidth, resolution, prune=None):
+    """All batches of ``cell_grid`` concatenated: (centers, areas, scales)."""
+    batches = fam.cell_grid(np.asarray(center, dtype=float), halfwidth, resolution, prune)
+    return tuple(map(np.concatenate, zip(*batches)))
 
 
 class TestReachPruning:
@@ -139,27 +147,75 @@ class TestReachPruning:
         fam = LocalizationFamily(geom, l0)
         for x in points:
             # brute force: every cell of the +-0.75 box, exact zeros included
-            centers, ws = fam.cell_grid(np.array(x), 0.75, 12)
+            centers, ws, ls = _whole_grid(fam, x, 0.75, 12)
+            np.testing.assert_array_equal(ls, fam.scale(centers))
             w = fam.weight(np.array(x), centers)
-            full = float(np.sum(w * w / fam.scale(centers) ** 2 * ws))
+            full = float(np.sum(w * w / ls ** 2 * ws))
             assert partition_check(x, fam, 12) == pytest.approx(full, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("geom, l0, points", REACH_CASES, ids=["disk", "rectangle"])
     def test_dropped_cells_carry_no_weight(self, geom, l0, points, monkeypatch):
         fam = LocalizationFamily(geom, l0)
-        dropped = _recorded_prunes(monkeypatch)
+        seen = _recorded_prunes(monkeypatch)
         rng = np.random.default_rng(11)
         for x in points:
-            dropped.clear()
+            seen.clear()
             partition_check(x, fam, 12)
-            cs = np.concatenate([c for c, _ in dropped])
-            hs = np.concatenate([h for _, h in dropped])
+            cs = np.concatenate([c[drop] for c, _, drop in seen])
+            hs = np.concatenate([h[drop] for _, h, drop in seen])
             assert len(hs) > 100
             # random centers in each dropped cell, and the one nearest x
             us = cs[:, None, :] + hs[:, None, None] * rng.uniform(-1.0, 1.0, (len(hs), 8, 2))
             nearest = np.clip(x, cs - hs[:, None], cs + hs[:, None])[:, None, :]
             us = np.concatenate([us, nearest], axis=1)
             assert np.all(fam.weight(np.array(x), us) == 0.0)
+
+
+class TestStreamedGrid:
+    def test_small_batches_give_the_same_cells(self, monkeypatch):
+        fam = LocalizationFamily(disk_geometry(2.0), 0.1)
+        centers, areas, _ = _whole_grid(fam, (0.0, 0.0), 2.6, 2)
+        monkeypatch.setattr(loc, "_CELL_BATCH", 7)
+        batches = list(fam.cell_grid(np.zeros(2), 2.6, 2))
+        assert max(len(a) for _, a, _ in batches) <= 7
+        small_c, small_a, small_l = map(np.concatenate, zip(*batches))
+        assert len(small_a) == len(areas) > 10_000
+        assert math.fsum(small_a) == math.fsum(areas)
+        # the same cells, bit for bit, in another order
+        order, small_order = np.lexsort(centers.T), np.lexsort(small_c.T)
+        np.testing.assert_array_equal(small_c[small_order], centers[order])
+        np.testing.assert_array_equal(small_l, fam.scale(small_c))
+
+    def test_small_batches_give_the_same_integrals(self, monkeypatch):
+        args = (disk_geometry(2.0), (0.2, 0.1))
+        ref = neighborhood_integrals(*args, resolution=4)
+        monkeypatch.setattr(loc, "_CELL_BATCH", 7)
+        rep = neighborhood_integrals(*args, resolution=4)
+        for key in ("bulk_values", "collar_values"):
+            np.testing.assert_allclose(rep[key], ref[key], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("geom, l0, points", REACH_CASES, ids=["disk", "rectangle"])
+    def test_partition_refines_level_by_level(self, geom, l0, points, monkeypatch):
+        # partition_check's pruned frontier fits one batch, so each batch is
+        # one whole level and the sum keeps its level-synchronous order
+        fam = LocalizationFamily(geom, l0)
+        seen = _recorded_prunes(monkeypatch)
+        for x in points:
+            seen.clear()
+            partition_check(x, fam, 16)
+            levels = [np.unique(hs) for _, hs, _ in seen]
+            assert all(level.size == 1 for level in levels)
+            assert np.all(np.diff(np.concatenate(levels)) < 0)
+
+    def test_memory_bounded(self):
+        # the whole grid at l0 = 0.01 holds 662k cells (46 MiB when built at once)
+        tracemalloc.start()
+        try:
+            neighborhood_integrals(disk_geometry(2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
 
 
 class TestComparability:
