@@ -3,8 +3,8 @@
 Submodules
 ----------
 quadcore
-    Sphere areas, the fixed Gauss-Legendre panel rule, and adaptive
-    reference quadrature.
+    Sphere areas and the Gauss-Legendre panel rule, fixed or adaptively
+    bisected as the reference quadrature.
 halfline
     The half-line model operator: phase shift, generalized eigenfunctions,
     kernels, boundary layer, and energy shift.
@@ -21,11 +21,10 @@ cli
     Command-line workbench over the above.
 """
 
-from .quadcore import QuadratureSpec, IntegralResult, NonConvergenceError
+from .quadcore import IntegralResult, NonConvergenceError
 from .halfline import FractionalOrder, HalfLineModel
 
 __all__ = [
-    "QuadratureSpec",
     "IntegralResult",
     "NonConvergenceError",
     "FractionalOrder",

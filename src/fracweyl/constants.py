@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .quadcore import QuadratureSpec, sphere_area, integrate, panel_quad
+from .quadcore import sphere_area, integrate, panel_quad
 from .halfline import FractionalOrder, HalfLineModel, DirichletLineModel
 
 __all__ = [
@@ -71,7 +71,7 @@ def bulk_coefficient_quadrature(order: FractionalOrder) -> float:
     """Direct quadrature of the defining momentum integral (cross-check)."""
     s, d = order.s, order.d
     val = integrate(lambda r: (1.0 - r ** (2.0 * s)) * r ** (d - 1.0),
-                    0.0, 1.0, QuadratureSpec()).value
+                    0.0, 1.0).value
     return sphere_area(d - 1) / (2.0 * math.pi) ** d * val
 
 

@@ -119,6 +119,14 @@ _LOG_NODE_LIMIT = math.log(math.sqrt(sys.float_info.max) / (2.0 * _Z_REACH))
 _LAYER_R, _LAYER_W = panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
                                            0.5, 0.7, 0.85, 0.95, 1.0]), 8)
 
+# z nodes in (0, 1) of the phase's direct form: decades from 1e-18 to 0.5
+# (the (0, 1e-18) sliver skipped), then three panels up to 1
+_PHASE_Z, _PHASE_W = panel_quad(np.concatenate([
+    _geometric_edges(1e-18, 0.5, ratio=10.0)[1:], [0.7, 0.85, 1.0]]), 16)
+# lam per block of the phase's direct form, which keeps each of its
+# (block, z) temporaries under 100 kB whatever the number of lam
+_PHASE_BLOCK = 32
+
 
 def _layer_profile(gap_columns, t, s: float, d: int):
     """Boundary-layer profile: the kernel deficit at depth t*r and energy
@@ -162,32 +170,37 @@ class HalfLineModel:
         self._xi_nodes, self._xi_weights = self._build_xi_quadrature()
         grid = np.logspace(math.log10(self.THETA_LO), math.log10(self.THETA_HI),
                            self.THETA_NODES)
-        vals = np.array([self._phase_direct(l) for l in grid])
+        vals = self._phase_direct(grid)
         if np.any(np.diff(vals) < -1e-12):
             raise AssertionError("phase table lost monotonicity")
         self._theta_interp = PchipInterpolator(np.log(grid), vals, extrapolate=False)
 
     # -- phase shift --------------------------------------------------
 
-    def _phase_direct(self, lam: float) -> float:
-        """Phase shift from the substituted z-form, smooth on (0, 1)."""
+    def _phase_direct(self, lam: np.ndarray) -> np.ndarray:
+        """Phase shift from the substituted z-form, smooth on (0, 1), at
+        each lam of a 1-D array."""
         s = self.order.s
-        lam2 = lam * lam
-        edges = np.concatenate([_geometric_edges(1e-18, 0.5, ratio=10.0),
-                                [0.7, 0.85, 1.0]])
-        z, w = panel_quad(edges[1:], 16)  # skip the (0, 1e-18) sliver
+        z = _PHASE_Z
         one_minus_z2 = (1.0 - z) * (1.0 + z)
-        v = lam2 * one_minus_z2 / (1.0 + lam2)
-        # 1 - v = (1 + lam^2 z^2)/(1 + lam^2); once lam passes ~1e8, v
-        # rounds to 1 at the smallest z, and only there that form is used
-        rounded = v >= 1.0
-        L1 = np.log1p(-np.where(rounded, 0.0, v))  # < 0
-        L1[rounded] = np.log1p(lam2 * z[rounded] ** 2) - math.log1p(lam2)
-        L2 = np.log1p(v / (z * z))   # > 0
-        num = np.log(-np.expm1(s * L1))
-        den = np.log(np.expm1(s * L2))
-        integrand = (num - den - 2.0 * np.log(z)) / one_minus_z2
-        return float(np.dot(w, integrand)) / math.pi
+        out = np.empty(lam.size)
+        for i in range(0, lam.size, _PHASE_BLOCK):
+            lam2 = (lam[i:i + _PHASE_BLOCK] ** 2)[:, None]
+            v = lam2 * one_minus_z2 / (1.0 + lam2)
+            # 1 - v = (1 + lam^2 z^2)/(1 + lam^2); once lam passes ~1e8, v
+            # rounds to 1 at the smallest z, and only there that form is used
+            rounded = v >= 1.0
+            L1 = np.log1p(-np.where(rounded, 0.0, v))  # < 0
+            row, col = np.nonzero(rounded)
+            L1[rounded] = (np.log1p(lam2[row, 0] * z[col] ** 2)
+                           - np.log1p(lam2[row, 0]))
+            L2 = np.log1p(v / (z * z))   # > 0
+            num = np.log(-np.expm1(s * L1))
+            den = np.log(np.expm1(s * L2))
+            integrand = (num - den - 2.0 * np.log(z)) / one_minus_z2
+            # one dot per row: a matrix product would round differently
+            out[i:i + _PHASE_BLOCK] = [np.dot(_PHASE_W, r) for r in integrand]
+        return out / math.pi
 
     def phase_vec(self, lam):
         """Scattering phase of the generalized eigenfunctions; increasing in
@@ -201,8 +214,8 @@ class HalfLineModel:
         inside = (flat >= self.THETA_LO) & (flat <= self.THETA_HI)
         if inside.any():
             out[inside] = self._theta_interp(np.log(flat[inside]))
-        for i in np.nonzero(~inside)[0]:
-            out[i] = self._phase_direct(float(flat[i]))
+        if not inside.all():
+            out[~inside] = self._phase_direct(flat[~inside])
         return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
     # -- spectral density and Laplace tails ----------------------------

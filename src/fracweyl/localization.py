@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadcore import QuadratureSpec, integrate, panel_quad
+from .quadcore import integrate, panel_quad
 
 __all__ = [
     "DomainGeometry",
@@ -140,11 +140,11 @@ def _profile_norm(dim: int) -> float:
     """Normalization making the bump profile unit in L2."""
     if dim == 1:
         val = integrate(lambda y: np.exp(-2.0 / (1.0 - y * y)), -1.0, 1.0,
-                        QuadratureSpec(rel_tol=1e-12)).value
+                        rel_tol=1e-12).value
     else:
         val = 2.0 * math.pi * integrate(
             lambda r: r * np.exp(-2.0 / (1.0 - r * r)), 0.0, 1.0,
-            QuadratureSpec(rel_tol=1e-12)).value
+            rel_tol=1e-12).value
     return 1.0 / math.sqrt(val)
 
 

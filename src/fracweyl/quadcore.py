@@ -1,10 +1,10 @@
 """Deterministic numerical kernels shared by every other module.
 
-Provides sphere surface areas and the two one-dimensional quadratures:
-:func:`panel_quad`, the fixed Gauss-Legendre panel rule behind the
-coefficient routes and the covering's scale grid, and :func:`integrate`,
-adaptive Gauss-Kronrod with error control, the reference the fixed rule
-is checked against.
+Provides sphere surface areas and the one-dimensional Gauss-Legendre
+rule: :func:`panel_quad`, the fixed panels behind the coefficient routes
+and the covering's scale grid, and :func:`integrate`, which bisects those
+panels under error control and is the reference the fixed panels are
+checked against.
 
 Integrands passed to :func:`integrate` must accept a 1-D ``numpy`` array
 of abscissae and return an array of the same shape.
@@ -13,6 +13,7 @@ of abscissae and return an array of the same shape.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "IntegralResult",
     "NonConvergenceError",
     "sphere_area",
@@ -39,26 +39,6 @@ class NonConvergenceError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Error-control contract for adaptive quadrature."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.abs_tol < 0:
-            raise ValueError(f"abs_tol must be nonnegative, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-
-    def tolerance(self, value: float) -> float:
-        return max(self.rel_tol * abs(value), self.abs_tol)
-
-
-@dataclass(frozen=True)
 class IntegralResult:
     value: float
     err_estimate: float
@@ -69,84 +49,40 @@ class IntegralResult:
             raise ValueError("err_estimate must be nonnegative")
 
 
-# 7-point Gauss / 15-point Kronrod pair on [-1, 1].
-_XK = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-])
-_WK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-# Gauss weights sit at the odd Kronrod nodes.
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
+# Gauss-Legendre nodes per panel of integrate, its absolute error floor and
+# its panel budget
+_ORDER = 8
+_ABS_TOL = 1e-12
+_MAX_PANELS = 2000
 
 
-def _gk15(f, a: float, b: float):
-    """Gauss-Kronrod estimate of int_a^b f with the standard error proxy."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    x = mid + half * _XK
-    y = np.asarray(f(x), dtype=float)
+def _rule(g, edges):
+    """panel_quad weights on ``edges`` and the integrand at their nodes."""
+    x, w = panel_quad(np.array(edges), _ORDER)
+    y = np.asarray(g(x), dtype=float)
     if y.shape != x.shape:
         raise ValueError("integrand must return an array matching its input")
-    ik = half * float(np.dot(_WK, y))
-    ig = half * float(np.dot(_WG, y[1::2]))
-    # QUADPACK-style rescaled error estimate.
-    avg = ik / (b - a)
-    resasc = half * float(np.dot(_WK, np.abs(y - avg)))
-    err = abs(ik - ig)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return ik, err
+    return w, y
 
 
-def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResult:
-    """Adaptive Gauss-Kronrod integration of ``f`` over ``(a, b)``.
+def integrate(f, a, b, rel_tol: float = 1e-8) -> IntegralResult:
+    """Adaptive integration of ``f`` over ``(a, b)`` by bisected
+    :func:`panel_quad` panels.
 
-    ``b`` may be ``math.inf``; a decaying tail is mapped to a finite
-    interval by the substitution x = c/u.
+    Each panel holds its one-panel value and the value over its two
+    halves; it contributes the latter, with their difference as its
+    error.  The panel of largest error is bisected, each half reusing its
+    value as its one-panel value, until the errors sum below
+    ``max(rel_tol*|I|, 1e-12)``.  ``b`` may be ``math.inf``; a decaying
+    tail is mapped to a finite interval by the substitution x = c/u.
 
     Raises
     ------
     NonConvergenceError
-        If ``spec.max_subdivisions`` panels are not enough to reach
-        ``max(rel_tol*|I|, abs_tol)``.
+        If 2000 panels are not enough to reach the tolerance.
     """
+    if not rel_tol > 0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     a = float(a)
     if b != math.inf:
         b = float(b)
@@ -165,37 +101,44 @@ def integrate(f, a, b, spec: QuadratureSpec = QuadratureSpec()) -> IntegralResul
 
     pieces.append((f, a, b))
 
-    heap = []  # (-err, seq, value, err, g, lo, hi)
+    heap = []  # (-err, seq, value, halves, g, lo, hi)
     total = 0.0
     total_err = 0.0
     evals = 0
-    seq = 0
-    for g, lo, hi in pieces:
-        v, e = _gk15(g, lo, hi)
-        evals += 15
+    seq = itertools.count()
+
+    def add(g, lo, hi, whole):
+        nonlocal total, total_err, evals
+        mid = 0.5 * (lo + hi)
+        w, y = _rule(g, [lo, mid, hi])
+        evals += y.size
+        v = float(np.dot(w, y))
+        halves = (float(np.dot(w[:_ORDER], y[:_ORDER])),
+                  float(np.dot(w[_ORDER:], y[_ORDER:])))
+        e = abs(v - whole)
         total += v
         total_err += e
-        heapq.heappush(heap, (-e, seq, v, e, g, lo, hi))
-        seq += 1
+        heapq.heappush(heap, (-e, next(seq), v, halves, g, lo, hi))
+
+    for g, lo, hi in pieces:
+        w, y = _rule(g, [lo, hi])
+        evals += y.size
+        add(g, lo, hi, float(np.dot(w, y)))
 
     panels = len(pieces)
-    while total_err > spec.tolerance(total) and heap:
-        if panels >= spec.max_subdivisions:
+    while total_err > max(rel_tol * abs(total), _ABS_TOL):
+        if panels >= _MAX_PANELS:
             raise NonConvergenceError(
                 f"failed to reach tolerance after {panels} panels "
                 f"(value={total!r}, err={total_err!r})",
                 total, total_err)
-        _, _, v, e, g, lo, hi = heapq.heappop(heap)
+        neg_e, _, v, (v1, v2), g, lo, hi = heapq.heappop(heap)
+        total -= v
+        total_err += neg_e
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(g, lo, mid)
-        v2, e2 = _gk15(g, mid, hi)
-        evals += 30
+        add(g, lo, mid, v1)
+        add(g, mid, hi, v2)
         panels += 1
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, seq, v1, e1, g, lo, mid))
-        heapq.heappush(heap, (-e2, seq + 1, v2, e2, g, mid, hi))
-        seq += 2
 
     return IntegralResult(total, total_err, evals)
 

@@ -279,9 +279,11 @@ class TestOrderCheckCommand:
 
 
 # every entry of `constants --s 0.5 --d 2 --volume 1 --surface 4` as
-# (value, err), recorded before the quadrature spec was removed
+# (value, err), recorded before the quadrature spec was removed; L1's err,
+# its closed form's distance from quadcore.integrate, was re-recorded when
+# integrate moved to bisected Gauss-Legendre panels
 FULL_RECORD = {
-    "L1": (0.026525823848649228, 0.0),
+    "L1": (0.026525823848649228, 6.938893903907228e-18),
     "L2": (0.025328216744399897, 1.0753531488163124e-05),
     "L2_eigenfunction": (0.02533031604460813, 1.8296498591971806e-08),
     "L2_energy_shift": (0.02534207202566826, 5.031869846815196e-06),

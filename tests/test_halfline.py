@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from fracweyl.quadcore import QuadratureSpec, integrate
+from fracweyl.quadcore import integrate
 from fracweyl.constants import surface_via_energy_shift, surface_via_layer
 from fracweyl.halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
                                _layer_profile, dispersion)
@@ -59,6 +59,16 @@ class TestPhaseShift:
         assert all(isinstance(v, float) for v in ref)
         np.testing.assert_allclose(th.ravel(), ref, rtol=1e-14, atol=0.0)
 
+    def test_direct_form_array_equals_elementwise(self, model_half):
+        # outside the table one array call evaluates every lam, in blocks;
+        # it must give each lam's own scalar value to the bit, also past
+        # lam ~ 1e8
+        lams = np.concatenate([np.geomspace(3e-9, 5e-5, 20),
+                               np.geomspace(2e4, 1e14, 20)])
+        th = model_half.phase_vec(lams)
+        ref = np.array([model_half.phase_vec(float(l)) for l in lams])
+        assert np.array_equal(th, ref)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, np.array([1.0, 0.0])])
     def test_nonpositive_rejected(self, model_half, bad):
         with pytest.raises(ValueError):
@@ -77,10 +87,9 @@ class TestPhaseShift:
 
     def test_derivative_at_zero(self, model_half):
         # the closed integral form of the derivative at the bottom
-        spec = QuadratureSpec()
         ref = integrate(
             lambda z: np.log(0.5 * z * z / (np.sqrt(1.0 + z * z) - 1.0)) / z ** 2,
-            0.0, math.inf, spec).value / math.pi
+            0.0, math.inf).value / math.pi
         fd = model_half.phase_vec(1e-5) / 1e-5
         assert fd == pytest.approx(ref, rel=1e-3)
 
@@ -131,7 +140,6 @@ class TestSpectralDensity:
 
         closure = {}
         unit_excess = 0.0
-        spec = QuadratureSpec(rel_tol=1e-9)
         for lam, t in ((1.0, 1.0), (2.0, 0.7)):
             xi, c = model_half.gamma_table(lam)
             dens = denominators(lam, xi)
@@ -143,7 +151,7 @@ class TestSpectralDensity:
                     return np.exp(-np.multiply.outer(u, xi)) @ cr
 
                 g_num = integrate(lambda u: np.exp(-t * u) * tail(u),
-                                  0.0, math.inf, spec).value
+                                  0.0, math.inf, rel_tol=1e-9).value
                 rel = abs(g_num - g_ref) / abs(g_ref)
                 closure[reading] = max(closure.get(reading, 0.0), rel)
                 if reading == "shifted_modulus":
@@ -157,11 +165,10 @@ class TestSpectralDensity:
     def test_double_laplace_consistency(self, model_half):
         # numeric double transform against the closed form at (2, 0.7)
         lam, t = 2.0, 0.7
-        spec = QuadratureSpec(rel_tol=1e-9)
         xi, c = model_half.gamma_table(lam)
         g_num = integrate(
             lambda u: np.exp(-t * u) * (np.exp(-np.multiply.outer(u, xi)) @ c),
-            0.0, math.inf, spec).value
+            0.0, math.inf, rel_tol=1e-9).value
         assert g_num == pytest.approx(model_half.closed_form_double_laplace(lam, t),
                                       rel=1e-5)
 
@@ -191,7 +198,7 @@ class TestSpectralDensity:
         lam = 1.3
         for x in (0.5, 2.0):
             direct = integrate(lambda xi: np.exp(-x * xi) * model_half.gamma_values(lam, xi),
-                               0.0, math.inf, QuadratureSpec(rel_tol=1e-9)).value
+                               0.0, math.inf, rel_tol=1e-9).value
             assert direct == pytest.approx(model_half.laplace_tail(lam, x), rel=1e-6)
 
 
@@ -227,7 +234,7 @@ class TestClosedFormDoubleLaplace:
         xi, c = m.gamma_table(lam)
         g_num = integrate(
             lambda u: np.exp(-t * u) * (np.exp(-np.multiply.outer(u, xi)) @ c),
-            0.0, math.inf, QuadratureSpec(rel_tol=1e-9)).value
+            0.0, math.inf, rel_tol=1e-9).value
         assert g_num == pytest.approx(m.closed_form_double_laplace(lam, t), rel=1e-5)
 
 
@@ -242,7 +249,7 @@ class TestOuterFunction:
     def test_derivative_small_lambda_matches_phase_slope(self, model_half):
         ref = integrate(
             lambda z: np.log(0.5 * z * z / (np.sqrt(1.0 + z * z) - 1.0)) / z ** 2,
-            0.0, math.inf, QuadratureSpec()).value / math.pi
+            0.0, math.inf).value / math.pi
         fd = (model_half.outer_function(1e-3, 1e-6) - 1.0) / 1e-6
         assert fd == pytest.approx(ref, abs=5e-3)
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracweyl.quadcore import (QuadratureSpec, IntegralResult, NonConvergenceError,
-                               sphere_area, integrate)
+from fracweyl.quadcore import IntegralResult, NonConvergenceError, sphere_area, integrate
 
 
 class TestSphereArea:
@@ -37,9 +36,9 @@ class TestIntegrate:
         assert r.value == pytest.approx(1.0, rel=1e-10)
 
     def test_nonconvergence_raises(self):
-        spec = QuadratureSpec(rel_tol=1e-10, max_subdivisions=8)
+        # the 2000-panel budget cannot resolve this oscillation to 1e-10
         with pytest.raises(NonConvergenceError):
-            integrate(lambda x: np.sin(50.0 / (x + 1e-3)), 0.0, 1.0, spec)
+            integrate(lambda x: np.sin(50.0 / (x + 1e-3)), 0.0, 1.0, rel_tol=1e-10)
 
     @pytest.mark.parametrize("f,a,b,exact", [
         (lambda x: np.sin(x) ** 2 * np.exp(-0.3 * x), 0.0, 50.0,
@@ -48,11 +47,37 @@ class TestIntegrate:
     ])
     def test_tightening_contract(self, f, a, b, exact):
         # halving tolerances moves the value by less than the reported error
-        r1 = integrate(f, a, b, QuadratureSpec(rel_tol=1e-6))
-        r2 = integrate(f, a, b, QuadratureSpec(rel_tol=1e-7))
+        r1 = integrate(f, a, b, rel_tol=1e-6)
+        r2 = integrate(f, a, b, rel_tol=1e-7)
         assert abs(r1.value - r2.value) <= max(r1.err_estimate, 1e-15)
         if exact is not None:
             assert r2.value == pytest.approx(exact, rel=1e-7)
+
+    @pytest.mark.parametrize("f,exact", [
+        (lambda x: np.exp(-x), 1.0),
+        (lambda x: 1.0 / (1.0 + x * x), math.pi / 2.0),
+    ])
+    def test_err_bounds_true_error_half_line(self, f, exact):
+        r = integrate(f, 0.0, math.inf)
+        assert abs(r.value - exact) <= r.err_estimate
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_err_bounds_true_error_bulk_integrand(self, s, d):
+        # the bulk coefficient's radial integrand, singular at r = 0
+        r = integrate(lambda x: (1.0 - x ** (2.0 * s)) * x ** (d - 1.0), 0.0, 1.0)
+        assert abs(r.value - (1.0 / d - 1.0 / (d + 2.0 * s))) <= r.err_estimate
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, math.inf), (2.0, math.inf)])
+    def test_evaluations_count_abscissae(self, a, b):
+        seen = []
+
+        def f(x):
+            seen.append(x.size)
+            return np.exp(-x) * np.sqrt(x)
+
+        r = integrate(f, a, b, rel_tol=1e-10)
+        assert r.evaluations == sum(seen)
 
     @given(coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
@@ -66,6 +91,4 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             IntegralResult(1.0, -0.5, 10)
         with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
+            integrate(lambda x: x, 0.0, 1.0, rel_tol=0.0)
