@@ -183,9 +183,9 @@ def cmd_kernels(args) -> int:
         edge = spectral_edge(mu, order.s)
         phase = model.phase_vec(edge) if edge > 0 else 0.0
         a_diag = a_line - model.kernel_gap(np.array(args.t), mu)
-        for t, a in zip(args.t, a_diag):
-            rows.append((mu, t, edge, phase, a_line, float(a),
-                         model.projector_profile(t, [t], mu)[0]))
+        proj_diag = model.projector_diagonal(args.t, mu)
+        for t, a, p in zip(args.t, a_diag, proj_diag):
+            rows.append((mu, t, edge, phase, a_line, float(a), float(p)))
     _table_write(args.output, args.format,
                  ("mu", "t", "spectral_edge", "phase_at_edge", "a_line",
                   "a_diag", "proj_diag"),

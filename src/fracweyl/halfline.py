@@ -469,7 +469,22 @@ class HalfLineModel:
         u = np.asarray(u, dtype=float)
         if mu <= 1.0:
             return np.zeros_like(u)
-        _, _, edge, lam_aug, tables = self._edge_tables([mu])[0]
+        return self._projector(t, u, self._edge_tables([mu])[0])
+
+    def projector_diagonal(self, t, mu: float) -> np.ndarray:
+        """Diagonal e(t_j, t_j, mu) of the spectral projector below mu over
+        an array of depths; zero for mu <= 1.  Each depth is the
+        ``projector_profile(t_j, [t_j], mu)`` value, from one build of the
+        density tables of mu."""
+        t = np.asarray(t, dtype=float)
+        if mu <= 1.0:
+            return np.zeros_like(t)
+        grid = self._edge_tables([mu])[0]
+        return np.array([self._projector(tj, tj[None], grid)[0] for tj in t])
+
+    def _projector(self, t: float, u: np.ndarray, grid) -> np.ndarray:
+        """projector_profile for mu > 1, from one entry of _edge_tables."""
+        _, _, edge, lam_aug, tables = grid
         span = abs(t) + float(np.max(u))
         panels = int(_osc_panels(span * edge, cap=1600))
         lam_d, w_d = panel_quad(np.linspace(0.0, edge, panels + 1), 8)

@@ -3,27 +3,31 @@
 A domain is a block of cells: an interval or a rectangle.  One function,
 ``_multiplier_kernel``, defines the restricted fractional operator P M_s P
 on it by its real-space kernel on the block's offset circle.  The dense
-build gathers that kernel at every site pair's offset; the matrix-free
-apply convolves the block with it on a grid of twice the block, where no
-block offset wraps.  The fractional power of the Dirichlet Laplacian is
-built from the stencil's closed-form sine eigenbasis, applied one axis at
-a time.  On top of the two operators sit Riesz means, two-term fits, and
-the operator-level property checks (sharp trace bound, operator ordering,
-half-space kernel law).  The ordering check forms neither n x n matrix:
-both operators commute with the reflection of each axis, so it builds the
-2^d reflection-parity blocks of their difference, about n/2^d sites each,
-straight from the kernel and the sine modes, and solves each on its own.
+build gathers that kernel at every site pair's offset.  The fractional
+power of the Dirichlet Laplacian is built from the stencil's closed-form
+sine eigenbasis, applied one axis at a time.  On top of the two operators
+sit Riesz means, two-term fits, and the operator-level property checks
+(sharp trace bound, operator ordering, half-space kernel law).
+
+Both operators commute with the reflection of each axis, so each splits
+into 2^d reflection-parity blocks of about n/2^d sites; ``_ParityHalf``
+describes one parity of one axis, once for every use.  The ordering check
+builds the blocks of the difference straight from the kernel and the sine
+modes (``_parity_block``) and solves each on its own, forming neither
+n x n matrix.  The matrix-free apply of a block (``_parity_operator``)
+runs one DCT or DST per axis, of about the block's side, where a
+convolution of the whole block needs twice the side.
 
 Two solvers give spectra.  ``eigenvalues_sym`` is the dense reference: it
 returns the whole spectrum of a matrix and checks it against the matrix's
-trace and Frobenius norm.  ``lowest_spectrum`` never forms a matrix: it
-applies the restricted multiplier by that FFT convolution and runs Lanczos
-(``eigsh``) for the eigenvalues up to a cut, which is all a Riesz mean at
+trace and Frobenius norm.  ``lowest_spectrum`` never forms an n x n matrix:
+it runs Lanczos (``eigsh``) on each parity block's matrix-free apply for
+the eigenvalues up to a cut, which is all a Riesz mean at
 ``h >= cut^(-1/2s)`` reads.  A partial spectrum has no trace to check, so
 every pair it returns is residual-checked, and a second Lanczos run on the
-operator with those pairs deflated checks that none below the cut was
-missed.  Each ``SpectrumResult`` records the cut up to which it is complete,
-and ``riesz_mean`` refuses an ``h`` that would read beyond it.
+block with those pairs deflated checks that none below the cut was missed.
+Each ``SpectrumResult`` records the cut up to which it is complete, and
+``riesz_mean`` refuses an ``h`` that would read beyond it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -304,32 +309,141 @@ def eigenvalues_sym(op: SymmetricOperator) -> SpectrumResult:
     return SpectrumResult(w, defect)
 
 
-def _block_operator(domain: LatticeDomain, s: float):
-    """Matrix-free P M_s P and max|mult|, its norm bound.
+class _ParityHalf(NamedTuple):
+    """One reflection parity (+1 or -1) of a c-cell axis.
 
-    ``_multiplier_kernel`` gives the kernel on a circle of 2c sites per axis
-    of c cells, where the block's offsets stay distinct, so convolving the
-    zero-padded block with it by ``rfftn`` on that grid is exact: the
-    operator of ``build_restricted_fractional`` without its n x n matrix.  The returned function takes a block vector,
+    Its orthonormal basis is (e_i + parity e_(c-1-i))/sqrt(2) over the
+    sites i of the axis's upper half, counted from the centre outward; when
+    c is odd the even half starts with e_centre instead.  ``scale`` is
+    sqrt(2) on each site, 1 on that centre.
+
+    An axis-even kernel K on the block's offset circle of 2c sites acts on
+    the half as K(i - j) + parity K(i + j - (c-1)).  With the sites counted
+    from the half's first, that is the convolution, on the 2c circle, of
+    the half's even (parity +1) or odd extension about -1/2 (even c) or
+    about 0 (odd c; a vector there is divided by ``scale`` first).  The
+    transform of ``kind`` 2 (DCT-II/DST-II, even c) or 1 (DCT-I/DST-I, odd
+    c), of length ``freqs.size``, diagonalizes that convolution, with the
+    circle's discrete Fourier transform at ``freqs`` as eigenvalues.
+    """
+
+    cells: int
+    parity: int
+    sites: np.ndarray
+    scale: np.ndarray
+    kind: int
+    freqs: np.ndarray
+
+    def offsets(self, mirrored: bool) -> np.ndarray:
+        """Offset table into the circle: direct (i - j) or mirrored
+        (i + j - (c-1)), mod 2c."""
+        i = self.sites
+        t = i[:, None] + i - (self.cells - 1) if mirrored else i[:, None] - i
+        return t % (2 * self.cells)
+
+    def basis(self) -> np.ndarray:
+        """The basis vectors as columns, shape (c, sites)."""
+        e = np.zeros((self.cells, self.sites.size))
+        cols = np.arange(self.sites.size)
+        e[self.cells - 1 - self.sites, cols] = self.parity / self.scale
+        e[self.sites, cols] = 1.0 / self.scale
+        return e
+
+    def sine_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and rows in this basis of the c-cell sine modes of
+        this parity (mode j has parity (-1)^(j+1))."""
+        w, v = _sine_basis(self.cells)
+        modes = slice(0 if self.parity > 0 else 1, None, 2)
+        return w[modes], v[self.sites, modes] * self.scale[:, None]
+
+    def forward(self, x: np.ndarray, axis: int) -> np.ndarray:
+        fn = scipy.fft.dct if self.parity > 0 else scipy.fft.dst
+        return fn(x, self.kind, self.freqs.size, axis=axis)
+
+    def backward(self, x: np.ndarray, axis: int) -> np.ndarray:
+        fn = scipy.fft.idct if self.parity > 0 else scipy.fft.idst
+        return np.take(fn(x, self.kind, axis=axis), range(self.sites.size), axis=axis)
+
+
+def _parity_half(c: int, parity: int) -> _ParityHalf:
+    """The half of parity +1 or -1 of a c-cell axis; empty for parity -1
+    of a single cell."""
+    sites = np.arange(c // 2 if parity > 0 else (c + 1) // 2, c)
+    scale = np.full(sites.size, math.sqrt(2.0))
+    if c % 2:
+        if parity > 0:
+            scale[0] = 1.0
+        freqs = np.arange(c + 1) if parity > 0 else np.arange(1, c)
+    else:
+        freqs = np.arange(c) if parity > 0 else np.arange(1, c + 1)
+    return _ParityHalf(c, parity, sites, scale, 2 - c % 2, freqs)
+
+
+def _parity_halves(domain: LatticeDomain) -> list:
+    """Both halves (+1 first) of each axis."""
+    return [[_parity_half(c, p) for p in (1, -1)] for c in domain.cells]
+
+
+def _even_circle(domain: LatticeDomain, s: float) -> np.ndarray:
+    """``_multiplier_kernel``, checked even along each axis to 1e-12 of its
+    largest entry: the reflection-parity split would drop the coupling of
+    an odd part.  ArithmeticError otherwise."""
+    circle = _multiplier_kernel(domain, s)
+    for k in range(domain.dim):
+        odd = float(np.abs(circle - np.roll(np.flip(circle, k), 1, k)).max())
+        if odd > 1e-12 * np.abs(circle).max():
+            raise ArithmeticError(f"multiplier kernel is odd along axis {k} by {odd}, "
+                                  f"above 1e-12 of its largest entry")
+    return circle
+
+
+def _parity_block(circle: np.ndarray, halves) -> np.ndarray:
+    """Dense block of the operator with an axis-even kernel on the block's
+    offset circle in the reflection-parity basis of one half per axis:
+    along each axis of parity p the entry is K(i - j) + p K(i + j - (c-1)),
+    times the row weights scale/sqrt(2).  The reference of
+    ``_parity_operator``."""
+    out = 0.0
+    for pick in itertools.product((False, True), repeat=len(halves)):
+        sign = math.prod(h.parity for h, mirrored in zip(halves, pick) if mirrored)
+        out = out + sign * _gather(circle, [h.offsets(m) for h, m in zip(halves, pick)])
+    weight = functools.reduce(np.multiply.outer,
+                              [h.scale / math.sqrt(2.0) for h in halves]).ravel()
+    out *= np.multiply.outer(weight, weight)
+    # a kernel even along each axis only up to rounding leaves the terms
+    # that mix direct and mirrored axes symmetric only up to rounding
+    return 0.5 * (out + out.T)
+
+
+def _parity_operator(spectrum: np.ndarray, halves):
+    """Matrix-free block of P M_s P in the basis of one half per axis.
+
+    ``spectrum`` is the real ``rfftn`` of the even circle kernel; the block
+    applies, along each axis, its half's DCT or DST to the vector divided
+    by ``scale``, multiplies by ``spectrum`` at the halves' frequencies,
+    transforms back and multiplies by ``scale``: the half-size transforms
+    of a c-cell axis have about c points, where the whole block's
+    convolution needs 2c.  The returned function takes a block vector,
     shape (n,), or a block of them, shape (n, k).
     """
-    n, cells = domain.size, domain.cells
-    grid = tuple(2 * c for c in cells)
-    # the kernel is even on the circle up to rounding at the unread offset
-    # -c, so its transform is real
-    mult = scipy.fft.rfftn(_multiplier_kernel(domain, s)).real
-    block = (slice(None),) + tuple(slice(0, c) for c in cells)
-    axes = tuple(range(1, domain.dim + 1))
+    shape = tuple(h.sites.size for h in halves)
+    n = math.prod(shape)
+    mult = spectrum[np.ix_(*(h.freqs for h in halves))]
+    scale = functools.reduce(np.multiply.outer, [h.scale for h in halves])
 
     def apply(x):
         x = np.asarray(x, dtype=float)
         k = x.size // n
-        f = scipy.fft.rfftn(x.T.reshape((k,) + cells), s=grid, axes=axes)
-        f *= mult
-        y = scipy.fft.irfftn(f, s=grid, axes=axes)[block]
+        y = x.T.reshape((k,) + shape) / scale
+        for axis, h in enumerate(halves, 1):
+            y = h.forward(y, axis)
+        y *= mult
+        for axis, h in enumerate(halves, 1):
+            y = h.backward(y, axis)
+        y *= scale
         return y.reshape(k, n).T.reshape(x.shape)
 
-    return apply, float(np.abs(mult).max())
+    return apply
 
 
 #: Lanczos start vectors: fixed seeds keep the partial solves deterministic.
@@ -343,39 +457,90 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
     """Ascending eigenvalues ``<= cut`` of the restricted multiplier P M_s P,
     with their eigenvectors (as columns) if ``vectors``, matrix-free.
 
-    Lanczos (``eigsh``, smallest algebraic, tol = 0) on the FFT-applied
-    operator starts with 24 eigenpairs and doubles the count until the
-    largest is above ``cut``.  ArithmeticError unless every returned pair has
-    a residual ``||A v - w v|| <= 1e-10 max|mult|`` and a second Lanczos
-    run on ``A + 2 cut V V^T`` (the kept pairs deflated) finds its lowest
-    eigenvalue above ``cut``: an eigenvalue the first run missed, such as a
-    copy of a degenerate one, would be that lowest eigenvalue.
+    P M_s P commutes with the reflection of each axis, so it is solved on
+    its 2^d reflection-parity blocks one at a time, each applied by
+    ``_parity_operator`` with its own half-size DCT/DST per axis.  On a
+    square the (+1, -1) and (-1, +1) blocks are mirror images under the
+    x <-> y swap: the second reuses the first's eigenvalues, with the
+    vectors transposed.
 
-    Returns a ``SpectrumResult`` complete up to ``cut``, or the pair
-    ``(spectrum, eigenvectors)``.
+    Per block, Lanczos (``eigsh``, smallest algebraic, tol = 0) starts with
+    24 eigenpairs and doubles the count until the largest is above ``cut``;
+    a block too small for that (the count would reach its size less one)
+    is solved whole by a dense ``eigh`` of ``_parity_block``.
+    ArithmeticError unless every pair kept has a residual
+    ``||A v - w v|| <= 1e-10 max|mult|`` and, after Lanczos, a second run
+    on the block's ``A + 2 cut V V^T`` (the kept pairs deflated) finds its
+    lowest eigenvalue above ``cut``: an eigenvalue the first run missed,
+    such as a copy of a degenerate one, would be that lowest eigenvalue.
+    The block spectra are merged in ascending order, and the vectors
+    expanded to normalized site vectors of the whole block.
+
+    Returns a ``SpectrumResult`` complete up to ``cut``, whose ``defect`` is
+    the largest block residual, or the pair ``(spectrum, eigenvectors)``.
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
-    n = domain.size
-    apply, top = _block_operator(domain, s)
+    circle = _even_circle(domain, s)
+    # the kernel is even on the circle up to rounding at the unread offset
+    # -c, so its transform is real
+    spectrum = scipy.fft.rfftn(circle).real
+    top = float(np.abs(spectrum).max())
+    square = domain.dim == 2 and domain.cells[0] == domain.cells[1]
+    solved, values, columns, defect = {}, [], [], 0.0
+    for halves in itertools.product(*_parity_halves(domain)):
+        parities = tuple(h.parity for h in halves)
+        if not all(h.sites.size for h in halves):
+            continue
+        if square and parities[::-1] in solved:
+            w, v = solved[parities[::-1]]
+            if vectors:
+                c = domain.cells[0]
+                k = v.shape[1]
+                v = v.reshape(c, c, k).transpose(1, 0, 2).reshape(domain.size, k)
+        else:
+            w, v, residual = _block_spectrum(circle, spectrum, top, halves, cut)
+            defect = max(defect, residual)
+            if vectors:
+                v = _expand(halves, v)
+        solved[parities] = w, v
+        values.append(w)
+        columns.append(v)
+    w = np.concatenate(values)
+    order = np.argsort(w, kind="stable")
+    result = SpectrumResult(w[order], defect, cut)
+    return (result, np.concatenate(columns, axis=1)[:, order]) if vectors else result
+
+
+def _block_spectrum(circle, spectrum, top, halves, cut):
+    """Checked eigenpairs ``<= cut`` of one parity block, and their largest
+    residual; see ``lowest_spectrum``."""
+    apply = _parity_operator(spectrum, halves)
+    n = math.prod(h.sites.size for h in halves)
 
     def operator(fn):
         return scipy.sparse.linalg.LinearOperator((n, n), matvec=fn, matmat=fn,
                                                   dtype=float)
 
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    k = min(24, n - 1)
-    while True:
+    k = 24
+    while k < n - 1:
         w, v = scipy.sparse.linalg.eigsh(operator(apply), k=k, which="SA", tol=0, v0=v0)
-        if w.max() > cut or k == n - 1:
+        if w.max() > cut:
             break
-        k = min(2 * k, n - 1)
+        k *= 2
+    else:
+        # too few sites for Lanczos to reach the cut: every pair, densely
+        w, v = np.linalg.eigh(_parity_block(circle, halves))
     order = np.argsort(w)
     keep = order[w[order] <= cut]
     w, v = w[keep], v[:, keep]
     residual = float(np.linalg.norm(apply(v) - v * w, axis=0).max(initial=0.0))
     if residual > 1e-10 * top:
         raise ArithmeticError(f"eigenpair residual {residual} above 1e-10 * {top}")
+    if k >= n - 1:
+        # nothing of a dense solve is left to deflate
+        return w, v, residual
 
     def deflated(x):
         return apply(x) + 2.0 * cut * (v @ (v.T @ x))
@@ -386,8 +551,15 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
     if not next_w.min() > cut:
         raise ArithmeticError(f"eigenvalue {next_w.min()} at or below the cut {cut} "
                               f"was missed by the {w.size} returned")
-    spectrum = SpectrumResult(w, residual, cut)
-    return (spectrum, v) if vectors else spectrum
+    return w, v, residual
+
+
+def _expand(halves, v: np.ndarray) -> np.ndarray:
+    """Block vectors (columns) as site vectors of the whole block."""
+    x = v.reshape(tuple(h.sites.size for h in halves) + v.shape[1:])
+    for axis, h in enumerate(halves):
+        x = np.moveaxis(np.tensordot(h.basis(), x, axes=(1, axis)), 0, axis)
+    return x.reshape(math.prod(h.cells for h in halves), v.shape[1])
 
 
 def riesz_mean(spectrum: SpectrumResult, h: float, s: float) -> float:
@@ -455,51 +627,17 @@ def berezin_bound_check(domain: LatticeDomain, s: float, phi: np.ndarray,
                        {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs})
 
 
-def _parity_half(c: int, parity: int) -> tuple:
-    """One reflection parity (+1 or -1) of a c-cell axis, in the orthonormal
-    basis (e_i + parity e_(c-1-i))/sqrt(2), plus e_centre in the even half
-    when c is odd.  Returns the parity, the half's offset tables into a
-    circle kernel, direct (i - j) and mirrored (i + j - (c-1)) mod 2c, its
-    row weights (1/sqrt(2) on the centre row), and the eigenvalues and rows
-    in this basis of the sine modes of that parity (mode j has parity
-    (-1)^(j+1))."""
-    rows = np.arange((c + 1) // 2 if parity > 0 else c // 2)
-    tables = ((rows[:, None] - rows) % (2 * c), (rows[:, None] + rows - (c - 1)) % (2 * c))
-    weight = np.ones(rows.size)
-    scale = np.full(rows.size, math.sqrt(2.0))
-    if parity > 0 and c % 2 == 1:
-        weight[-1], scale[-1] = math.sqrt(0.5), 1.0
-    w, v = _sine_basis(c)
-    modes = slice(0 if parity > 0 else 1, None, 2)
-    return parity, tables, weight, w[modes], v[rows, modes] * scale[:, None]
-
-
-def _parity_block(circle: np.ndarray, parities, tables, weights) -> np.ndarray:
-    """Block of the operator with an axis-even kernel on the block's offset
-    circle in one reflection-parity basis: along each axis of parity p the
-    entry is K(i - j) + p K(i + j - (c-1)), times the row weights."""
-    out = 0.0
-    for pick in itertools.product((0, 1), repeat=len(parities)):
-        sign = math.prod(p for p, mirrored in zip(parities, pick) if mirrored)
-        out = out + sign * _gather(circle, [t[a] for t, a in zip(tables, pick)])
-    weight = functools.reduce(np.multiply.outer, weights).ravel()
-    out *= np.multiply.outer(weight, weight)
-    # a kernel even along each axis only up to rounding leaves the terms
-    # that mix direct and mirrored axes symmetric only up to rounding
-    return 0.5 * (out + out.T)
-
-
 def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
     """Dirichlet power dominates the restricted multiplier: the difference
     is positive semidefinite up to roundoff (exact finite matrix theorem).
 
     Both operators commute with the reflection i -> c-1-i of each axis: the
     multiplier kernel is even in each axis offset, and the sine modes have
-    definite parity.  In the reflection-parity bases of ``_parity_half``
-    the difference is block diagonal, with 2^d blocks of about n/2^d sites,
-    so each block is built directly and checked by ``eigenvalues_sym`` on
-    its own; no n x n matrix is formed.  ArithmeticError if the kernel is
-    not even along each axis to 1e-12 of its largest entry, since the split
+    definite parity.  In the reflection-parity bases of ``_ParityHalf`` the
+    difference is block diagonal, with 2^d blocks of about n/2^d sites, so
+    each block is built directly and checked by ``eigenvalues_sym`` on its
+    own; no n x n matrix is formed.  ArithmeticError if the kernel is not
+    even along each axis to 1e-12 of its largest entry, since the split
     would then drop a coupling.
 
     The check passes when the lowest eigenvalue is at least
@@ -510,22 +648,18 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("fractional power must lie in (0, 1]")
-    circle = _multiplier_kernel(domain, s)
-    for k in range(domain.dim):
-        odd = float(np.abs(circle - np.roll(np.flip(circle, k), 1, k)).max())
-        if odd > 1e-12 * np.abs(circle).max():
-            raise ArithmeticError(f"multiplier kernel is odd along axis {k} by {odd}, "
-                                  f"above 1e-12 of its largest entry")
+    circle = _even_circle(domain, s)
     stencil = _stencil_circle(domain) if s == 1.0 else None
-    halves = [[_parity_half(c, p) for p in (1, -1)] for c in domain.cells]
     lo, hi = math.inf, -math.inf
-    for block in itertools.product(*halves):
-        parities, tables, weights, ws, us = zip(*block)
-        if not all(w.size for w in ws):
+    for halves in itertools.product(*_parity_halves(domain)):
+        if not all(h.sites.size for h in halves):
             continue
-        dirichlet = (_parity_block(stencil, parities, tables, weights) if s == 1.0
-                     else _basis_power(ws, us, domain.spacing, s))
-        diff = dirichlet - _parity_block(circle, parities, tables, weights)
+        if s == 1.0:
+            dirichlet = _parity_block(stencil, halves)
+        else:
+            ws, us = zip(*(h.sine_modes() for h in halves))
+            dirichlet = _basis_power(ws, us, domain.spacing, s)
+        diff = dirichlet - _parity_block(circle, halves)
         w = eigenvalues_sym(SymmetricOperator(diff)).eigenvalues
         lo, hi = min(lo, float(w[0])), max(hi, float(w[-1]))
     norm = max(-lo, hi, 1e-300)

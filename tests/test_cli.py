@@ -181,6 +181,31 @@ class TestKernelsCommand:
             rel=1e-9)
 
 
+    def test_tables_built_once_per_use(self, tmp_path, monkeypatch):
+        # per mu, one density-table build for the kernel gaps and one for
+        # the projector diagonal of every --t, not one per --t; proj_diag
+        # is the one-offset projector profile at each depth
+        from fracweyl.halfline import FractionalOrder, HalfLineModel
+        table = HalfLineModel.gamma_table
+        calls = []
+
+        def counting(self, lam):
+            calls.append(lam)
+            return table(self, lam)
+
+        monkeypatch.setattr(HalfLineModel, "gamma_table", counting)
+        out = tmp_path / "kern.csv"
+        assert run(["kernels", "--s", "0.5", "--mu", "2,4", "--t", "0.1,0.5,1,2,5,10",
+                    "--output", str(out)]) == EXIT_OK
+        assert len(calls) == 4
+        model = HalfLineModel(FractionalOrder(0.5, 2))
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 12
+        for row in rows:
+            mu, t = float(row["mu"]), float(row["t"])
+            assert float(row["proj_diag"]) == pytest.approx(
+                model.projector_profile(t, [t], mu)[0], rel=1e-12, abs=0.0)
+
     def test_spectral_edge_past_rounding_edge(self, capsys):
         # spectral edge 1e8: the density rows there are finite and positive
         with warnings.catch_warnings():
@@ -341,6 +366,15 @@ class TestVerifySquareCommand:
         rec = json.loads(out.read_text())
         assert rec["c0_fit"]["value"] > 0
         assert rec["c1_fit"]["value"] < 0
+
+    @pytest.mark.parametrize("points", [1, 2, 3])
+    def test_tiny_lattice_solves(self, points, capsys):
+        # a 1-cell axis leaves its odd parity block empty, and 2 or 3 cells
+        # give 1- and 2-site blocks: each solves, and the fit is judged
+        code = run(["verify-square", "--s", "0.5", "--lattice-points", str(points),
+                    "--h-max", "20"])
+        assert code in (EXIT_OK, EXIT_ASSERTION)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_zero_fitted_c0_is_a_failed_check(self, tmp_path, capsys):
         # every h >= 0.5 leaves all Riesz means at 0, so the fit gives c0 = 0:

@@ -241,18 +241,24 @@ def _tamper_first_solve(monkeypatch, tamper):
     return calls
 
 
-def _withhold_second(w, v):
-    drop = np.argsort(w)[1]
-    return np.delete(w, drop), np.delete(v, drop, axis=1)
+def _withholding(rank):
+    """Tamper that drops the eigenpair of the given rank."""
+    def tamper(w, v):
+        drop = np.argsort(w)[rank]
+        return np.delete(w, drop), np.delete(v, drop, axis=1)
+
+    return tamper
 
 
 class TestLowestSpectrum:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("dom", [square_domain(16), square_domain(32),
                                      square_domain(64), interval_domain(256),
-                                     LatticeDomain((7, 5), 0.1)],
+                                     LatticeDomain((7, 5), 0.1), square_domain(9),
+                                     LatticeDomain((8, 5), 0.1),
+                                     LatticeDomain((31, 20), 0.05)],
                              ids=["square16", "square32", "square64", "interval256",
-                                  "rect7x5"])
+                                  "rect7x5", "square9", "rect8x5", "rect31x20"])
     def test_matches_dense(self, dom, s):
         # cut in the widest gap among the 16th to 24th eigenvalues
         w = np.linalg.eigvalsh(build_restricted_fractional(dom, s).entries)
@@ -263,14 +269,53 @@ class TestLowestSpectrum:
         assert spec.eigenvalues.size == i + 1
         np.testing.assert_allclose(spec.eigenvalues, w[:i + 1], rtol=1e-10)
 
+    @pytest.mark.parametrize("cells", [(1,), (2,), (3,), (1, 1), (2, 1), (3, 2), (2, 2), (3, 3)])
+    def test_tiny_domains(self, cells):
+        # 1- and 2-site parity blocks, and the empty odd block of a 1-cell
+        # axis, solve below and above the whole spectrum
+        dom = LatticeDomain(cells, 0.25)
+        w = np.linalg.eigvalsh(build_restricted_fractional(dom, 0.5).entries)
+        for cut in (0.5 * w[0], 0.5 * (w[0] + w[-1]), 2.0 * w[-1]):
+            spec, v = lowest_spectrum(dom, 0.5, cut, vectors=True)
+            np.testing.assert_allclose(spec.eigenvalues, w[w <= cut], rtol=1e-12)
+            assert v.shape == (dom.size, spec.eigenvalues.size)
+
+    @pytest.mark.parametrize("dom", [square_domain(32), LatticeDomain((7, 5), 0.1)],
+                             ids=["square32", "rect7x5"])
+    def test_vectors_are_checked_eigenvectors(self, dom):
+        # the block vectors expand to orthonormal site vectors, eigenvectors
+        # of the dense matrix
+        s = 0.5
+        a = build_restricted_fractional(dom, s).entries
+        w = np.linalg.eigvalsh(a)
+        spec, v = lowest_spectrum(dom, s, 0.5 * (w[11] + w[12]), vectors=True)
+        assert spec.eigenvalues.size == 12
+        assert np.abs(v.T @ v - np.eye(12)).max() <= 1e-12
+        residual = np.linalg.norm(a @ v - v * spec.eigenvalues, axis=0).max()
+        assert residual <= 1e-10 * w[-1]
+
+    def test_degenerate_pair_across_blocks(self):
+        # on a square the 2nd and 3rd eigenvalues are an x <-> y pair whose
+        # modes have parities (+1, -1) and (-1, +1): a cut just above them
+        # returns both, as the dense spectrum has them
+        dom, s = square_domain(32), 0.5
+        w = np.linalg.eigvalsh(build_restricted_fractional(dom, s).entries)
+        assert w[2] - w[1] < 1e-12 * w[2] < w[3] - w[2]
+        spec, v = lowest_spectrum(dom, s, w[2] * (1.0 + 1e-9), vectors=True)
+        np.testing.assert_allclose(spec.eigenvalues, w[:3], rtol=1e-10)
+        # the two copies are mirror images under the swap
+        swap = v[:, 1].reshape(32, 32).T.ravel()
+        assert abs(swap @ v[:, 2]) == pytest.approx(1.0, rel=1e-12)
+
     def test_doubles_past_the_first_block(self, monkeypatch):
-        # 60 eigenvalues below the cut: 24 -> 48 -> 96 eigenpairs
+        # 110 eigenvalues below the cut, 55 in each parity block: per block
+        # 24 -> 48 -> 96 eigenpairs, then the completeness run
         dom, s = interval_domain(256), 0.5
         w = np.linalg.eigvalsh(build_restricted_fractional(dom, s).entries)
         calls = _tamper_first_solve(monkeypatch, lambda *out: out)
-        spec = lowest_spectrum(dom, s, 0.5 * (w[59] + w[60]))
-        assert calls == [24, 48, 96, 2]
-        np.testing.assert_allclose(spec.eigenvalues, w[:60], rtol=1e-10)
+        spec = lowest_spectrum(dom, s, 0.5 * (w[109] + w[110]))
+        assert calls == [24, 48, 96, 2] * 2
+        np.testing.assert_allclose(spec.eigenvalues, w[:110], rtol=1e-10)
 
     def test_deterministic(self):
         dom, s = square_domain(32), 0.5
@@ -281,10 +326,11 @@ class TestLowestSpectrum:
         assert np.allclose(v1.T @ v1, np.eye(first.eigenvalues.size), atol=1e-12)
 
     def test_withheld_eigenpair_rejected(self, monkeypatch):
-        # the second eigenvalue on the square is half of a degenerate pair;
-        # withholding it leaves the first solve's largest above the cut
-        _tamper_first_solve(monkeypatch, _withhold_second)
-        with pytest.raises(ArithmeticError):
+        # the (+1, +1) block holds one eigenvalue below the cut; withholding
+        # it leaves the first solve's largest above the cut, so only the
+        # completeness run can see it
+        _tamper_first_solve(monkeypatch, _withholding(0))
+        with pytest.raises(ArithmeticError, match="was missed"):
             lowest_spectrum(square_domain(32), 0.5, 8.1)
 
     def test_shifted_eigenvalue_rejected(self, monkeypatch):
@@ -300,38 +346,49 @@ class TestLowestSpectrum:
 
 class TestBlockOperator:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("dom", [interval_domain(256), LatticeDomain((7, 5), 0.1),
+    @pytest.mark.parametrize("dom", [interval_domain(256), interval_domain(9),
+                                     LatticeDomain((7, 5), 0.1), LatticeDomain((8, 5), 0.1),
                                      square_domain(32)],
-                             ids=["interval256", "rect7x5", "square32"])
+                             ids=["interval256", "interval9", "rect7x5", "rect8x5",
+                                  "square32"])
     def test_matches_dense(self, dom, s):
-        # identity columns one at a time and as one (n, n) block reproduce
-        # the gathered matrix, and an (n, k) block its product
-        a = build_restricted_fractional(dom, s).entries
-        apply, _ = lat._block_operator(dom, s)
-        tol = 1e-13 * np.max(np.abs(a))
-        eye = np.eye(dom.size)
-        for j in (0, dom.size // 2, dom.size - 1):
-            assert np.max(np.abs(apply(eye[:, j]) - a[:, j])) < tol
-        assert np.max(np.abs(apply(eye) - a)) < tol
-        x = np.random.default_rng(3).standard_normal((dom.size, 5))
-        assert np.max(np.abs(apply(x) - a @ x)) < tol * np.max(np.sum(np.abs(x), axis=0))
+        # in every parity block, identity columns one at a time and as one
+        # (n, n) block reproduce the dense block, and an (n, k) block its
+        # product
+        circle = lat._multiplier_kernel(dom, s)
+        spectrum = scipy.fft.rfftn(circle).real
+        blocks = [b for b in itertools.product(*lat._parity_halves(dom))
+                  if all(h.sites.size for h in b)]
+        assert sum(math.prod(h.sites.size for h in b) for b in blocks) == dom.size
+        for halves in blocks:
+            a = lat._parity_block(circle, halves)
+            apply = lat._parity_operator(spectrum, halves)
+            n = a.shape[0]
+            tol = 1e-13 * np.max(np.abs(a))
+            eye = np.eye(n)
+            for j in (0, n // 2, n - 1):
+                assert np.max(np.abs(apply(eye[:, j]) - a[:, j])) < tol
+            assert np.max(np.abs(apply(eye) - a)) < tol
+            x = np.random.default_rng(3).standard_normal((n, 5))
+            assert np.max(np.abs(apply(x) - a @ x)) < tol * np.max(np.sum(np.abs(x), axis=0))
 
-    def test_transforms_twice_the_block(self, monkeypatch):
-        # the 64^2 block convolves on a 128^2 grid, not the 192^2 box
-        exact = scipy.fft.rfftn
-        shapes = []
+    def test_transforms_the_block_side(self, monkeypatch):
+        # each parity block of the 64^2 square transforms 64-point axes,
+        # not the 128^2 grid of the whole block's convolution
+        lengths = set()
 
-        def recording(x, s=None, axes=None, **kwargs):
-            shape = np.shape(x)
-            shapes.append(tuple(s) if s is not None else
-                          tuple(shape[a] for a in (axes or range(len(shape)))))
-            return exact(x, s=s, axes=axes, **kwargs)
+        def recording(exact):
+            def transform(x, type, n=None, axis=-1, **kwargs):
+                y = exact(x, type, n, axis=axis, **kwargs)
+                lengths.add(y.shape[axis])
+                return y
 
-        monkeypatch.setattr(scipy.fft, "rfftn", recording)
-        dom = square_domain(64)
-        apply, _ = lat._block_operator(dom, 0.5)
-        apply(np.ones(dom.size))
-        assert shapes and set(shapes) == {(128, 128)}
+            return transform
+
+        for name in ("dct", "dst", "idct", "idst"):
+            monkeypatch.setattr(scipy.fft, name, recording(getattr(scipy.fft, name)))
+        lowest_spectrum(square_domain(64), 0.5, 2.0)
+        assert lengths == {64}
 
 
 class TestRieszMean:
@@ -538,6 +595,6 @@ class TestHalfspaceKernel:
     def test_withheld_eigenpair_rejected(self, model_half, monkeypatch):
         # an eigenpair below h^-2s missing from the solve would drop out of
         # the negative part: the completeness check refuses the spectrum
-        _tamper_first_solve(monkeypatch, _withhold_second)
+        _tamper_first_solve(monkeypatch, _withholding(1))
         with pytest.raises(ArithmeticError):
             lat.halfspace_kernel_check(0.5, 0.5, model=model_half)
