@@ -42,9 +42,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
 
 from .quadcore import panel_quad, sphere_area
 
@@ -84,14 +84,23 @@ def _dispersion_prime(E, s: float):
     return s * np.exp((s - 1.0) * np.log1p(E))
 
 
-def _decay_logratio(L, s: float):
-    """N(L) = ln|expm1 L| - (1-s) L - ln|expm1(s L)|, with N(0) = -ln s."""
-    L = np.asarray(L, dtype=float)
+def _decay_logratio(L: np.ndarray, s: float) -> np.ndarray:
+    """N(L) = ln|expm1 L| - (1-s) L - ln|expm1(s L)|, with N(0) = -ln s, as a
+    new array; L is overwritten."""
+    zero = L == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.log(np.abs(np.expm1(L)))
-               - (1.0 - s) * L
-               - np.log(np.abs(np.expm1(s * L))))
-    return np.where(L == 0.0, -math.log(s), out)
+        out = np.expm1(L)
+        np.abs(out, out=out)
+        np.log(out, out=out)
+        sl = L * s
+        np.expm1(sl, out=sl)
+        np.abs(sl, out=sl)
+        np.log(sl, out=sl)
+    L *= 1.0 - s
+    out -= L
+    out -= sl
+    out[zero] = -math.log(s)
+    return out
 
 
 def _geometric_edges(lo: float, hi: float, ratio: float = 3.0):
@@ -109,11 +118,93 @@ def _osc_panels(total_phase, base: int = 6, cap: int = 600):
     return np.minimum(cap, base + sweeps.astype(int))
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope of PCHIP, kept shape-preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(flip, 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def _pchip_fit(x, y):
+    """Coefficients of the PCHIP interpolant of y over the increasing 1-D x
+    (at least 3 nodes, along y's first axis), bit for bit those of
+    ``scipy.interpolate.PchipInterpolator(x, y).c``: shape
+    (4, x.size - 1) + y.shape[1:], highest power first."""
+    if not np.all(np.isfinite(y)):
+        raise ValueError("PCHIP data must be finite")
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    m = (y[1:] - y[:-1]) / h
+    # interior slopes: weighted harmonic mean of the neighbouring secants,
+    # zero where they differ in sign or one vanishes
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    dk = np.zeros_like(y)
+    dk[1:-1][~flat] = 1.0 / whmean[~flat]
+    dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (dk[:-1] + dk[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]))
+
+
+def _pchip_eval(c, breaks, x):
+    """The piecewise cubic of _pchip_fit's coefficients c over breaks at the
+    1-D array x, shape x.shape + c.shape[2:].  Bit for bit scipy's PPoly:
+    x in [breaks[i], breaks[i+1]) uses interval i (the last one also at and
+    past the last break, the first before the first), and the powers of
+    d = x - breaks[i] are summed as ((c3 + c2 d) + c1 d^2) + c0 (d^2 d)."""
+    i = np.searchsorted(breaks[1:-1], x, side="right")
+    d = (x - breaks[i]).reshape(x.shape + (1,) * (c.ndim - 2))
+    out = (c[3] + 0.0)[i]  # PPoly's sum starts from 0.0
+    term = c[2][i]
+    term *= d
+    out += term
+    dpow = d * d
+    # mode="clip" (i is in range anyway) lets take write into term unbuffered
+    np.take(c[1], i, axis=0, out=term, mode="clip")
+    term *= dpow
+    out += term
+    dpow *= d
+    np.take(c[0], i, axis=0, out=term, mode="clip")
+    term *= dpow
+    out += term
+    return out
+
+
+def _uniform_panels(edge: float, counts):
+    """panel_quad(np.linspace(0, edge, p + 1), 8) for each p of counts,
+    concatenated and bit for bit, from one panel_quad call: linspace's k-th
+    edge is k (edge/p), its last edge is edge itself, and the panels that
+    join one grid's last edge to the next grid's 0 are dropped."""
+    counts = np.asarray(counts)
+    ends = np.cumsum(counts + 1)
+    k = np.arange(ends[-1]) - np.repeat(ends - counts - 1, counts + 1)
+    edges = k * np.repeat(edge / counts, counts + 1)
+    edges[ends - 1] = edge
+    keep = np.ones(ends[-1] - 1, dtype=bool)
+    keep[ends[:-1] - 1] = False
+    nodes, weights = panel_quad(edges, 8)
+    return nodes.reshape(-1, 8)[keep].ravel(), weights.reshape(-1, 8)[keep].ravel()
+
+
 # _poisson_decay's z grid reaches _Z_REACH times its largest x and squares
 # z; a density node above _LOG_NODE_LIMIT (as a log) would overflow that
 # square, x^2 + z^2 keeping a factor 2 to spare
 _Z_REACH = 1e7
 _LOG_NODE_LIMIT = math.log(math.sqrt(sys.float_info.max) / (2.0 * _Z_REACH))
+
+
+def _poisson_grid(x: np.ndarray, lam_max: float):
+    """z nodes and weights of _poisson_decay for columns x and rows up to
+    lam_max, with its Poisson matrix x_j/(x_j^2 + z^2)."""
+    hi = _Z_REACH * max(float(x.max()), lam_max, 1.0)
+    z, w = panel_quad(_geometric_edges(1e-16 * min(1.0, float(x.min())), hi), 16)
+    return z, w, x[:, None] / (x[:, None] ** 2 + z[None, :] ** 2)
+
 
 # tangential-frequency nodes r in (0, 1) of the boundary-layer integral
 _LAYER_R, _LAYER_W = panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
@@ -157,7 +248,8 @@ class HalfLineModel:
 
     Construction precomputes a monotone phase-shift table on a log grid.
     Spectral-density tables are pure functions of (order, lam), built on
-    demand with one row per lam of a grid; nothing else is kept.
+    demand with one row per lam of a grid; all they keep is the z grid and
+    Poisson matrix of the density quadrature's columns, built on first use.
     """
 
     #: log-spaced phase table range and size
@@ -168,12 +260,15 @@ class HalfLineModel:
     def __init__(self, order: FractionalOrder):
         self.order = order
         self._xi_nodes, self._xi_weights = self._build_xi_quadrature()
+        # nodes that round to 1 (some xi_a at small s) carry no density
+        self._live_xi = self._xi_nodes[self._xi_nodes > 1.0]
         grid = np.logspace(math.log10(self.THETA_LO), math.log10(self.THETA_HI),
                            self.THETA_NODES)
         vals = self._phase_direct(grid)
         if np.any(np.diff(vals) < -1e-12):
             raise AssertionError("phase table lost monotonicity")
-        self._theta_interp = PchipInterpolator(np.log(grid), vals, extrapolate=False)
+        self._theta_log = np.log(grid)
+        self._theta_coef = _pchip_fit(self._theta_log, vals)
 
     # -- phase shift --------------------------------------------------
 
@@ -213,7 +308,8 @@ class HalfLineModel:
         out = np.empty(flat.size)
         inside = (flat >= self.THETA_LO) & (flat <= self.THETA_HI)
         if inside.any():
-            out[inside] = self._theta_interp(np.log(flat[inside]))
+            out[inside] = _pchip_eval(self._theta_coef, self._theta_log,
+                                      np.log(flat[inside]))
         if not inside.all():
             out[~inside] = self._phase_direct(flat[~inside])
         return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
@@ -248,12 +344,17 @@ class HalfLineModel:
         for 1-D arrays of lam (rows) and of x > 0 (columns).
 
         Every lam shares one geometric z grid from 1e-16 min(1, x) to
-        1e7 max(x, lam, 1); the Poisson matrix is built once per call and
-        N is contracted against it 64 lam at a time.
+        1e7 max(x, lam, 1) and one Poisson matrix (_poisson_grid); N is
+        contracted against it 64 lam at a time.  Once no lam exceeds
+        max(x), the grid depends on x alone: for the model's live xi
+        columns (the nodes xi > 1 of its density quadrature) it is built
+        once per model (_live_poisson), for any other x on each call.
         """
-        hi = _Z_REACH * max(float(x.max()), float(lams.max()), 1.0)
-        z, w = panel_quad(_geometric_edges(1e-16 * min(1.0, float(x.min())), hi), 16)
-        poisson = x[:, None] / (x[:, None] ** 2 + z[None, :] ** 2)
+        lam_max = float(lams.max())
+        if lam_max <= float(x.max()) and np.array_equal(x, self._live_xi):
+            z, w, poisson = self._live_poisson
+        else:
+            z, w, poisson = _poisson_grid(x, lam_max)
         out = np.empty((lams.size, x.size))
         for i in range(0, lams.size, 64):
             lam = lams[i:i + 64, None]
@@ -266,8 +367,16 @@ class HalfLineModel:
                 np.log1p(L, out=L)
             if rounded is not None and rounded.any():
                 L[rounded] = (np.log1p(z * z) - np.log1p(lam * lam))[rounded]
-            out[i:i + 64] = (w * _decay_logratio(L, self.order.s)) @ poisson.T
+            n = _decay_logratio(L, self.order.s)
+            n *= w
+            out[i:i + 64] = n @ poisson.T
         return out
+
+    @cached_property
+    def _live_poisson(self):
+        """_poisson_grid of the live xi columns, valid for every lam up to
+        their largest node."""
+        return _poisson_grid(self._live_xi, 0.0)
 
     def gamma_values(self, lam, xi) -> np.ndarray:
         """Spectral density of the Laplace tail, elementwise over (lam, xi):
@@ -416,8 +525,10 @@ class HalfLineModel:
     def _kernel_gap_flat(self, x: np.ndarray, mu: float, grid) -> np.ndarray:
         """kernel_gap at a 1-D array of depths for mu > 1, from one entry
         of _edge_tables.  The tails of all depths x <= 12 share one PCHIP
-        fit over lam_aug; its coefficients are computed column by column,
-        so each panel group evaluates its own columns of that fit."""
+        fit over lam_aug; each panel group evaluates its own columns of it.
+        The dense grids of all panel groups are laid in one pass
+        (_uniform_panels), with one phase lookup and one weight power for
+        all their nodes; each group then reads its slice."""
         s = self.order.s
         lam_g, w_g, edge, lam_aug, tables = grid
         out = np.zeros(x.size)
@@ -432,23 +543,41 @@ class HalfLineModel:
         near = ~far
         if near.any():
             # the tails vanish at lam_aug[0] = 0
-            g_near = np.pad(g[near], ((0, 0), (1, 0)))
-            coef = PchipInterpolator(lam_aug, g_near.T, axis=0).c
+            coef = _pchip_fit(lam_aug, np.pad(g[near], ((0, 0), (1, 0))).T)
             col = np.cumsum(near) - 1  # column of each near depth in coef
         panels = _osc_panels(2.0 * x * edge)
-        for p in np.unique(panels):
+        counts = np.unique(panels)
+        lam_all, w_all = _uniform_panels(edge, counts)
+        th_all = self.phase_vec(lam_all)
+        th2_all = 2.0 * th_all
+        wt_all = mu - (1.0 + lam_all ** 2) ** s
+        stop = 0
+        for p in counts:
+            start, stop = stop, stop + 8 * p
+            lam_d, w_d, wt_d = lam_all[start:stop], w_all[start:stop], wt_all[start:stop]
             sel = np.nonzero(panels == p)[0]
-            lam_d, w_d = panel_quad(np.linspace(0.0, edge, p + 1), 8)
-            th_d = self.phase_vec(lam_d)
-            wt_d = mu - (1.0 + lam_d ** 2) ** s
             arg = np.multiply.outer(x[sel], lam_d)
-            out[sel] += (wt_d * np.cos(2.0 * arg + 2.0 * th_d)) @ w_d
+            # wt * cos(2 arg + 2 phase), in place
+            osc = arg * 2.0
+            osc += th2_all[start:stop]
+            np.cos(osc, out=osc)
+            osc *= wt_d
+            out[sel] += osc @ w_d
             near_sel = near[sel]
             if near_sel.any():
                 rows = sel[near_sel]
-                gd = PPoly.construct_fast(coef[:, :, col[rows]], lam_aug)(lam_d).T
-                sd = np.sin(arg[near_sel] + th_d)
-                out[rows] += (wt_d * (4.0 * sd * gd - 2.0 * gd * gd)) @ w_d
+                gd = _pchip_eval(coef[:, :, col[rows]], lam_aug, lam_d).T
+                # wt * (4 sin(arg + phase) G - 2 G^2), in place
+                term = arg[near_sel]
+                term += th_all[start:stop]
+                np.sin(term, out=term)
+                term *= 4.0
+                term *= gd
+                square = gd * 2.0
+                square *= gd
+                term -= square
+                term *= wt_d
+                out[rows] += term @ w_d
         return out / math.pi
 
     def riesz_kernel_line(self, mu: float) -> float:
@@ -496,14 +625,15 @@ class HalfLineModel:
         for j0 in range(0, u.size, step):
             j1 = min(j0 + step, u.size)
             # column 0 (depth t) rides along with every block
-            gi = PchipInterpolator(lam_aug, g_cols[:, np.r_[0, j0 + 1:j1 + 1]],
-                                   axis=0)(lam_d)
+            gi = _pchip_eval(_pchip_fit(lam_aug, g_cols[:, np.r_[0, j0 + 1:j1 + 1]]),
+                             lam_aug, lam_d)
             ft = np.sin(lam_d * t + th_d) - gi[:, 0]
             fu = np.outer(lam_d, u[j0:j1])  # F(lam, u_j), built in place
             fu += th_d[:, None]
             np.sin(fu, out=fu)
             fu -= gi[:, 1:]
             out[j0:j1] = (w_d * ft) @ fu
+            del gi, fu  # let the next block's interpolation reuse this memory
         return 2.0 / math.pi * out
 
     # -- boundary layer -------------------------------------------------

@@ -6,11 +6,19 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.interpolate import PchipInterpolator, PPoly
 
-from fracweyl.quadcore import integrate
+from fracweyl.quadcore import integrate, panel_quad
 from fracweyl.constants import surface_via_energy_shift, surface_via_layer
 from fracweyl.halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
-                               _layer_profile, dispersion)
+                               _layer_profile, _pchip_eval, _pchip_fit,
+                               _uniform_panels, dispersion, spectral_edge)
+
+
+def assert_same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestDispersion:
@@ -556,3 +564,123 @@ class TestModelHygiene:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestNumpyPchip:
+    """The half-line engine's PCHIP must reproduce scipy's bit for bit: the
+    golden layer pins (rtol 1e-12) and the byte-identical CLI output rest
+    on it."""
+
+    def test_phase_table(self, model_half):
+        m = model_half
+        grid = np.logspace(math.log10(m.THETA_LO), math.log10(m.THETA_HI), m.THETA_NODES)
+        ref = PchipInterpolator(np.log(grid), m._phase_direct(grid), extrapolate=False)
+        assert_same_bits(m._theta_coef, ref.c)
+        # between nodes, on every node and on the last one
+        lams = np.concatenate([np.geomspace(1e-4, 1e4, 997), grid])
+        assert_same_bits(m.phase_vec(lams), ref(np.log(lams)))
+
+    def test_tail_columns(self, model_half):
+        m = model_half
+        _, _, edge, lam_aug, tables = m._edge_tables([4.0])[0]
+        tails = np.pad(m._tails(np.array([0.05, 1.0, 11.0]), tables), ((0, 0), (1, 0))).T
+        n = lam_aug.size
+        steps = np.repeat([0.0, 1.0, 0.0, 2.0], [n // 4, n // 4, n // 4, n - 3 * (n // 4)])
+        y = np.column_stack([
+            tails,
+            np.zeros(n),
+            np.full(n, -0.0),                        # PPoly sums from +0.0
+            steps,                                   # flat runs, then jumps
+            np.sin(3.0 * lam_aug),                   # sign changes
+            np.where(lam_aug < edge / 2, 1.0, -1.0) * lam_aug ** 2,
+        ])
+        ref = PchipInterpolator(lam_aug, y, axis=0)
+        coef = _pchip_fit(lam_aug, y)
+        assert_same_bits(coef, ref.c)
+        x = np.concatenate([np.linspace(-0.1, edge + 0.1, 3001), lam_aug])
+        assert_same_bits(_pchip_eval(coef, lam_aug, x), ref(x))
+        # a column subset evaluates as its own interpolant
+        cols = [1, 6, 7]
+        assert_same_bits(_pchip_eval(coef[:, :, cols], lam_aug, x),
+                         PchipInterpolator(lam_aug, y[:, cols], axis=0)(x))
+
+    def test_end_slope_branches(self):
+        # end slope ((2 h0 + h1) m0 - h0 m1) / (h0 + h1) with h0 = 1,
+        # h1 = 0.1, m0 = 1: kept for m1 = 1, zeroed when its sign flips
+        # (m1 = 5), clipped to 3 m0 when it overshoots (m1 = -5)
+        x = np.array([0.0, 1.0, 1.1, 2.0])
+        y = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.1, 1.5, 0.5], [1.2, 1.6, 0.4]])
+        coef = _pchip_fit(x, y)
+        np.testing.assert_allclose(coef[2, 0], [1.0, 0.0, 3.0], rtol=1e-15)
+        ref = PchipInterpolator(x, y, axis=0)
+        assert_same_bits(coef, ref.c)
+        xs = np.linspace(-0.5, 2.5, 61)
+        assert_same_bits(_pchip_eval(coef, x, xs), ref(xs))
+        assert_same_bits(_pchip_eval(coef[:, :, 0], x, xs), ref(xs)[:, 0])
+
+    def test_evaluation_sums_like_ppoly(self):
+        # on a break every power of d is 0, and with c3 = -0 and c0, c1,
+        # c2 < 0 PPoly's sum, begun at +0.0, is +0.0
+        rng = np.random.default_rng(7)
+        breaks = np.cumsum(rng.uniform(0.1, 1.0, 9))
+        c = -rng.uniform(0.5, 2.0, (4, 8, 3))
+        c[3, :, 0] = -0.0
+        x = np.concatenate([breaks, rng.uniform(breaks[0] - 1.0, breaks[-1] + 1.0, 500)])
+        assert_same_bits(_pchip_eval(c, breaks, x), PPoly.construct_fast(c, breaks)(x))
+
+    def test_nonfinite_data_refused(self):
+        with pytest.raises(ValueError):
+            _pchip_fit(np.arange(4.0), np.array([0.0, 1.0, math.nan, 2.0]))
+
+
+class TestDenseGrid:
+    @pytest.mark.parametrize("edge", [0.1, 1.0, 3.0, math.sqrt(15.0),
+                                      spectral_edge(1.37, 0.3), spectral_edge(40.0, 0.75),
+                                      1234.567])
+    def test_batched_grid_matches_linspace_panels(self, edge):
+        # the golden err pins depend on these grids bit for bit
+        counts = np.array([1, 2, 3, 6, 7, 11, 49, 97, 256, 600])
+        nodes, weights = _uniform_panels(edge, counts)
+        ref = [panel_quad(np.linspace(0.0, edge, p + 1), 8) for p in counts]
+        assert_same_bits(nodes, np.concatenate([r[0] for r in ref]))
+        assert_same_bits(weights, np.concatenate([r[1] for r in ref]))
+
+
+class TestPoissonGrid:
+    S = 0.3  # some xi_a = 1 + v^(1/s) round to 1.0 at this order
+
+    def test_hoisted_only_for_live_columns(self):
+        m = HalfLineModel(FractionalOrder(self.S, 2))
+        xi = m._xi_nodes
+        live = xi[xi > 1.0]
+        assert 0 < live.size < xi.size
+        m.outer_function(2.0, 0.5)
+        m.gamma_values(2.0 * xi.max(), xi)
+        m.gamma_values(3.0, xi[1::20])
+        assert "_live_poisson" not in vars(m)
+        m.gamma_table(np.array([0.3, 2.0, 700.0]))
+        z, w, poisson = vars(m)["_live_poisson"]
+        assert poisson.shape == (live.size, z.size) == (live.size, w.size)
+
+    def test_hoisted_matches_per_call(self):
+        lams = np.geomspace(1e-3, 1e4, 150)
+        hoisted = HalfLineModel(FractionalOrder(self.S, 2))
+        per_call = HalfLineModel(FractionalOrder(self.S, 2))
+        per_call._live_xi = np.empty(0)  # no column set matches: per-call grids
+        assert_same_bits(hoisted.gamma_table(lams)[1], per_call.gamma_table(lams)[1])
+        assert "_live_poisson" not in vars(per_call)
+
+    def test_per_call_paths_unchanged(self):
+        # outer_function and a lam past the largest xi node take the
+        # per-call grid; their values are pinned
+        m = HalfLineModel(FractionalOrder(self.S, 2))
+        np.testing.assert_allclose(
+            [m.outer_function(2.0, 0.5), m.outer_function(0.3, 7.0),
+             m.outer_function(50.0, 1e-3)],
+            [1.150225017263073, 2.8927351760112683, 1.0000612719193667], rtol=1e-12)
+        xi = m._xi_nodes
+        np.testing.assert_allclose(
+            m.gamma_values(2.0 * xi.max(), xi[::20]),
+            [0.0, 1.2857449384842334e-39, 1.0896942802640372e-37, 1.1576139370315293e-36,
+             3.991733586460918e-36, 2.1777730843655566e-26, 6.574772951549647e-32,
+             4.420128213315889e-34, 3.873485817595444e-35], rtol=1e-12, atol=0.0)

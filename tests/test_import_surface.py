@@ -2,11 +2,14 @@
 and every function the benchmark tracer wraps.  A deleted or renamed
 function fails here in a second instead of in the benchmark self-check.
 No module reaches into another's private names, and no module, script or
-test imports a name it does not use."""
+test imports a name it does not use.  The command-line import leaves the
+scipy packages the library does not use unloaded."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,6 +47,22 @@ def test_trace_targets_resolve():
         if obj is None:
             missing.append(name)
     assert TARGETS and not missing
+
+
+@pytest.mark.parametrize("modules, absent", [
+    # the half-line engine's PCHIP is numpy-only; scipy.interpolate (which
+    # pulls in scipy.optimize) is a test oracle, not a dependency
+    ("fracweyl.cli", ("scipy.interpolate", "scipy.optimize")),
+    # scipy serves the lattice alone
+    ("fracweyl.constants, fracweyl.localization", ("scipy",)),
+])
+def test_fresh_import_leaves_scipy_out(modules, absent):
+    probe = (f"import sys, {modules}; print(sorted(m for m in sys.modules if any("
+             f"m == p or m.startswith(p + '.') for p in {absent!r})))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_no_private_cross_module_imports():
