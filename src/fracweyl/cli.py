@@ -4,7 +4,10 @@ tabulation, lattice verification campaigns, and coefficient conversion.
 Every command is deterministic for a fixed configuration (sampling uses
 fixed seeds), writes CSV or JSON with identical numbers in either format,
 and exits with 0 on success, 2 on usage errors, 3 on numerical failures,
-and 4 when a verification assertion fails.
+and 4 when a verification assertion fails.  The lattice commands
+(``verify-square``, ``verify-halfspace``, ``order-check``) import
+``fracweyl.lattice``, and scipy with it, when they run; the other commands
+are numpy-only.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import numpy as np
 
 from .halfline import FractionalOrder, HalfLineModel, spectral_edge
 from . import constants as consts
-from . import lattice
 from . import localization as loc
 
 EXIT_OK = 0
@@ -144,8 +146,9 @@ def _order(args) -> FractionalOrder:
         raise UsageError(str(exc))
 
 
-def _dense(domain: lattice.LatticeDomain) -> lattice.LatticeDomain:
+def _dense(domain):
     """The domain, unless its dense matrices would exceed the dense cap."""
+    from . import lattice
     if domain.size > lattice.DENSE_LIMIT:
         raise UsageError(f"lattice size {domain.size} exceeds dense cap "
                          f"{lattice.DENSE_LIMIT}")
@@ -226,6 +229,7 @@ def cmd_layer(args) -> int:
 
 
 def cmd_verify_square(args) -> int:
+    from . import lattice
     order = _order(args)
     dom = _dense(lattice.square_domain(args.lattice_points))
     if not args.h_max > 4.0 * dom.spacing:
@@ -261,6 +265,7 @@ def cmd_verify_square(args) -> int:
 
 
 def cmd_verify_halfspace(args) -> int:
+    from . import lattice
     order = _order(args)
     rep = lattice.halfspace_kernel_check(order.s, args.h)
     rec = ReportRecord()
@@ -276,6 +281,7 @@ def cmd_verify_halfspace(args) -> int:
 
 
 def cmd_order_check(args) -> int:
+    from . import lattice
     interval = _dense(lattice.interval_domain(args.interval_points))
     square = _dense(lattice.square_domain(args.square_points))
     rec = ReportRecord()

@@ -19,6 +19,23 @@ def run(args):
     return main(args)
 
 
+# runs main(argv) in a fresh interpreter, then names the scipy modules it
+# loaded on the last line of stderr
+_FRESH_PROBE = ("import sys; from fracweyl.cli import main; code = main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+                "file=sys.stderr); sys.exit(code)")
+
+
+def run_fresh(argv):
+    """(exit code, stdout, scipy modules loaded) of ``main(argv)`` run in a
+    fresh interpreter, where no other test has imported the lattice."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROBE, *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]
+
+
 class TestConvertCommand:
     def test_unit_example(self, tmp_path, capsys):
         out = tmp_path / "conv.json"
@@ -52,6 +69,30 @@ class TestConvertCommand:
         assert run(["convert", "--A", A, "--a", "0.5", "--b", "0"]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: {name} ")
+
+
+class TestFreshInterpreter:
+    @pytest.mark.parametrize("argv", [
+        ["convert", "--A", "1", "--a", "0.5", "--b", "-0.5"],
+        ["kernels", "--s", "0.5", "--mu", "2", "--t", "0.5,1"],
+    ], ids=lambda argv: argv[0])
+    def test_numpy_only_commands_load_no_scipy(self, argv):
+        code, _, scipy_modules = run_fresh(argv)
+        assert code == EXIT_OK
+        assert scipy_modules == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-square", "--s", "0.5", "--lattice-points", "8", "--h-max", "5"],
+        ["verify-halfspace", "--s", "0.5", "--h", "0.5"],
+        ["order-check", "--s-list", "0.5", "--interval-points", "32",
+         "--square-points", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_lattice_commands_import_the_lattice(self, argv, capsys):
+        # a lattice command imports the lattice itself: run alone, it loads
+        # scipy.fft and gives the record and exit code of an in-process run
+        code, out, scipy_modules = run_fresh(argv)
+        assert "'scipy.fft'" in scipy_modules
+        assert (code, out) == (run(argv), capsys.readouterr().out)
 
 
 class TestUsageErrors:

@@ -2,8 +2,8 @@
 and every function the benchmark tracer wraps.  A deleted or renamed
 function fails here in a second instead of in the benchmark self-check.
 No module reaches into another's private names, and no module, script or
-test imports a name it does not use.  The command-line import leaves the
-scipy packages the library does not use unloaded."""
+test imports a name it does not use.  The command-line import leaves scipy
+and the lattice unloaded."""
 
 import ast
 import importlib
@@ -50,10 +50,11 @@ def test_trace_targets_resolve():
 
 
 @pytest.mark.parametrize("modules, absent", [
-    # the half-line engine's PCHIP is numpy-only; scipy.interpolate (which
-    # pulls in scipy.optimize) is a test oracle, not a dependency
-    ("fracweyl.cli", ("scipy.interpolate", "scipy.optimize")),
-    # scipy serves the lattice alone
+    # the command line imports the lattice, and scipy with it, only inside
+    # the lattice commands
+    ("fracweyl.cli", ("scipy", "fracweyl.lattice")),
+    # scipy serves the lattice alone; scipy.interpolate is a test oracle of
+    # the half-line engine's numpy PCHIP, not a dependency
     ("fracweyl.constants, fracweyl.localization", ("scipy",)),
 ])
 def test_fresh_import_leaves_scipy_out(modules, absent):
