@@ -203,35 +203,19 @@ def cmd_layer(args) -> int:
     model = HalfLineModel(order)
     ts = np.geomspace(args.t_min, args.t_max, args.points)
     ks = model.boundary_layer(ts)
-    cum = 0.0
-    rows = []
-    prev_t, prev_k = 0.0, ks[0]
-    for t, k in zip(ts, ks):
-        cum += 0.5 * (k + prev_k) * (t - prev_t)
-        rows.append((t, k, cum))
-        prev_t, prev_k = t, k
+    # trapezoid partial sums from t = 0, with K(0) taken as K(t_min)
+    steps = 0.5 * (ks + np.r_[ks[:1], ks[:-1]]) * (ts - np.r_[0.0, ts[:-1]])
+    rows = list(zip(ts, ks, np.cumsum(steps)))
     total, err = consts.surface_via_layer(order, model)
     rows.append((math.inf, 0.0, total))
     _table_write(args.output, args.format, ("t", "K", "cumulative"), rows)
-    if args.plot_script and args.output:
-        script = (
-            "import csv\n"
-            "import matplotlib.pyplot as plt\n"
-            f"rows = [r for r in csv.DictReader(open({args.output!r}))]\n"
-            "ts = [float(r['t']) for r in rows[:-1]]\n"
-            "ks = [float(r['K']) for r in rows[:-1]]\n"
-            "plt.loglog(ts, [abs(k) for k in ks])\n"
-            "plt.xlabel('t'); plt.ylabel('|K(t)|')\n"
-            "plt.show()\n")
-        with open(args.output + ".plot.py", "w") as fh:
-            fh.write(script)
     return EXIT_OK
 
 
 def cmd_verify_square(args) -> int:
     from . import lattice
     order = _order(args)
-    dom = _dense(lattice.square_domain(args.lattice_points))
+    dom = lattice.square_domain(args.lattice_points)
     if not args.h_max > 4.0 * dom.spacing:
         raise UsageError(f"--h-max must exceed 4 * spacing = {4.0 * dom.spacing}")
     hs = np.geomspace(4.0 * dom.spacing, args.h_max, args.h_count)
@@ -386,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=_positive(float), default=0.05)
     p.add_argument("--t-max", type=_positive(float), default=40.0)
     p.add_argument("--points", type=_positive(int), default=60)
-    p.add_argument("--plot-script", action="store_true")
     p.set_defaults(fn=cmd_layer)
 
     p = sub.add_parser("verify-square", help="two-term fit on the unit square")
@@ -417,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="interval")
     p.add_argument("--extent", type=_positive(float), default=4.0)
     p.add_argument("--l0", type=float, default=0.25)
-    p.add_argument("--resolution", type=_positive(int), default=8)
+    p.add_argument("--resolution", type=_positive(int), default=16)
     p.add_argument("--points", type=_positive(int), default=8)
     p.add_argument("--tolerance", type=_positive(float), default=1e-3)
     p.add_argument("--seed", type=int, default=7)

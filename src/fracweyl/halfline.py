@@ -214,6 +214,8 @@ _LAYER_R, _LAYER_W = panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
 # (the (0, 1e-18) sliver skipped), then three panels up to 1
 _PHASE_Z, _PHASE_W = panel_quad(np.concatenate([
     _geometric_edges(1e-18, 0.5, ratio=10.0)[1:], [0.7, 0.85, 1.0]]), 16)
+# log-spaced phase table: range and size
+_THETA_LO, _THETA_HI, _THETA_NODES = 1e-4, 1e4, 400
 # lam per block of the phase's direct form, which keeps each of its
 # (block, z) temporaries under 100 kB whatever the number of lam
 _PHASE_BLOCK = 32
@@ -252,18 +254,10 @@ class HalfLineModel:
     Poisson matrix of the density quadrature's columns, built on first use.
     """
 
-    #: log-spaced phase table range and size
-    THETA_LO = 1e-4
-    THETA_HI = 1e4
-    THETA_NODES = 400
-
     def __init__(self, order: FractionalOrder):
         self.order = order
         self._xi_nodes, self._xi_weights = self._build_xi_quadrature()
-        # nodes that round to 1 (some xi_a at small s) carry no density
-        self._live_xi = self._xi_nodes[self._xi_nodes > 1.0]
-        grid = np.logspace(math.log10(self.THETA_LO), math.log10(self.THETA_HI),
-                           self.THETA_NODES)
+        grid = np.logspace(math.log10(_THETA_LO), math.log10(_THETA_HI), _THETA_NODES)
         vals = self._phase_direct(grid)
         if np.any(np.diff(vals) < -1e-12):
             raise AssertionError("phase table lost monotonicity")
@@ -298,15 +292,19 @@ class HalfLineModel:
         return out / math.pi
 
     def phase_vec(self, lam):
-        """Scattering phase of the generalized eigenfunctions; increasing in
-        lam from 0 to pi(1-s)/4.  Takes an array of lam > 0; a scalar gives
-        a float."""
+        """Scattering phase of the generalized eigenfunctions, from 0 at
+        lam -> 0 to pi(1-s)/4 at lam -> inf.  It is increasing on the table
+        [1e-4, 1e4].  Above the table the direct form approaches the limit
+        but need not increase: from lam = 1e8 on it lies within 3e-11 of it
+        for s from 0.1 to 0.95, and at s = 0.1 it steps down by 4.8e-12
+        between lam = 1e12 and 1e16.  Takes an array of lam > 0; a scalar
+        gives a float."""
         lam = np.asarray(lam, dtype=float)
         if not np.all(lam > 0):
             raise ValueError(f"phase requires lam > 0, got {lam}")
         flat = lam.ravel()
         out = np.empty(flat.size)
-        inside = (flat >= self.THETA_LO) & (flat <= self.THETA_HI)
+        inside = (flat >= _THETA_LO) & (flat <= _THETA_HI)
         if inside.any():
             out[inside] = _pchip_eval(self._theta_coef, self._theta_log,
                                       np.log(flat[inside]))
@@ -321,14 +319,18 @@ class HalfLineModel:
 
         Near xi = 1 the density vanishes like (xi-1)^s, handled by the
         substitution xi = 1 + v^(1/s); the algebraic tail ~ xi^(-1-s) is
-        flattened exactly by xi = 2 w^(-1/s).  Below s ~ 0.043 the largest
-        such node leaves the range the density tables can square; the order
-        is then refused with ArithmeticError before those nodes are formed.
+        flattened exactly by xi = 2 w^(-1/s).  Nodes xi_a that round to 1.0
+        (the smallest v, at s below about 0.5) carry no density and are
+        dropped.
+        Below s ~ 0.043 the largest xi_b node leaves the range the density
+        tables can square; the order is then refused with ArithmeticError
+        before those nodes are formed.
         """
         s = self.order.s
         v, wv = panel_quad(np.array([1e-8, 1e-5, 1e-3, 0.03, 0.2, 0.6, 1.0]), 16)
         xi_a = 1.0 + v ** (1.0 / s)
         w_a = wv * v ** (1.0 / s - 1.0) / s
+        live = xi_a > 1.0
         u, wu = panel_quad(np.array([1e-9, 1e-4, 0.02, 0.15, 0.45, 1.0]), 16)
         log_node = math.log(2.0) - math.log(float(u.min())) / s
         if not log_node < _LOG_NODE_LIMIT:
@@ -337,7 +339,7 @@ class HalfLineModel:
                 f"node 2 u^(-1/s) = e^{log_node:.1f} exceeds e^{_LOG_NODE_LIMIT:.1f}")
         xi_b = 2.0 * u ** (-1.0 / s)
         w_b = wu * (2.0 / s) * u ** (-1.0 / s - 1.0)
-        return np.concatenate([xi_a, xi_b]), np.concatenate([w_a, w_b])
+        return np.concatenate([xi_a[live], xi_b]), np.concatenate([w_a[live], w_b])
 
     def _poisson_decay(self, lams: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Q[i, j] = int_0^inf x_j/(x_j^2+z^2) N(log((1+z^2)/(1+lam_i^2))) dz
@@ -346,13 +348,13 @@ class HalfLineModel:
         Every lam shares one geometric z grid from 1e-16 min(1, x) to
         1e7 max(x, lam, 1) and one Poisson matrix (_poisson_grid); N is
         contracted against it 64 lam at a time.  Once no lam exceeds
-        max(x), the grid depends on x alone: for the model's live xi
-        columns (the nodes xi > 1 of its density quadrature) it is built
-        once per model (_live_poisson), for any other x on each call.
+        max(x), the grid depends on x alone: for the nodes of the model's
+        density quadrature it is built once per model (_xi_poisson), for
+        any other x on each call.
         """
         lam_max = float(lams.max())
-        if lam_max <= float(x.max()) and np.array_equal(x, self._live_xi):
-            z, w, poisson = self._live_poisson
+        if lam_max <= float(x.max()) and np.array_equal(x, self._xi_nodes):
+            z, w, poisson = self._xi_poisson
         else:
             z, w, poisson = _poisson_grid(x, lam_max)
         out = np.empty((lams.size, x.size))
@@ -373,10 +375,10 @@ class HalfLineModel:
         return out
 
     @cached_property
-    def _live_poisson(self):
-        """_poisson_grid of the live xi columns, valid for every lam up to
-        their largest node."""
-        return _poisson_grid(self._live_xi, 0.0)
+    def _xi_poisson(self):
+        """_poisson_grid of the density quadrature's nodes, valid for every
+        lam up to their largest node."""
+        return _poisson_grid(self._xi_nodes, 0.0)
 
     def gamma_values(self, lam, xi) -> np.ndarray:
         """Spectral density of the Laplace tail, elementwise over (lam, xi):
@@ -480,11 +482,10 @@ class HalfLineModel:
 
     # -- kernels -------------------------------------------------------
 
-    def _g_grid(self, mu, n: int = 32):
-        """Edge-substituted lam grid on the spectral window with weights;
-        a 1-D array of mu gives one row per mu."""
-        edge = (spectral_edge(mu, self.order.s) if np.ndim(mu) == 0 else
-                np.array([[spectral_edge(m, self.order.s)] for m in mu]))
+    def _g_grid(self, mus, n: int = 32):
+        """Edge-substituted lam grids on the spectral windows, with weights
+        and edges: one row per mu of a 1-D sequence."""
+        edge = np.array([[spectral_edge(m, self.order.s)] for m in mus])
         phi, w = panel_quad(np.array([0.0, math.pi / 2.0]), n)
         lam = edge * np.sin(phi)
         return lam, edge * np.cos(phi) * w, edge
@@ -584,7 +585,7 @@ class HalfLineModel:
         """Diagonal of the whole-line Riesz-mean kernel (t-independent)."""
         if mu <= 1.0:
             return 0.0
-        lam, w, _ = self._g_grid(mu, n=64)
+        (lam,), (w,), _ = self._g_grid([mu], n=64)
         return float(np.dot(w, mu - (1.0 + lam ** 2) ** self.order.s)) / math.pi
 
     def projector_profile(self, t: float, u: np.ndarray, mu: float) -> np.ndarray:
@@ -616,7 +617,7 @@ class HalfLineModel:
         _, _, edge, lam_aug, tables = grid
         span = abs(t) + float(np.max(u))
         panels = int(_osc_panels(span * edge, cap=1600))
-        lam_d, w_d = panel_quad(np.linspace(0.0, edge, panels + 1), 8)
+        lam_d, w_d = _uniform_panels(edge, [panels])
         th_d = self.phase_vec(lam_d)
         g = self._tails(np.append(t, u), tables)
         g_cols = np.concatenate([np.zeros((1, u.size + 1)), g.T])
@@ -719,7 +720,6 @@ class DirichletLineModel:
         if d < 2:
             raise ValueError("dimension must be >= 2")
         self.d = d
-        self.exponent = 1.0  # plays the role of s in the layer reduction
 
     @staticmethod
     def kernel_gap(x, mu: float):
@@ -737,7 +737,8 @@ class DirichletLineModel:
         return float(out) if out.ndim == 0 else out
 
     def boundary_layer(self, t):
-        return _layer_profile(self._layer_gaps, t, self.exponent, self.d)
+        # s = 1 in the layer reduction
+        return _layer_profile(self._layer_gaps, t, 1.0, self.d)
 
     def _layer_gaps(self, t, nodes):
         return (self.kernel_gap(t * r, mu) for r, mu in nodes)

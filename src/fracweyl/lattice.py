@@ -184,8 +184,11 @@ def _multiplier_kernel(domain: LatticeDomain, s: float) -> np.ndarray:
     restriction of it is an exactly symmetric matrix.  Along an axis of c
     cells the block reads offsets -(c-1)..c-1.  The returned array, of
     shape (2c_1, ...), holds offset n mod 2c at entry n: on that circle the
-    read offsets stay distinct and exactly even.
+    read offsets stay distinct and exactly even.  ValueError unless
+    0 < s <= 1.
     """
+    if not 0.0 < s <= 1.0:
+        raise ValueError("fractional power must lie in (0, 1]")
     box = BOX_MULTIPLE * max(domain.cells)
     sig = (2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(box) / box)) / domain.spacing ** 2
     kern = np.fft.ifftn(functools.reduce(np.add.outer, [sig] * domain.dim) ** s).real
@@ -201,8 +204,6 @@ def build_restricted_fractional(domain: LatticeDomain, s: float) -> SymmetricOpe
     the box keeps below 1e-10; for s < 1 wrap-around biases the low
     spectrum low (see ``_multiplier_kernel``).
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError("fractional power must lie in (0, 1]")
     return SymmetricOperator(_restrict(_multiplier_kernel(domain, s)))
 
 
@@ -479,8 +480,6 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
     Returns a ``SpectrumResult`` complete up to ``cut``, whose ``defect`` is
     the largest block residual, or the pair ``(spectrum, eigenvectors)``.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError("fractional power must lie in (0, 1]")
     circle = _even_circle(domain, s)
     # the kernel is even on the circle up to rounding at the unread offset
     # -c, so its transform is real
@@ -646,8 +645,6 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
     The floor matters at s = 1, where the difference is rounding only and
     a bound relative to its own norm would be a bound on rounding.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError("fractional power must lie in (0, 1]")
     circle = _even_circle(domain, s)
     stencil = _stencil_circle(domain) if s == 1.0 else None
     lo, hi = math.inf, -math.inf

@@ -54,6 +54,9 @@ class DomainGeometry:
     """Shape with distance functions; d(u) vanishes outside the domain and
     is 1-Lipschitz.
 
+    A ``"box"`` is the axis-aligned box [0, a_1] x ... x [0, a_dim] of its
+    side lengths ``parameters``: an interval in 1-D, a rectangle in 2-D.
+    A ``"disk"`` is the disk of radius ``parameters[0]`` about the origin.
     Points are arrays whose last axis holds the ``dim`` coordinates, so an
     (N, dim) array gives N values and a single point of shape (dim,) one.
     """
@@ -63,33 +66,23 @@ class DomainGeometry:
 
     @property
     def dim(self) -> int:
-        return 1 if self.shape == "interval" else 2
+        return len(self.parameters) if self.shape == "box" else 2
 
     def distance(self, pts) -> np.ndarray:
         """Distance to the complement of the domain."""
         pts = np.asarray(pts, dtype=float)
-        if self.shape == "interval":
-            (a,) = self.parameters
-            return np.clip(np.minimum(pts[..., 0], a - pts[..., 0]), 0.0, None)
-        if self.shape == "rectangle":
-            a, b = self.parameters
-            faces = np.minimum(np.minimum(pts[..., 0], a - pts[..., 0]),
-                               np.minimum(pts[..., 1], b - pts[..., 1]))
-            return np.clip(faces, 0.0, None)
+        if self.shape == "box":
+            faces = np.minimum(pts, np.asarray(self.parameters) - pts)
+            return np.clip(np.min(faces, axis=-1), 0.0, None)
         r = self.parameters[0]
         return np.clip(r - np.hypot(pts[..., 0], pts[..., 1]), 0.0, None)
 
     def boundary_distance(self, pts) -> np.ndarray:
         """Distance to the boundary, from either side."""
         pts = np.asarray(pts, dtype=float)
-        if self.shape == "interval":
-            (a,) = self.parameters
-            return np.minimum(np.abs(pts[..., 0]), np.abs(a - pts[..., 0]))
-        if self.shape == "rectangle":
-            a, b = self.parameters
-            cx = np.clip(pts[..., 0], 0.0, a)
-            cy = np.clip(pts[..., 1], 0.0, b)
-            outside = np.hypot(pts[..., 0] - cx, pts[..., 1] - cy)
+        if self.shape == "box":
+            offsets = np.abs(pts - np.clip(pts, 0.0, self.parameters))
+            outside = np.hypot.reduce(offsets, axis=-1)
             return np.where(outside > 0.0, outside, self.distance(pts))
         r = self.parameters[0]
         return np.abs(r - np.hypot(pts[..., 0], pts[..., 1]))
@@ -98,15 +91,11 @@ class DomainGeometry:
         """Gradient of d at interior non-ridge points; zero outside."""
         pts = np.asarray(pts, dtype=float)
         inside = self.distance(pts) > 0.0
-        if self.shape == "interval":
-            (a,) = self.parameters
-            g = np.where(pts[..., :1] < a - pts[..., :1], 1.0, -1.0)
-        elif self.shape == "rectangle":
-            a, b = self.parameters
-            faces = np.stack([pts[..., 0], a - pts[..., 0], pts[..., 1], b - pts[..., 1]],
-                             axis=-1)
-            grads = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-            g = grads[np.argmin(faces, axis=-1)]
+        if self.shape == "box":
+            # faces x_1, a_1 - x_1, x_2, a_2 - x_2, ... and their gradients
+            faces = np.stack([pts, np.asarray(self.parameters) - pts], axis=-1)
+            grads = np.kron(np.eye(self.dim), [[1.0], [-1.0]])
+            g = grads[np.argmin(faces.reshape(pts.shape[:-1] + (-1,)), axis=-1)]
         else:
             rho = np.hypot(pts[..., 0], pts[..., 1])[..., None]
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -114,21 +103,18 @@ class DomainGeometry:
         return np.where(inside[..., None], g, 0.0)
 
     def interior_box(self):
-        if self.shape == "interval":
-            return (np.array([0.0]), np.array([self.parameters[0]]))
-        if self.shape == "rectangle":
-            a, b = self.parameters
-            return (np.array([0.0, 0.0]), np.array([a, b]))
+        if self.shape == "box":
+            return (np.zeros(self.dim), np.array(self.parameters))
         r = self.parameters[0]
         return (np.array([-r, -r]), np.array([r, r]))
 
 
 def interval_geometry(length: float = 4.0) -> DomainGeometry:
-    return DomainGeometry("interval", (float(length),))
+    return DomainGeometry("box", (float(length),))
 
 
 def rectangle_geometry(a: float, b: float) -> DomainGeometry:
-    return DomainGeometry("rectangle", (float(a), float(b)))
+    return DomainGeometry("box", (float(a), float(b)))
 
 
 def disk_geometry(radius: float = 2.0) -> DomainGeometry:
@@ -193,8 +179,7 @@ class LocalizationFamily:
         y = (xs - us) / self.scale(us)[..., None]
         r2 = np.sum(y * y, axis=-1)
         jac = 1.0 + np.sum(self.scale_gradient(us) * y, axis=-1)
-        vals = self.profile_r2(r2).reshape(r2.shape) * np.sqrt(np.clip(jac, 0.0, None))
-        return np.where(r2 < 1.0, vals, 0.0)
+        return self.profile_r2(r2).reshape(r2.shape) * np.sqrt(np.clip(jac, 0.0, None))
 
     # -- center grids ----------------------------------------------------
 

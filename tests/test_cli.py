@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -112,6 +113,7 @@ class TestUsageErrors:
         ["layer", "--s", "0.5", "--t-min", "0"],
         ["layer", "--s", "0.5", "--t-min", "-1"],
         ["layer", "--s", "0.5", "--points", "0"],
+        ["layer", "--s", "0.5", "--plot-script"],
         ["order-check", "--s-list", "0.5,x"],
         ["order-check", "--s-list", "0.5", "--interval-points", "0"],
         ["order-check", "--s-list", "0.5", "--square-points", "65"],
@@ -259,7 +261,7 @@ class TestLayerCommand:
     def test_final_row_matches_constants_route(self, tmp_path):
         out = tmp_path / "layer.csv"
         code = run(["layer", "--s", "0.5", "--points", "12", "--t-max", "20",
-                    "--output", str(out), "--plot-script"])
+                    "--output", str(out)])
         assert code == EXIT_OK
         rows = list(csv.DictReader(out.open()))
         ts = [float(r["t"]) for r in rows[:-1]]
@@ -269,7 +271,6 @@ class TestLayerCommand:
         from fracweyl.halfline import FractionalOrder
         ref, _ = surface_via_layer(FractionalOrder(0.5, 2))
         assert float(rows[-1]["cumulative"]) == pytest.approx(ref, abs=1e-10)
-        assert (tmp_path / "layer.csv.plot.py").exists()
 
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -281,6 +282,10 @@ class TestLayerCommand:
 
 
 class TestLocalizationCommand:
+    @pytest.mark.parametrize("shape", ["interval", "rectangle", "disk"])
+    def test_each_shape_passes_at_its_defaults(self, shape):
+        assert run(["localization-check", "--shape", shape, "--output", os.devnull]) == EXIT_OK
+
     def test_interval_run(self, tmp_path):
         out = tmp_path / "locz.json"
         code = run(["localization-check", "--shape", "interval",
@@ -408,6 +413,14 @@ class TestVerifySquareCommand:
         assert rec["c0_fit"]["value"] > 0
         assert rec["c1_fit"]["value"] < 0
 
+    def test_no_dense_cap(self, tmp_path):
+        # 65^2 sites are past the dense cap of 4096; the solve forms no matrix
+        out = tmp_path / "sq.json"
+        code = run(["verify-square", "--s", "0.5", "--lattice-points", "65",
+                    "--format", "json", "--output", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["c1_rel_dev"]["value"] < 0.25
+
     @pytest.mark.parametrize("points", [1, 2, 3])
     def test_tiny_lattice_solves(self, points, capsys):
         # a 1-cell axis leaves its odd parity block empty, and 2 or 3 cells
@@ -428,3 +441,18 @@ class TestVerifySquareCommand:
         rec = json.loads(out.read_text())
         assert rec["c0_fit"]["value"] == 0.0
         assert rec["c0_rel_dev"]["value"] == 1.0
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # every fracweyl line of the README's Quick start block, in a fresh
+    # interpreter with the temp dir as working directory, exits 0
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("fracweyl ")]
+    assert len(lines) >= 5
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    for line in lines:
+        proc = subprocess.run([sys.executable, "-m", "fracweyl.cli", *shlex.split(line)[1:]],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, (line, proc.stderr)

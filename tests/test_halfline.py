@@ -11,8 +11,9 @@ from scipy.interpolate import PchipInterpolator, PPoly
 from fracweyl.quadcore import integrate, panel_quad
 from fracweyl.constants import surface_via_energy_shift, surface_via_layer
 from fracweyl.halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
-                               _layer_profile, _pchip_eval, _pchip_fit,
-                               _uniform_panels, dispersion, spectral_edge)
+                               _THETA_HI, _THETA_LO, _THETA_NODES, _layer_profile,
+                               _pchip_eval, _pchip_fit, _poisson_grid, _uniform_panels,
+                               dispersion, spectral_edge)
 
 
 def assert_same_bits(a, b):
@@ -573,7 +574,7 @@ class TestNumpyPchip:
 
     def test_phase_table(self, model_half):
         m = model_half
-        grid = np.logspace(math.log10(m.THETA_LO), math.log10(m.THETA_HI), m.THETA_NODES)
+        grid = np.logspace(math.log10(_THETA_LO), math.log10(_THETA_HI), _THETA_NODES)
         ref = PchipInterpolator(np.log(grid), m._phase_direct(grid), extrapolate=False)
         assert_same_bits(m._theta_coef, ref.c)
         # between nodes, on every node and on the last one
@@ -639,7 +640,8 @@ class TestDenseGrid:
                                       1234.567])
     def test_batched_grid_matches_linspace_panels(self, edge):
         # the golden err pins depend on these grids bit for bit
-        counts = np.array([1, 2, 3, 6, 7, 11, 49, 97, 256, 600])
+        # 600 and 1600: the caps of kernel_gap's and the projector's grids
+        counts = np.array([1, 2, 3, 6, 7, 11, 49, 97, 256, 600, 1600])
         nodes, weights = _uniform_panels(edge, counts)
         ref = [panel_quad(np.linspace(0.0, edge, p + 1), 8) for p in counts]
         assert_same_bits(nodes, np.concatenate([r[0] for r in ref]))
@@ -647,40 +649,48 @@ class TestDenseGrid:
 
 
 class TestPoissonGrid:
-    S = 0.3  # some xi_a = 1 + v^(1/s) round to 1.0 at this order
+    S = 0.3  # 17 of the 176 xi_a = 1 + v^(1/s) round to 1.0 at this order
 
     def test_hoisted_only_for_live_columns(self):
+        # the nodes at 1.0 carry no density and are dropped, so the hoisted
+        # grid is that of every node; other columns and a lam past the
+        # largest node do not build it
         m = HalfLineModel(FractionalOrder(self.S, 2))
         xi = m._xi_nodes
-        live = xi[xi > 1.0]
-        assert 0 < live.size < xi.size
+        assert xi.size == 176 - 17 and np.all(xi > 1.0)
         m.outer_function(2.0, 0.5)
         m.gamma_values(2.0 * xi.max(), xi)
         m.gamma_values(3.0, xi[1::20])
-        assert "_live_poisson" not in vars(m)
+        assert "_xi_poisson" not in vars(m)
         m.gamma_table(np.array([0.3, 2.0, 700.0]))
-        z, w, poisson = vars(m)["_live_poisson"]
-        assert poisson.shape == (live.size, z.size) == (live.size, w.size)
+        z, w, poisson = vars(m)["_xi_poisson"]
+        assert poisson.shape == (xi.size, z.size) == (xi.size, w.size)
 
     def test_hoisted_matches_per_call(self):
+        # up to the largest node the per-call grid of the node columns is,
+        # bit for bit, the hoisted one
         lams = np.geomspace(1e-3, 1e4, 150)
-        hoisted = HalfLineModel(FractionalOrder(self.S, 2))
-        per_call = HalfLineModel(FractionalOrder(self.S, 2))
-        per_call._live_xi = np.empty(0)  # no column set matches: per-call grids
-        assert_same_bits(hoisted.gamma_table(lams)[1], per_call.gamma_table(lams)[1])
-        assert "_live_poisson" not in vars(per_call)
+        m = HalfLineModel(FractionalOrder(self.S, 2))
+        m.gamma_table(lams)
+        for hoisted, per_call in zip(vars(m)["_xi_poisson"],
+                                     _poisson_grid(m._xi_nodes, float(lams.max()))):
+            assert_same_bits(hoisted, per_call)
 
     def test_per_call_paths_unchanged(self):
         # outer_function and a lam past the largest xi node take the
-        # per-call grid; their values are pinned
+        # per-call grid; their values are pinned, at nodes given by value
         m = HalfLineModel(FractionalOrder(self.S, 2))
         np.testing.assert_allclose(
             [m.outer_function(2.0, 0.5), m.outer_function(0.3, 7.0),
              m.outer_function(50.0, 1e-3)],
             [1.150225017263073, 2.8927351760112683, 1.0000612719193667], rtol=1e-12)
         xi = m._xi_nodes
+        nodes = np.array([1.0000000000004612, 1.0000012332258348, 1.0032449082009955,
+                          1.1843358164932971, 1.0724784284078828e+16, 6765967.5854326775,
+                          1620.2679730364316, 28.031207315085787])
+        assert np.isin(nodes, xi).all()
         np.testing.assert_allclose(
-            m.gamma_values(2.0 * xi.max(), xi[::20]),
-            [0.0, 1.2857449384842334e-39, 1.0896942802640372e-37, 1.1576139370315293e-36,
+            m.gamma_values(2.0 * xi.max(), nodes),
+            [1.2857449384842334e-39, 1.0896942802640372e-37, 1.1576139370315293e-36,
              3.991733586460918e-36, 2.1777730843655566e-26, 6.574772951549647e-32,
              4.420128213315889e-34, 3.873485817595444e-35], rtol=1e-12, atol=0.0)

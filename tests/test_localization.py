@@ -233,7 +233,7 @@ GEOMETRIES = [interval_geometry(4.0), rectangle_geometry(3.0, 2.0), disk_geometr
 
 
 class TestArrayForms:
-    @pytest.mark.parametrize("geom", GEOMETRIES, ids=lambda g: g.shape)
+    @pytest.mark.parametrize("geom", GEOMETRIES, ids=["interval", "rectangle", "disk"])
     def test_rows_match_single_points(self, geom):
         # one call over an (N, dim) array equals N calls on single points
         lo, hi = geom.interior_box()
