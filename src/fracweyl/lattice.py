@@ -15,8 +15,10 @@ describes one parity of one axis, once for every use.  The ordering check
 builds the blocks of the difference straight from the kernel and the sine
 modes (``_parity_block``) and solves each on its own, forming neither
 n x n matrix.  The matrix-free apply of a block (``_parity_operator``)
-runs one DCT or DST per axis, of about the block's side, where a
-convolution of the whole block needs twice the side.
+is four matrix products with one closed-form mode matrix per axis
+(``_ParityHalf.fourier_modes``), of about the block's side in frequencies
+by half of it in sites, where a convolution of the whole block needs twice
+the side.
 
 Two solvers give spectra.  ``eigenvalues_sym`` is the dense reference: it
 returns the whole spectrum of a matrix and checks it against the matrix's
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 import scipy.sparse.linalg
 
 from .halfline import FractionalOrder, HalfLineModel
@@ -319,20 +320,19 @@ class _ParityHalf(NamedTuple):
     sqrt(2) on each site, 1 on that centre.
 
     An axis-even kernel K on the block's offset circle of 2c sites acts on
-    the half as K(i - j) + parity K(i + j - (c-1)).  With the sites counted
-    from the half's first, that is the convolution, on the 2c circle, of
-    the half's even (parity +1) or odd extension about -1/2 (even c) or
-    about 0 (odd c; a vector there is divided by ``scale`` first).  The
-    transform of ``kind`` 2 (DCT-II/DST-II, even c) or 1 (DCT-I/DST-I, odd
-    c), of length ``freqs.size``, diagonalizes that convolution, with the
-    circle's discrete Fourier transform at ``freqs`` as eigenvalues.
+    the half as K(i - j) + parity K(i + j - (c-1)).  With u_i = i - (c-1)/2
+    the site's distance from the axis centre, that is K(u_i - u_j) +
+    parity K(u_i + u_j), and writing K by its discrete Fourier transform on
+    the circle folds it into sum_f Khat(f) G[f, i] G[f, j] over ``freqs``,
+    the frequencies 0..c at which the half's cosines (parity +1) or sines
+    (parity -1) do not vanish: about c of them, where a convolution of the
+    whole block needs 2c.  ``fourier_modes`` gives G.
     """
 
     cells: int
     parity: int
     sites: np.ndarray
     scale: np.ndarray
-    kind: int
     freqs: np.ndarray
 
     def offsets(self, mirrored: bool) -> np.ndarray:
@@ -357,13 +357,17 @@ class _ParityHalf(NamedTuple):
         modes = slice(0 if self.parity > 0 else 1, None, 2)
         return w[modes], v[self.sites, modes] * self.scale[:, None]
 
-    def forward(self, x: np.ndarray, axis: int) -> np.ndarray:
-        fn = scipy.fft.dct if self.parity > 0 else scipy.fft.dst
-        return fn(x, self.kind, self.freqs.size, axis=axis)
-
-    def backward(self, x: np.ndarray, axis: int) -> np.ndarray:
-        fn = scipy.fft.idct if self.parity > 0 else scipy.fft.idst
-        return np.take(fn(x, self.kind, axis=axis), range(self.sites.size), axis=axis)
+    def fourier_modes(self) -> np.ndarray:
+        """The (freqs, sites) mode matrix G: scale_i sqrt(v_f / 2c) times
+        cos(pi f u_i / c) for parity +1 or sin for -1, with v_f = 1 at
+        f = 0 and f = c and 2 between.  Its columns are orthonormal, and an
+        axis-even kernel's block on this half is G^T diag(Khat(freqs)) G."""
+        c = self.cells
+        # f u_i / c reduced mod 2 in integers first, as in _sine_basis
+        phase = np.outer(self.freqs, 2 * self.sites - (c - 1)) % (4 * c)
+        wave = np.cos if self.parity > 0 else np.sin
+        fold = np.where((self.freqs == 0) | (self.freqs == c), 1.0, 2.0)
+        return np.sqrt(fold / (2 * c))[:, None] * wave(math.pi / (2 * c) * phase) * self.scale
 
 
 def _parity_half(c: int, parity: int) -> _ParityHalf:
@@ -377,7 +381,7 @@ def _parity_half(c: int, parity: int) -> _ParityHalf:
         freqs = np.arange(c + 1) if parity > 0 else np.arange(1, c)
     else:
         freqs = np.arange(c) if parity > 0 else np.arange(1, c + 1)
-    return _ParityHalf(c, parity, sites, scale, 2 - c % 2, freqs)
+    return _ParityHalf(c, parity, sites, scale, freqs)
 
 
 def _parity_halves(domain: LatticeDomain) -> list:
@@ -419,32 +423,71 @@ def _parity_block(circle: np.ndarray, halves) -> np.ndarray:
 def _parity_operator(spectrum: np.ndarray, halves):
     """Matrix-free block of P M_s P in the basis of one half per axis.
 
-    ``spectrum`` is the real ``rfftn`` of the even circle kernel; the block
-    applies, along each axis, its half's DCT or DST to the vector divided
-    by ``scale``, multiplies by ``spectrum`` at the halves' frequencies,
-    transforms back and multiplies by ``scale``: the half-size transforms
-    of a c-cell axis have about c points, where the whole block's
-    convolution needs 2c.  The returned function takes a block vector,
-    shape (n,), or a block of them, shape (n, k).
+    ``spectrum`` is the real ``rfftn`` of the even circle kernel, and
+    ``mult`` its values at the halves' frequencies.  With G_k the mode
+    matrix of axis k's half (``_ParityHalf.fourier_modes``), the block is
+    (G_1 x G_2)^T diag(mult) (G_1 x G_2), so a block vector X, shaped
+    (sites_1, sites_2), maps to G_1^T (mult * (G_1 X G_2^T)) G_2: four
+    matrix products (``_tiled_matmul``), 12 (c/2)^3 multiply-adds on a
+    c x c square (G_1^T (mult * G_1 x) in 1-D).  The returned function
+    takes a block vector, shape (n,), or a block of them, shape (n, k).
     """
     shape = tuple(h.sites.size for h in halves)
     n = math.prod(shape)
     mult = spectrum[np.ix_(*(h.freqs for h in halves))]
-    scale = functools.reduce(np.multiply.outer, [h.scale for h in halves])
+    modes = [h.fourier_modes() for h in halves]
 
     def apply(x):
         x = np.asarray(x, dtype=float)
         k = x.size // n
-        y = x.T.reshape((k,) + shape) / scale
-        for axis, h in enumerate(halves, 1):
-            y = h.forward(y, axis)
+        # a stack of k blocks, (k, sites_1[, sites_2]): the first of two
+        # axes is multiplied from the left, the last from the right
+        y = x.T.reshape((k,) + shape)
+        for g in modes[:-1]:
+            y = _tiled_matmul(g, y)
+        y = _tiled_matmul(y, modes[-1].T)
         y *= mult
-        for axis, h in enumerate(halves, 1):
-            y = h.backward(y, axis)
-        y *= scale
+        for g in modes[:-1]:
+            y = _tiled_matmul(g.T, y)
+        y = _tiled_matmul(y, modes[-1])
         return y.reshape(k, n).T.reshape(x.shape)
 
     return apply
+
+
+#: Multiply-adds of the largest product ``_tiled_matmul`` hands to BLAS in
+#: one piece.  OpenBLAS keeps a product this small on the calling thread
+#: (OpenBLAS 0.3.31 with 2 threads: every product of 2^18 tried stayed on
+#: one, some of 2^19 woke the second).  A matvec that wakes a second
+#: thread on every Lanczos step slows the whole run, ARPACK's own vector
+#: BLAS included.
+_PRODUCT_MADDS = 1 << 17
+
+
+def _divisor(n: int, at_most: int) -> int:
+    """The largest divisor of n that is at most ``at_most`` (at least 1)."""
+    d = max(1, min(n, at_most))
+    while n % d:
+        d -= 1
+    return d
+
+
+def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` (stacked and broadcast as by ``np.matmul``) in one
+    ``np.matmul`` call that gives BLAS tiles of the output, r x w, of at
+    most ``_PRODUCT_MADDS`` multiply-adds each, r and w dividing the
+    output's sides.  Every tile is a strided view, so nothing is copied."""
+    (m, p), q = a.shape[-2:], b.shape[-1]
+    if m * p * q <= _PRODUCT_MADDS:
+        return np.matmul(a, b)
+    w = _divisor(q, math.isqrt(_PRODUCT_MADDS // p))
+    r = _divisor(m, _PRODUCT_MADDS // (p * w))
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.empty(lead + (m, q))
+    np.matmul(a.reshape(a.shape[:-2] + (m // r, 1, r, p)),
+              b.reshape(b.shape[:-2] + (1, p, q // w, w)).swapaxes(-3, -2),
+              out=out.reshape(lead + (m // r, r, q // w, w)).swapaxes(-3, -2))
+    return out
 
 
 #: Lanczos start vectors: fixed seeds keep the partial solves deterministic.
@@ -460,7 +503,7 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
 
     P M_s P commutes with the reflection of each axis, so it is solved on
     its 2^d reflection-parity blocks one at a time, each applied by
-    ``_parity_operator`` with its own half-size DCT/DST per axis.  On a
+    ``_parity_operator`` with its own mode matrix per axis.  On a
     square the (+1, -1) and (-1, +1) blocks are mirror images under the
     x <-> y swap: the second reuses the first's eigenvalues, with the
     vectors transposed.
@@ -483,7 +526,7 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
     circle = _even_circle(domain, s)
     # the kernel is even on the circle up to rounding at the unread offset
     # -c, so its transform is real
-    spectrum = scipy.fft.rfftn(circle).real
+    spectrum = np.fft.rfftn(circle).real
     top = float(np.abs(spectrum).max())
     square = domain.dim == 2 and domain.cells[0] == domain.cells[1]
     solved, values, columns, defect = {}, [], [], 0.0

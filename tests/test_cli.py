@@ -90,9 +90,11 @@ class TestFreshInterpreter:
     ], ids=lambda argv: argv[0])
     def test_lattice_commands_import_the_lattice(self, argv, capsys):
         # a lattice command imports the lattice itself: run alone, it loads
-        # scipy.fft and gives the record and exit code of an in-process run
+        # scipy.sparse.linalg for Lanczos but not scipy.fft, and gives the
+        # record and exit code of an in-process run
         code, out, scipy_modules = run_fresh(argv)
-        assert "'scipy.fft'" in scipy_modules
+        assert "'scipy.sparse.linalg'" in scipy_modules
+        assert "'scipy.fft'" not in scipy_modules
         assert (code, out) == (run(argv), capsys.readouterr().out)
 
 

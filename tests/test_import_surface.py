@@ -56,6 +56,8 @@ def test_trace_targets_resolve():
     # scipy serves the lattice alone; scipy.interpolate is a test oracle of
     # the half-line engine's numpy PCHIP, not a dependency
     ("fracweyl.constants, fracweyl.localization", ("scipy",)),
+    # the parity blocks are applied by matrix products, not scipy's FFT
+    ("fracweyl.lattice", ("scipy.fft",)),
 ])
 def test_fresh_import_leaves_scipy_out(modules, absent):
     probe = (f"import sys, {modules}; print(sorted(m for m in sys.modules if any("

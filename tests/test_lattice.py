@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -356,7 +355,7 @@ class TestBlockOperator:
         # (n, n) block reproduce the dense block, and an (n, k) block its
         # product
         circle = lat._multiplier_kernel(dom, s)
-        spectrum = scipy.fft.rfftn(circle).real
+        spectrum = np.fft.rfftn(circle).real
         blocks = [b for b in itertools.product(*lat._parity_halves(dom))
                   if all(h.sites.size for h in b)]
         assert sum(math.prod(h.sites.size for h in b) for b in blocks) == dom.size
@@ -372,23 +371,39 @@ class TestBlockOperator:
             x = np.random.default_rng(3).standard_normal((n, 5))
             assert np.max(np.abs(apply(x) - a @ x)) < tol * np.max(np.sum(np.abs(x), axis=0))
 
-    def test_transforms_the_block_side(self, monkeypatch):
-        # each parity block of the 64^2 square transforms 64-point axes,
-        # not the 128^2 grid of the whole block's convolution
-        lengths = set()
+    def test_modes_keep_the_block_side(self):
+        # each half of a 64-cell axis has 64 frequencies for its 32 sites,
+        # not the 128 of the whole block's convolution
+        for h in itertools.chain(*lat._parity_halves(square_domain(64))):
+            assert h.fourier_modes().shape == (64, 32)
 
-        def recording(exact):
-            def transform(x, type, n=None, axis=-1, **kwargs):
-                y = exact(x, type, n, axis=axis, **kwargs)
-                lengths.add(y.shape[axis])
-                return y
+    @pytest.mark.parametrize("parity", [1, -1])
+    @pytest.mark.parametrize("c", [1, 2, 3, 8, 9, 64, 65])
+    def test_modes_are_orthonormal(self, c, parity):
+        # G^T G is the block of the identity kernel, whose transform is 1 at
+        # every frequency: this pins the closed form without the gather
+        h = lat._parity_half(c, parity)
+        g = h.fourier_modes()
+        assert g.shape == (h.freqs.size, h.sites.size)
+        assert np.abs(g.T @ g - np.eye(h.sites.size)).max(initial=0.0) <= 1e-14
 
-            return transform
-
-        for name in ("dct", "dst", "idct", "idst"):
-            monkeypatch.setattr(scipy.fft, name, recording(getattr(scipy.fft, name)))
-        lowest_spectrum(square_domain(64), 0.5, 2.0)
-        assert lengths == {64}
+    @pytest.mark.parametrize("a, b", [
+        ((256, 128), (3, 128, 96)),   # tiles 32 x 32, broadcast over b's stack
+        ((2, 130, 66), (66, 130)),    # sides with odd factors: tiles 65 x 26
+        ((67, 256), (256, 128)),      # a prime side: tiles of one row
+        ((64, 32), (32, 64)),         # one piece
+    ])
+    def test_tiled_matmul(self, a, b):
+        # C-ordered operands and transposed views of F-ordered copies, as
+        # the apply passes G and G^T
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal(a), rng.standard_normal(b)
+        a_t, b_t = (np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2) for x in (a, b))
+        want = np.matmul(a, b)
+        for x, y in ((a, b), (a_t, b), (a, b_t)):
+            got = lat._tiled_matmul(x, y)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestRieszMean:
