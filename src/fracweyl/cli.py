@@ -39,17 +39,12 @@ _MIN_DISK_SHARE = 0.01
 
 
 def _disk_share(radius: float, half_side: float) -> float:
-    """Share of the square [-half_side, half_side]^2 that lies inside the
-    disk of the given radius about its center."""
-    rho, a = max(radius, 0.0), half_side
-    if rho >= a * math.sqrt(2.0):
-        return 1.0
-    area = math.pi * rho ** 2
-    if rho > a:
-        # the four circular segments beyond the sides are disjoint while
-        # the corners lie outside the disk
-        area -= 4.0 * (rho ** 2 * math.acos(a / rho) - a * math.sqrt(rho ** 2 - a ** 2))
-    return area / (2.0 * a) ** 2
+    """Share of the square [-half_side, half_side]^2 that the disk of the
+    given radius about its center covers, counted as if the disk lay inside
+    the square.  That is exact wherever the share can fall below
+    _MIN_DISK_SHARE (the radius is then under 0.12 half_side); a disk
+    reaching past the sides covers at least pi/4 of the square."""
+    return min(1.0, math.pi * max(radius, 0.0) ** 2 / (2.0 * half_side) ** 2)
 
 
 class UsageError(Exception):
@@ -206,7 +201,7 @@ def cmd_layer(args) -> int:
     # trapezoid partial sums from t = 0, with K(0) taken as K(t_min)
     steps = 0.5 * (ks + np.r_[ks[:1], ks[:-1]]) * (ts - np.r_[0.0, ts[:-1]])
     rows = list(zip(ts, ks, np.cumsum(steps)))
-    total, err = consts.surface_via_layer(order, model)
+    total, err = consts.surface_via_layer(order)
     rows.append((math.inf, 0.0, total))
     _table_write(args.output, args.format, ("t", "K", "cumulative"), rows)
     return EXIT_OK
@@ -227,9 +222,8 @@ def cmd_verify_square(args) -> int:
     spec = lattice.lowest_spectrum(dom, order.s, hs.min() ** (-2.0 * order.s))
     samples = [(h, lattice.riesz_mean(spec, h, order.s)) for h in hs]
     fit = lattice.two_term_fit(samples, 2)
-    model = HalfLineModel(order)
     l1 = consts.bulk_coefficient(order)
-    l2, l2_err = consts.surface_via_layer(order, model)
+    l2, l2_err = consts.surface_via_layer(order)
     c0_target = l1 * dom.volume
     c1_target = -l2 * dom.surface
     rel0 = abs(fit.c0 - c0_target) / abs(c0_target)
@@ -400,7 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="interval")
     p.add_argument("--extent", type=_positive(float), default=4.0)
     p.add_argument("--l0", type=float, default=0.25)
-    p.add_argument("--resolution", type=_positive(int), default=16)
+    p.add_argument("--resolution", type=_positive(int), default=16,
+                   help="center grid of the partition checks (default "
+                        "%(default)s); bulk_exponent and collar_exponent come "
+                        "from neighborhood_integrals on its own fixed grid")
     p.add_argument("--points", type=_positive(int), default=8)
     p.add_argument("--tolerance", type=_positive(float), default=1e-3)
     p.add_argument("--seed", type=int, default=7)

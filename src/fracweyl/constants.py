@@ -104,15 +104,12 @@ def _layer_t_integral(layer_fn):
     return main, abs(_power_tail(t[sel], vals[sel], t_hi))
 
 
-def surface_via_layer(order: FractionalOrder,
-                      model: HalfLineModel | None = None):
+def surface_via_layer(order: FractionalOrder):
     """Surface coefficient as the depth integral of the boundary layer."""
-    model = model or HalfLineModel(order)
-    return _layer_t_integral(model.boundary_layer)
+    return _layer_t_integral(HalfLineModel(order).boundary_layer)
 
 
-def surface_via_eigenfunctions(order: FractionalOrder,
-                               model: HalfLineModel | None = None):
+def surface_via_eigenfunctions(order: FractionalOrder):
     """Surface coefficient from the t-integrated eigenfunction density.
 
     The Abel-regularized oscillation contributes the closed pi/4 boundary
@@ -123,13 +120,12 @@ def surface_via_eigenfunctions(order: FractionalOrder,
     enough; the remainder goes into the error estimate.
     """
     s, d = order.s, order.d
-    model = model or HalfLineModel(order)
     lam_hi = 120.0
     edges = np.concatenate([[0.0], np.geomspace(1e-4, 0.1, 4),
                             np.linspace(0.1, 6.0, 13)[1:],
                             np.geomspace(6.0, lam_hi, 10)[1:]])
     lam, w = panel_quad(edges, 12)
-    dens = model.t_integrated_gap_density(lam)
+    dens = HalfLineModel(order).t_integrated_gap_density(lam)
     weight = (lam ** 2 + 1.0) ** (-(d - 1) / 2.0)
     main = math.pi / 4.0 + float(np.dot(w, dens * weight))
     sel = lam > 0.4 * lam_hi
@@ -138,14 +134,12 @@ def surface_via_eigenfunctions(order: FractionalOrder,
     return c_d * main, c_d * abs(err)
 
 
-def surface_via_energy_shift(order: FractionalOrder,
-                             model: HalfLineModel | None = None):
+def surface_via_energy_shift(order: FractionalOrder):
     """Surface coefficient as the tangential-frequency integral of the
     energy shift."""
     s, d = order.s, order.d
-    model = model or HalfLineModel(order)
     r, w = panel_quad(np.array([0.0, 0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95, 1.0]), 10)
-    vals = model.energy_shift(r ** (-2.0 * s))
+    vals = HalfLineModel(order).energy_shift(r ** (-2.0 * s))
     pref = sphere_area(d - 2) / (2.0 * math.pi) ** (d - 1)
     value = pref * float(np.dot(w, r ** (d - 2.0) * vals))
     # refinement delta as the error proxy
@@ -169,8 +163,7 @@ def surface_dirichlet_power(order: FractionalOrder):
     layer code against surface_local_exact.
     """
     s, d = order.s, order.d
-    local_model = DirichletLineModel(d)
-    local, err = _layer_t_integral(local_model.boundary_layer)
+    local, err = _layer_t_integral(DirichletLineModel(d).boundary_layer)
     scale = s * (d + 1.0) / (d - 1.0 + 2.0 * s)
     return scale * local, scale * err
 
@@ -185,16 +178,14 @@ def compute_weyl_coefficients(
     0 < L2 < L2_tilde is a verdict for their reader (``fracweyl
     constants`` flags it and exits 4).
     """
-    model = HalfLineModel(order)
     l1 = bulk_coefficient(order)
     return {
         "L1": (l1, abs(l1 - bulk_coefficient_quadrature(order)),
                "closed_radial_form"),
-        "L2": (*surface_via_layer(order, model), "L2:K_integral"),
-        "L2_eigenfunction": (*surface_via_eigenfunctions(order, model),
+        "L2": (*surface_via_layer(order), "L2:K_integral"),
+        "L2_eigenfunction": (*surface_via_eigenfunctions(order),
                              "L2:eigenfunction_form"),
-        "L2_energy_shift": (*surface_via_energy_shift(order, model),
-                            "L2:energy_shift"),
+        "L2_energy_shift": (*surface_via_energy_shift(order), "L2:energy_shift"),
         "L2_tilde": (*surface_dirichlet_power(order), "dirichlet_power_layer"),
     }
 

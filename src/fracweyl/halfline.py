@@ -491,16 +491,15 @@ class HalfLineModel:
         return lam, edge * np.cos(phi) * w, edge
 
     def _edge_tables(self, mus):
-        """One (lam, w, edge, lam_aug, tables) per mu of a sequence: the
-        32-node edge grid of _g_grid, lam_aug = [0, lam, edge], and the
+        """One (w, lam_aug, tables) per mu of a sequence: the weights of the
+        32-node edge grid lam of _g_grid, lam_aug = [0, lam, edge], and the
         stacked density tables at lam_aug[1:].  The tables of every mu
         come from one gamma_table call."""
         lam, w, edge = self._g_grid(mus)
         lam_aug = np.concatenate([np.zeros_like(edge), lam, edge], axis=1)
         tables = self.gamma_table(lam_aug[:, 1:].ravel())[1]
         tables = tables.reshape(len(mus), lam_aug.shape[1] - 1, -1)
-        return [(lam[k], w[k], edge[k, 0], lam_aug[k], tables[k])
-                for k in range(len(mus))]
+        return list(zip(w, lam_aug, tables))
 
     def kernel_gap(self, x, mu: float):
         """Diagonal deficit a(mu) - a_half(x, mu) of the Riesz-mean kernels.
@@ -531,7 +530,8 @@ class HalfLineModel:
         (_uniform_panels), with one phase lookup and one weight power for
         all their nodes; each group then reads its slice."""
         s = self.order.s
-        lam_g, w_g, edge, lam_aug, tables = grid
+        w_g, lam_aug, tables = grid
+        lam_g, edge = lam_aug[1:-1], lam_aug[-1]
         out = np.zeros(x.size)
         g = self._tails(x, tables)
         far = x > 12.0
@@ -614,7 +614,8 @@ class HalfLineModel:
 
     def _projector(self, t: float, u: np.ndarray, grid) -> np.ndarray:
         """projector_profile for mu > 1, from one entry of _edge_tables."""
-        _, _, edge, lam_aug, tables = grid
+        _, lam_aug, tables = grid
+        edge = lam_aug[-1]
         span = abs(t) + float(np.max(u))
         panels = int(_osc_panels(span * edge, cap=1600))
         lam_d, w_d = _uniform_panels(edge, [panels])

@@ -709,8 +709,7 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
                        {"min_eig": lo, "max_eig": hi, "norm": norm})
 
 
-def halfspace_kernel_check(s: float, h: float,
-                           model: HalfLineModel | None = None) -> CheckReport:
+def halfspace_kernel_check(s: float, h: float) -> CheckReport:
     """Half-space law: the diagonal of the negative part along a column off
     a straight edge matches h^-2 (bulk - layer(dist/h)) pointwise.
 
@@ -723,15 +722,14 @@ def halfspace_kernel_check(s: float, h: float,
     """
     m, spacing = 64, h / 6.0
     domain = LatticeDomain((m, m), spacing)
-    order = FractionalOrder(s, 2)
-    model = model or HalfLineModel(order)
+    model = HalfLineModel(FractionalOrder(s, 2))
     spectrum, v = lowest_spectrum(domain, s, h ** (-2.0 * s), vectors=True)
     w = spectrum.eigenvalues
     coords = domain.coordinates()
     col_x = (m // 2 - 0.5) * spacing
     on_col = np.abs(coords[:, 0] - col_x) < 0.25 * spacing
     dens = ((v ** 2) @ (1.0 - h ** (2.0 * s) * w)) / spacing ** 2
-    l1 = bulk_coefficient(order)
+    l1 = bulk_coefficient(model.order)
     height = m * spacing
     sites = np.nonzero(on_col)[0]
     ratios = coords[sites, 1] / h

@@ -137,8 +137,8 @@ def test_a6_operator_ordering():
     assert ok
 
 
-def test_a7_halfspace_kernel_law(model_half_acc):
-    rep = lattice.halfspace_kernel_check(0.5, 0.5, model=model_half_acc)
+def test_a7_halfspace_kernel_law():
+    rep = lattice.halfspace_kernel_check(0.5, 0.5)
     q = rep.quantities
     rows = q["rows"]
     mid = max(r[2] for r in rows)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib.util
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fracweyl.cli import main, EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_ASSERTION
+from fracweyl.cli import build_parser, main, EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_ASSERTION
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,6 +97,22 @@ class TestFreshInterpreter:
         assert "'scipy.sparse.linalg'" in scipy_modules
         assert "'scipy.fft'" not in scipy_modules
         assert (code, out) == (run(argv), capsys.readouterr().out)
+
+
+def _subcommands():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted(sub.choices)
+
+
+# argparse formats help text only when it is asked for, so a malformed help
+# string surfaces here and nowhere else
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in _subcommands()],
+                         ids=lambda a: " ".join(a))
+def test_help_exits_cleanly(argv, capsys):
+    assert run(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: fracweyl") and err == ""
 
 
 class TestUsageErrors:

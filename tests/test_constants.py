@@ -62,20 +62,20 @@ class TestLocalLayer:
 
 
 class TestSurfaceRoutes:
-    def test_route_agreement_half(self, model_half):
+    def test_route_agreement_half(self):
         order = FractionalOrder(0.5, 2)
-        layer, e1 = surface_via_layer(order, model_half)
-        eig, e2 = surface_via_eigenfunctions(order, model_half)
-        shift, e3 = surface_via_energy_shift(order, model_half)
+        layer, e1 = surface_via_layer(order)
+        eig, e2 = surface_via_eigenfunctions(order)
+        shift, e3 = surface_via_energy_shift(order)
         assert layer == pytest.approx(eig, rel=0.01)
         # the shift route and the depth integral are the same number seen
         # through different integration orders; they agree tightly here
         assert layer == pytest.approx(shift, rel=1e-3)
         assert layer > 0
 
-    def test_positive_below_dirichlet(self, model_half):
+    def test_positive_below_dirichlet(self):
         order = FractionalOrder(0.5, 2)
-        layer, _ = surface_via_layer(order, model=model_half)
+        layer, _ = surface_via_layer(order)
         tilde, _ = surface_dirichlet_power(order)
         assert 0.0 < layer < tilde
 

@@ -434,12 +434,12 @@ class TestBoundaryLayer:
                                    _layer_profile(per_node, ts, s, 2),
                                    rtol=1e-14, atol=0.0)
 
-    def test_layer_route_memory_bounded(self, model_half):
+    def test_layer_route_memory_bounded(self):
         # the density tables are built 4 r nodes at a time (5.1 MiB);
         # tabling all 72 nodes in one call peaks near 19 MiB
         tracemalloc.start()
         try:
-            surface_via_layer(model_half.order, model_half)
+            surface_via_layer(FractionalOrder(0.5, 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -552,7 +552,7 @@ class TestModelHygiene:
         sizes.clear()
         # one energy_shift call for the 80 r nodes: their 48-node lam grids
         # are tabled 256 rows at a time, not in one 48-row call per node
-        surface_via_energy_shift(m.order, m)
+        surface_via_energy_shift(m.order)
         assert sizes == [256] * 15
 
     def test_model_freed_without_collector(self):
@@ -583,7 +583,8 @@ class TestNumpyPchip:
 
     def test_tail_columns(self, model_half):
         m = model_half
-        _, _, edge, lam_aug, tables = m._edge_tables([4.0])[0]
+        _, lam_aug, tables = m._edge_tables([4.0])[0]
+        edge = lam_aug[-1]
         tails = np.pad(m._tails(np.array([0.05, 1.0, 11.0]), tables), ((0, 0), (1, 0))).T
         n = lam_aug.size
         steps = np.repeat([0.0, 1.0, 0.0, 2.0], [n // 4, n // 4, n // 4, n - 3 * (n // 4)])

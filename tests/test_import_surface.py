@@ -1,12 +1,14 @@
 """The public surface resolves: every name a module exports in ``__all__``
 and every function the benchmark tracer wraps.  A deleted or renamed
 function fails here in a second instead of in the benchmark self-check.
-No module reaches into another's private names, and no module, script or
-test imports a name it does not use.  The command-line import leaves scipy
-and the lattice unloaded."""
+No public function of the coefficient or lattice modules takes a model
+beside its order.  No module reaches into another's private names, and no
+module, script or test imports a name it does not use.  The command-line
+import leaves scipy and the lattice unloaded."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -47,6 +49,25 @@ def test_trace_targets_resolve():
         if obj is None:
             missing.append(name)
     assert TARGETS and not missing
+
+
+@pytest.mark.parametrize("module_name", ["fracweyl.constants", "fracweyl.lattice"])
+def test_order_has_one_owner(module_name):
+    # the order is the only input a coefficient route or a lattice check
+    # takes: no public function or method accepts a model that could
+    # carry another order
+    module = importlib.import_module(module_name)
+    functions = []
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module_name:
+            continue
+        if inspect.isclass(obj):
+            functions += [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                          if not m.startswith("_") and inspect.isfunction(f)]
+        elif inspect.isfunction(obj):
+            functions.append((name, obj))
+    assert functions
+    assert not [n for n, f in functions if "model" in inspect.signature(f).parameters]
 
 
 @pytest.mark.parametrize("modules, absent", [

@@ -596,20 +596,20 @@ class TestOperatorOrder:
 
 
 class TestHalfspaceKernel:
-    def test_solve_memory(self, model_half):
+    def test_solve_memory(self):
         # the matrix-free solve holds a few dozen block vectors, no n x n array
         n = 64 * 64
         tracemalloc.start()
         try:
-            lat.halfspace_kernel_check(0.5, 0.5, model=model_half)
+            lat.halfspace_kernel_check(0.5, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * n ** 2 * 8
 
-    def test_withheld_eigenpair_rejected(self, model_half, monkeypatch):
+    def test_withheld_eigenpair_rejected(self, monkeypatch):
         # an eigenpair below h^-2s missing from the solve would drop out of
         # the negative part: the completeness check refuses the spectrum
         _tamper_first_solve(monkeypatch, _withholding(1))
         with pytest.raises(ArithmeticError):
-            lat.halfspace_kernel_check(0.5, 0.5, model=model_half)
+            lat.halfspace_kernel_check(0.5, 0.5)
