@@ -228,6 +228,8 @@ def cmd_verify_square(args) -> int:
     c1_target = -l2 * dom.surface
     rel0 = abs(fit.c0 - c0_target) / abs(c0_target)
     rel1 = abs(fit.c1 - c1_target) / abs(c1_target)
+    # the sharp trace bound: no Riesz mean exceeds its Weyl term
+    bound_ratio = max(tr / (c0_target * h ** -2.0) for h, tr in samples)
     rec = ReportRecord()
     rec.add("c0_fit", fit.c0, fit.rms_residual, "lattice_two_term_fit")
     rec.add("c1_fit", fit.c1, fit.rms_residual, "lattice_two_term_fit")
@@ -235,10 +237,11 @@ def cmd_verify_square(args) -> int:
     rec.add("c1_target", c1_target, l2_err * dom.surface, "-L2:K_integral*perimeter")
     rec.add("c0_rel_dev", rel0, 0.0, "derived")
     rec.add("c1_rel_dev", rel1, 0.0, "derived")
+    rec.add("trace_bound_ratio", bound_ratio, 0.0, "max_h:riesz_mean/(L1*volume*h^-2)")
     for h, tr in samples:
         rec.add(f"trace_h={h:.6f}", tr, 0.0, "riesz_mean")
     rec.write(args.output, args.format)
-    ok = rel0 < args.c0_tol and rel1 < args.c1_tol
+    ok = rel0 < args.c0_tol and rel1 < args.c1_tol and bound_ratio <= 1.0
     return EXIT_OK if ok else EXIT_ASSERTION
 
 

@@ -222,9 +222,10 @@ def eigenvalue_sum_coefficients(order: FractionalOrder, volume: float,
         N^-1 sum_{n<=N} lam_n = C1 |Omega|^(-2s/d) N^(2s/d)
                                + C2 |bdry| |Omega|^(-(d-1+2s)/d) N^((2s-1)/d),
 
-    obtained by inverting the Riesz-mean expansion with leading
-    coefficient L1*|Omega| (L1 = bulk_coefficient) and subleading
-    -l2*|bdry|.
+    obtained by inverting the Riesz-mean expansion
+    sum (X - lam)_+ = L1 |Omega| X^((1+a)/a) - l2 |bdry| X^((1+b)/a),
+    a = 2s/d and b = (2s-1)/d, with L1 = bulk_coefficient; the map's
+    convention carries the minus, so its D is +l2*|bdry|.
     """
     if not (volume > 0 and surface > 0):
         raise ValueError("volume and surface must be positive")
@@ -232,7 +233,7 @@ def eigenvalue_sum_coefficients(order: FractionalOrder, volume: float,
     l1 = bulk_coefficient(order)
     a = 2.0 * s / d
     b = (2.0 * s - 1.0) / d
-    A, B = cesaro_riesz_invert(l1 * volume, -l2 * surface, a, b)
+    A, B = cesaro_riesz_invert(l1 * volume, l2 * surface, a, b)
     c1 = A * volume ** (2.0 * s / d)
     c2 = B * volume ** ((d - 1.0 + 2.0 * s) / d) / surface
     return c1, c2

@@ -251,15 +251,20 @@ def test_a10_conversion_oracle():
 
 
 def test_a11_sharp_trace_bound():
+    # with phi = 1 the left side Tr(h^2s A - 1)_- is the Riesz mean of A's
+    # spectrum; L1 in the lattice's own dimension, in 1-D 2s/(pi(2s+1))
     ok = True
     worst = math.inf
     for dom in (lattice.square_domain(20), lattice.interval_domain(64)):
         for s in (0.25, 0.5, 0.75):
+            spec = lattice.eigenvalues_sym(lattice.build_restricted_fractional(dom, s))
+            l1 = (consts.bulk_coefficient(FractionalOrder(s, 2)) if dom.dim == 2
+                  else 2.0 * s / (math.pi * (2.0 * s + 1.0)))
             for h in (0.2, 0.1):
-                rep = lattice.berezin_bound_check(dom, s, np.ones(dom.size), h)
-                q = rep.quantities
-                ok &= rep.passed
-                worst = min(worst, q["slack"] / q["rhs"])
+                lhs = lattice.riesz_mean(spec, h, s)
+                rhs = l1 * dom.volume * h ** (-dom.dim)
+                ok &= lhs <= rhs
+                worst = min(worst, (rhs - lhs) / rhs)
     report("A11", ok, f"sharp trace bound Tr(h^2s A - 1)_- <= L1 |block| h^-d with "
                       f"phi = 1 on the 20^2 square and the 64-cell interval, "
                       f"s in (0.25, 0.5, 0.75), h in (0.2, 0.1); smallest "

@@ -371,7 +371,8 @@ class TestOrderCheckCommand:
 # every entry of `constants --s 0.5 --d 2 --volume 1 --surface 4` as
 # (value, err), recorded before the quadrature spec was removed; L1's err,
 # its closed form's distance from quadcore.integrate, was re-recorded when
-# integrate moved to bisected Gauss-Legendre panels
+# integrate moved to bisected Gauss-Legendre panels; C2's sign was flipped
+# when the sum-side map was given the surface term as +L2|bdry|
 FULL_RECORD = {
     "L1": (0.026525823848649228, 6.938893903907228e-18),
     "L2": (0.025328216744399897, 1.0753531488163124e-05),
@@ -379,7 +380,7 @@ FULL_RECORD = {
     "L2_energy_shift": (0.02534207202566826, 5.031869846815196e-06),
     "L2_tilde": (0.03978894237461304, 2.085816321885598e-05),
     "C1": (2.3632718012073544, 0.0),
-    "C2": (-0.31828375861094677, 0.0),
+    "C2": (0.31828375861094677, 0.0),
 }
 
 
@@ -402,7 +403,7 @@ class TestConstantsCommand:
         assert rec["flag_L2_positive"]["value"] == 1.0
         assert rec["flag_L2_below_tilde"]["value"] == 1.0
         assert rec["C1"]["value"] > 0
-        assert rec["C2"]["value"] < 0
+        assert rec["C2"]["value"] > 0
         for name, (value, err) in FULL_RECORD.items():
             assert rec[name]["value"] == pytest.approx(value, rel=1e-12, abs=0.0), name
             assert rec[name]["err"] == pytest.approx(err, rel=1e-9, abs=0.0), name
@@ -460,6 +461,22 @@ class TestVerifySquareCommand:
         rec = json.loads(out.read_text())
         assert rec["c0_fit"]["value"] == 0.0
         assert rec["c0_rel_dev"]["value"] == 1.0
+
+    @pytest.mark.parametrize("scale, expected", [(1.0, EXIT_OK), (0.5, EXIT_ASSERTION)])
+    def test_trace_bound_decides_alone(self, scale, expected, tmp_path, monkeypatch):
+        # with the fit tolerances out of reach the exit code is the sharp
+        # trace bound's: halving L1 halves the Weyl term under every Riesz
+        # mean and breaks the bound
+        import fracweyl.constants as consts
+        exact = consts.bulk_coefficient
+        monkeypatch.setattr(consts, "bulk_coefficient", lambda order: scale * exact(order))
+        out = tmp_path / "sq.json"
+        code = run(["verify-square", "--s", "0.5", "--lattice-points", "48",
+                    "--h-max", "0.3334", "--c0-tol", "1e9", "--c1-tol", "1e9",
+                    "--format", "json", "--output", str(out)])
+        assert code == expected
+        ratio = json.loads(out.read_text())["trace_bound_ratio"]["value"]
+        assert (ratio > 1.0) == (scale < 1.0)
 
 
 def test_readme_quick_start_runs(tmp_path):

@@ -2,7 +2,8 @@
 and every function the benchmark tracer wraps.  A deleted or renamed
 function fails here in a second instead of in the benchmark self-check.
 No public function of the coefficient or lattice modules takes a model
-beside its order.  No module reaches into another's private names, and no
+beside its order, and every lattice export has a caller outside the
+tests.  No module reaches into another's private names, and no
 module, script or test imports a name it does not use.  The command-line
 import leaves scipy and the lattice unloaded."""
 
@@ -35,20 +36,41 @@ def test_exported_names_resolve(module_name):
     assert not missing
 
 
-def test_trace_targets_resolve():
+def _trace_targets():
     sys.path.insert(0, str(BENCH))
     try:
         from tracer import TARGETS
     finally:
         sys.path.remove(str(BENCH))
+    return TARGETS
+
+
+def test_trace_targets_resolve():
+    targets = _trace_targets()
     missing = []
-    for module_name, path, name, _ in TARGETS:
+    for module_name, path, name, _ in targets:
         obj = importlib.import_module(module_name)
         for part in path.split("."):
             obj = getattr(obj, part, None)
         if obj is None:
             missing.append(name)
-    assert TARGETS and not missing
+    assert targets and not missing
+
+
+def test_lattice_exports_have_a_caller():
+    # every lattice export is read by the library or a script, or wrapped
+    # by the benchmark tracer: none is reached by tests alone
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    traced = {path for module_name, path, _, _ in _trace_targets()
+              if module_name == "fracweyl.lattice"}
+    lattice = importlib.import_module("fracweyl.lattice")
+    assert not [n for n in lattice.__all__ if n not in read | traced]
 
 
 @pytest.mark.parametrize("module_name", ["fracweyl.constants", "fracweyl.lattice"])
