@@ -73,6 +73,8 @@ def test_a2_laplace_chain_closure():
 
 
 def test_a3_two_term_weyl_square():
+    # the suite's lattice check of the canonical L2, the layer route's that
+    # `constants` prints; verify-square fits against the eigenfunction route
     s = 0.5
     order = FractionalOrder(s, 2)
     dom = lattice.square_domain(64)

@@ -433,6 +433,37 @@ class TestVerifySquareCommand:
         assert rec["c0_fit"]["value"] > 0
         assert rec["c1_fit"]["value"] < 0
 
+    def test_target_is_the_eigenfunction_route(self, tmp_path):
+        # c1_target is -L2 * perimeter with L2 and its err taken, unrounded,
+        # from the eigenfunction route
+        from fracweyl.constants import surface_via_eigenfunctions
+        from fracweyl.halfline import FractionalOrder
+        from fracweyl.lattice import square_domain
+        out = tmp_path / "sq.json"
+        code = run(["verify-square", "--s", "0.5", "--lattice-points", "48",
+                    "--h-max", "0.3334", "--c0-tol", "0.06", "--c1-tol", "0.5",
+                    "--format", "json", "--output", str(out)])
+        assert code == EXIT_OK
+        l2, err = surface_via_eigenfunctions(FractionalOrder(0.5, 2))
+        perimeter = square_domain(48).surface
+        assert json.loads(out.read_text())["c1_target"] == {
+            "value": -l2 * perimeter, "err": err * perimeter,
+            "route": "-L2:eigenfunction_form*perimeter"}
+
+    def test_runs_without_the_layer_engine(self, tmp_path, monkeypatch):
+        # the command's cost is its lattice solve: the boundary layer, the
+        # costly route to L2, is never evaluated
+        from fracweyl.halfline import HalfLineModel
+
+        def unreachable(self, t):
+            raise AssertionError("verify-square evaluated the boundary layer")
+
+        monkeypatch.setattr(HalfLineModel, "boundary_layer", unreachable)
+        code = run(["verify-square", "--s", "0.5", "--lattice-points", "48",
+                    "--h-max", "0.3334", "--c0-tol", "0.06", "--c1-tol", "0.5",
+                    "--output", str(tmp_path / "sq.csv")])
+        assert code == EXIT_OK
+
     def test_no_dense_cap(self, tmp_path):
         # 65^2 sites are past the dense cap of 4096; the solve forms no matrix
         out = tmp_path / "sq.json"

@@ -73,6 +73,19 @@ class TestSurfaceRoutes:
         assert layer == pytest.approx(shift, rel=1e-3)
         assert layer > 0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_eigenfunction_route_within_layer_err(self, s, d):
+        # verify-square's L2 is the eigenfunction route's: it lies inside the
+        # canonical layer route's err (0.005 to 0.55 of it).  Orders pinned in
+        # GOLDEN_SURFACE, which TestGoldenSurface ties to the live layer
+        # route, take the layer value and err from there, not from a pass
+        order = FractionalOrder(s, d)
+        pinned = GOLDEN_SURFACE.get((s, d))
+        layer, err = pinned[:2] if pinned else surface_via_layer(order)
+        eig, _ = surface_via_eigenfunctions(order)
+        assert abs(eig - layer) <= err
+
     def test_positive_below_dirichlet(self):
         order = FractionalOrder(0.5, 2)
         layer, _ = surface_via_layer(order)
