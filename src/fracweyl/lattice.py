@@ -458,45 +458,30 @@ def _parity_operator(spectrum: np.ndarray, halves):
 _PRODUCT_MADDS = 1 << 17
 
 
-def _tile_side(n: int, at_most: int) -> int:
-    """Tile side along an output side of n, at most ``at_most``: the
-    largest divisor of n up to that if it is above half of it, else
-    ``at_most`` itself, leaving one shorter remainder tile."""
-    at_most = max(1, min(n, at_most))
-    d = at_most
+def _divisor(n: int, at_most: int) -> int:
+    """The largest divisor of n that is at most ``at_most`` (at least 1)."""
+    d = max(1, min(n, at_most))
     while n % d:
         d -= 1
-    return d if 2 * d > at_most else at_most
+    return d
 
 
 def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` (stacked and broadcast as by ``np.matmul``) with BLAS
-    tiles of the output, r x w, of at most ``_PRODUCT_MADDS`` multiply-adds
-    each.  The full tiles go in one ``np.matmul`` call, and a side that r
-    or w does not divide adds a remainder strip, one call each.  Every tile
-    is a strided view, so nothing is copied."""
+    """``a @ b`` (stacked and broadcast as by ``np.matmul``) in one
+    ``np.matmul`` call that gives BLAS tiles of the output, r x w, of at
+    most ``_PRODUCT_MADDS`` multiply-adds each, r and w dividing the
+    output's sides.  Every tile is a strided view, so nothing is copied."""
     (m, p), q = a.shape[-2:], b.shape[-1]
     if m * p * q <= _PRODUCT_MADDS:
         return np.matmul(a, b)
-    w = _tile_side(q, math.isqrt(_PRODUCT_MADDS // p))
-    r = _tile_side(m, _PRODUCT_MADDS // (p * w))
+    w = _divisor(q, math.isqrt(_PRODUCT_MADDS // p))
+    r = _divisor(m, _PRODUCT_MADDS // (p * w))
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     out = np.empty(lead + (m, q))
-    for rows, tr in ((slice(0, m - m % r), r), (slice(m - m % r, m), m % r)):
-        for cols, tw in ((slice(0, q - q % w), w), (slice(q - q % w, q), q % w)):
-            if tr and tw:
-                _matmul_tiles(a[..., rows, :], b[..., cols], out[..., rows, cols], tr, tw)
-    return out
-
-
-def _matmul_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray, r: int, w: int):
-    """``out[...] = a @ b`` in one ``np.matmul`` over r x w tiles of out,
-    with r and w dividing its sides.  Each reshape only splits axes, which
-    never copies, so the product lands in ``out``."""
-    (m, p), q = a.shape[-2:], b.shape[-1]
     np.matmul(a.reshape(a.shape[:-2] + (m // r, 1, r, p)),
               b.reshape(b.shape[:-2] + (1, p, q // w, w)).swapaxes(-3, -2),
-              out=out.reshape(out.shape[:-2] + (m // r, r, q // w, w)).swapaxes(-3, -2))
+              out=out.reshape(lead + (m // r, r, q // w, w)).swapaxes(-3, -2))
+    return out
 
 
 #: Lanczos start vectors: fixed seeds keep the partial solves deterministic.

@@ -349,15 +349,14 @@ class TestLowestSpectrum:
 class TestBlockOperator:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("dom", [interval_domain(256), interval_domain(9),
-                                     interval_domain(134),
                                      LatticeDomain((7, 5), 0.1), LatticeDomain((8, 5), 0.1),
                                      square_domain(32)],
-                             ids=["interval256", "interval9", "interval134", "rect7x5",
-                                  "rect8x5", "square32"])
+                             ids=["interval256", "interval9", "rect7x5", "rect8x5",
+                                  "square32"])
     def test_matches_dense(self, dom, s):
         # in every parity block, identity columns one at a time and as one
         # (n, n) block reproduce the dense block, and an (n, k) block its
-        # product (interval134's products leave remainder tiles on both sides)
+        # product
         circle = lat._multiplier_kernel(dom, s)
         spectrum = np.fft.rfftn(circle).real
         blocks = [b for b in itertools.product(*lat._parity_halves(dom))
@@ -391,22 +390,11 @@ class TestBlockOperator:
         assert g.shape == (h.freqs.size, h.sites.size)
         assert np.abs(g.T @ g - np.eye(h.sites.size)).max(initial=0.0) <= 1e-14
 
-    @pytest.mark.parametrize("n, at_most, side", [
-        (64, 45, 32), (128, 64, 64),  # the 128^2 apply's divisors
-        (130, 44, 26),                # a divisor above half the limit
-        (67, 44, 44), (134, 44, 44),  # none: full tiles and a remainder
-        (20, 44, 20),                 # the whole side fits
-    ])
-    def test_tile_side(self, n, at_most, side):
-        assert lat._tile_side(n, at_most) == side
-
     @pytest.mark.parametrize("a, b", [
         ((256, 128), (3, 128, 96)),   # tiles 32 x 32, broadcast over b's stack
         ((2, 130, 66), (66, 130)),    # sides with odd factors: tiles 65 x 26
-        ((67, 256), (256, 128)),      # a prime side: tiles 32 x 16, a 3-row remainder
+        ((67, 256), (256, 128)),      # a prime side: tiles of one row
         ((64, 32), (32, 64)),         # one piece
-        ((134, 67), (3, 67, 67)),     # the 134^2 apply's first product: tiles
-                                      # 44 x 44, remainders of 2 rows and 23 columns
     ])
     def test_tiled_matmul(self, a, b):
         # C-ordered operands and transposed views of F-ordered copies, as
