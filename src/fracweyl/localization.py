@@ -22,7 +22,10 @@ below l/resolution in 2-D (``cell_grid``).  The 2-D grid is streamed in
 bounded batches of finished cells, and the partition and neighbourhood
 integrals are sums over it, so neither holds the whole grid: at
 l0 = 0.01 on the disk of radius 2 it has 662k cells, and
-``neighborhood_integrals`` peaks at about 4 MiB of traced allocations.
+``neighborhood_integrals`` peaks at about 5 MiB of traced allocations.
+Each cell's distance to the complement and to the boundary is evaluated
+once, by ``DomainGeometry.distance_fields``, and gives its scale, its
+pruning and the integrals.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ __all__ = [
 
 # most cells ``LocalizationFamily.cell_grid`` scales and tests at once
 _CELL_BATCH = 2 ** 15
+# offset signs of a cell's four children, in the order they are refined
+_QUARTERS = ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,20 @@ class DomainGeometry:
 
     def boundary_distance(self, pts) -> np.ndarray:
         """Distance to the boundary, from either side."""
+        return self.distance_fields(pts)[1]
+
+    def distance_fields(self, pts):
+        """``(distance(pts), boundary_distance(pts))`` from one pass over
+        the faces of a box or one ``hypot`` on the disk."""
         pts = np.asarray(pts, dtype=float)
         if self.shape == "box":
-            offsets = np.abs(pts - np.clip(pts, 0.0, self.parameters))
-            outside = np.hypot.reduce(offsets, axis=-1)
-            return np.where(outside > 0.0, outside, self.distance(pts))
-        r = self.parameters[0]
-        return np.abs(r - np.hypot(pts[..., 0], pts[..., 1]))
+            faces = np.minimum(pts, np.asarray(self.parameters) - pts)
+            d = np.clip(np.min(faces, axis=-1), 0.0, None)
+            # a coordinate lies -face outside the box where its face is negative
+            outside = np.hypot.reduce(np.clip(-faces, 0.0, None), axis=-1)
+            return d, np.where(outside > 0.0, outside, d)
+        gap = self.parameters[0] - np.hypot(pts[..., 0], pts[..., 1])
+        return np.clip(gap, 0.0, None), np.abs(gap)
 
     def grad_distance(self, pts) -> np.ndarray:
         """Gradient of d at interior non-ridge points; zero outside."""
@@ -149,7 +161,11 @@ class LocalizationFamily:
 
     def scale(self, pts) -> np.ndarray:
         """l(u) at points u, an array whose last axis holds coordinates."""
-        q = np.hypot(self.geometry.distance(pts), self.l0)
+        return self._scale_at(self.geometry.distance(pts))
+
+    def _scale_at(self, d):
+        """l as a function of the distance d(u), for an array or a float."""
+        q = np.hypot(d, self.l0)
         return q / (2.0 * (q + 1.0))
 
     def scale_gradient(self, pts) -> np.ndarray:
@@ -188,18 +204,23 @@ class LocalizationFamily:
         """1-D quadrature over centers: panels marched at the local scale
         (width 4 l(u)/resolution) with 6 Gauss-Legendre nodes inside.  The
         default range pads the domain by 0.6 on each side, beyond the
-        reach 1/2 of the largest ball.
+        reach 1/2 of the largest ball.  The march takes each edge's l from
+        the float distance max(min(u, a - u), 0) to the complement of
+        [0, a], through the formula of ``scale``.
 
-        Returns (centers, weights, scales).
+        Returns (centers, weights, scales).  Raises ValueError unless
+        ``resolution >= 1``: a smaller one would march backwards or not
+        at all.
         """
         if self.geometry.dim != 1:
             raise ValueError("scale_grid is 1-D; use cell_grid in 2-D")
-        box_lo, box_hi = self.geometry.interior_box()
-        u = float(box_lo[0]) - 0.6 if lo is None else lo
-        end = float(box_hi[0]) + 0.6 if hi is None else hi
+        _check_resolution(resolution, 1)
+        length = self.geometry.parameters[0]
+        u = -0.6 if lo is None else float(lo)
+        end = length + 0.6 if hi is None else hi
         edges = [u]
         while u < end:
-            u += 4.0 * float(self.scale([u])) / resolution
+            u += 4.0 * float(self._scale_at(max(min(u, length - u), 0.0))) / resolution
             edges.append(u)
         us, ws = panel_quad(np.array(edges), 6)
         return us, ws, self.scale(us[:, None])
@@ -208,45 +229,68 @@ class LocalizationFamily:
                   prune=None):
         """Adaptive 2-D cells: split until size <= l(cell)/resolution.
 
-        A generator of ``(centers, areas, scales)`` batches of finished
-        cells.  The frontier is refined depth first, at most
-        ``_CELL_BATCH`` cells at a time, so memory stays bounded by the
-        batch size times the depth instead of growing with the grid; a
-        frontier that fits one batch is refined level by level, in the
-        order of a level-synchronous sweep.  l is evaluated once per cell
-        and passed to ``prune(centers, halves, scales)``, which may mark
-        whole cells as irrelevant; they are dropped unrefined.  A cell's
-        refinement does not depend on its neighbours, so the pruned grid
-        is the unpruned one minus the descendants of the dropped cells.
-        ``partition_check`` prunes the cells out of its point's reach,
-        ``neighborhood_integrals`` those far outside the domain; both rely
-        on l being 1/2-Lipschitz to bound l over a cell.
+        A generator of ``(centers, areas, scales, distances, boundary)``
+        batches of finished cells; the last two are the geometry's
+        ``distance_fields`` at the centers.  The frontier is refined
+        depth first, at most ``_CELL_BATCH`` cells at a time, so memory
+        stays bounded by the batch size times the depth instead of growing
+        with the grid; a frontier that fits one batch is refined level by
+        level, in the order of a level-synchronous sweep.  Each batch holds
+        the cells of one level, whose half-width is one float.  The
+        distance fields are evaluated once per cell; they give l and are
+        passed with it to ``prune(centers, half, scales, distances,
+        boundary)``, which may mark whole cells as irrelevant; they are
+        dropped unrefined.  A cell's refinement does not depend on its
+        neighbours, so the pruned grid is the unpruned one minus the
+        descendants of the dropped cells.  ``partition_check`` prunes the
+        cells out of its point's reach, ``neighborhood_integrals`` those
+        far outside the domain; both rely on l being 1/2-Lipschitz to bound
+        l over a cell.
+
+        Raises ValueError at the call unless ``resolution >= 1``: a smaller
+        one would refine forever or not at all.
         """
-        quarters = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+        _check_resolution(resolution, 1)
+        return self._cell_batches(np.asarray(center, dtype=float)[None, :],
+                                  float(halfwidth), resolution, prune)
+
+    def _cell_batches(self, centers, half, resolution, prune):
         parents = _CELL_BATCH // 4
-        centers = np.asarray(center, dtype=float)[None, :]
-        halves = np.array([halfwidth])
         pending = []
         while True:
-            scales = self.scale(centers)
-            if prune is not None:
-                keep = ~prune(centers, halves, scales)
-                centers, halves, scales = centers[keep], halves[keep], scales[keep]
-            done = 2.0 * halves <= scales / resolution
-            if done.any():
-                yield centers[done], (2.0 * halves[done]) ** 2, scales[done]
-            if not done.all():
-                pending.append((centers[~done], halves[~done]))
+            dists, boundary = self.geometry.distance_fields(centers)
+            scales = self._scale_at(dists)
+            done = 2.0 * half <= scales / resolution
+            keep = True if prune is None else ~prune(centers, half, scales, dists, boundary)
+            # index gathers: a boolean mask gathers the (n, 2) centers
+            # several times slower than ``take`` of its indices
+            finished = np.flatnonzero(keep & done)
+            refined = np.flatnonzero(keep & ~done)
+            if finished.size:
+                side = 2.0 * half
+                yield (centers.take(finished, axis=0), np.full(finished.size, side * side),
+                       scales.take(finished), dists.take(finished), boundary.take(finished))
+            if refined.size:
+                pending.append((centers.take(refined, axis=0), half))
             if not pending:
                 return
-            centers, halves = pending.pop()
-            if halves.size > parents:
-                pending.append((centers[parents:], halves[parents:]))
-                centers, halves = centers[:parents], halves[:parents]
-            q = 0.5 * halves
-            centers = (centers[:, None, :]
-                       + quarters[None, :, :] * q[:, None, None]).reshape(-1, 2)
-            halves = np.repeat(q, 4)
+            centers, half = pending.pop()
+            if len(centers) > parents:
+                pending.append((centers[parents:], half))
+                centers = centers[:parents]
+            half *= 0.5
+            # one add per quarter and axis: numpy broadcasts over a
+            # 2-long last axis several times slower than it adds columns
+            children = np.empty((len(centers), 4, 2))
+            for k, signs in enumerate(_QUARTERS):
+                for j, sign in enumerate(signs):
+                    np.add(centers[:, j], sign * half, out=children[:, k, j])
+            centers = children.reshape(-1, 2)
+
+
+def _check_resolution(resolution, least: int):
+    if not resolution >= least:
+        raise ValueError(f"resolution must be at least {least}, got {resolution}")
 
 
 def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float:
@@ -257,14 +301,15 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
     In 1-D the scale grid spans x +- 0.75, past the largest scale 1/2; in
     2-D ``cell_grid`` drops, unrefined, every cell whose centers all lie
     out of reach, so the sum is the one over the full grid of the
-    +-0.75 box with its exact zeros left out."""
+    +-0.75 box with its exact zeros left out.  Raises ValueError unless
+    ``resolution >= 1``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if family.geometry.dim == 1:
         # centers can only reach x from within max scale 1/2
         us, ws, ls = family.scale_grid(resolution, lo=x[0] - 0.75, hi=x[0] + 0.75)
         centers = us[:, None]
     else:
-        def out_of_reach(cs, hs, ls):
+        def out_of_reach(cs, half, ls, dists, boundary):
             # l is 1/2-Lipschitz, so every center u of a cell with center c
             # and half-diagonal delta has |x - u| >= |x - c| - delta and
             # l(u) <= l(c) + delta/2: once the first bound reaches the
@@ -273,12 +318,12 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
             # exp(-1/(1 - r^2)) already underflows to 0.0 for r^2 > 0.9987,
             # far beyond the rounding of either side), so dropping them
             # changes the sum only through its order
-            delta = hs * math.sqrt(2.0)
+            delta = half * math.sqrt(2.0)
             dist = np.hypot(cs[:, 0] - x[0], cs[:, 1] - x[1])
             return dist - delta >= ls + 0.5 * delta
 
         batches = family.cell_grid(x, 0.75, resolution, prune=out_of_reach)
-        centers, ws, ls = map(np.concatenate, zip(*batches))
+        centers, ws, ls, _, _ = map(np.concatenate, zip(*batches))
     w = family.weight(x, centers)
     return float(np.sum(w * w / ls ** family.geometry.dim * ws))
 
@@ -291,31 +336,34 @@ def neighborhood_integrals(geometry: DomainGeometry,
 
     Bulk: integral of l(u)^-2 over domain points whose ball misses the
     boundary (expected ~ l0^-1).  Collar: integral of l(u)^a over centers
-    whose ball meets the boundary (expected ~ l0^(a+1)).
+    whose ball meets the boundary (expected ~ l0^(a+1)).  Both read the
+    distance fields the grid has evaluated at each center.  Raises
+    ValueError unless ``resolution >= 1`` (``>= 2`` in 2-D, where the
+    cells refine to l/(resolution // 2)).
     """
-    def far_exterior(cs, hs, ls):
+    _check_resolution(resolution, 1 if geometry.dim == 1 else 2)
+
+    def far_exterior(cs, half, ls, dists, boundary):
         # cells with no domain points and no collar reach: the scale is
         # 1/2-Lipschitz, so l inside the cell stays below l(center) + diag/2
-        diag = hs * math.sqrt(2.0)
-        exterior = geometry.distance(cs) == 0.0
-        no_collar = geometry.boundary_distance(cs) > ls + 1.5 * diag
-        return exterior & no_collar
+        diag = half * math.sqrt(2.0)
+        return (dists == 0.0) & (boundary > ls + 1.5 * diag)
 
     bulk_vals, collar_vals = [], []
     for l0 in l0_values:
         fam = LocalizationFamily(geometry, l0)
         if geometry.dim == 1:
             us, ws, ls = fam.scale_grid(resolution)
-            batches = [(us[:, None], ws, ls)]
+            batches = [(us[:, None], ws, ls, *geometry.distance_fields(us[:, None]))]
         else:
             lo, hi = geometry.interior_box()
             center = 0.5 * (lo + hi)
             half = 0.5 * float(np.max(hi - lo)) + 0.6
             batches = fam.cell_grid(center, half, resolution // 2, prune=far_exterior)
         bulk = collar = 0.0
-        for centers, ws, ls in batches:
-            meets = geometry.boundary_distance(centers) < ls
-            interior = geometry.distance(centers) > 0.0
+        for _, ws, ls, dists, boundary in batches:
+            meets = boundary < ls
+            interior = dists > 0.0
             collar += float(np.sum(ls[meets] ** a_exponent * ws[meets]))
             keep = interior & ~meets
             bulk += float(np.sum(ls[keep] ** -2.0 * ws[keep]))

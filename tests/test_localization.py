@@ -120,14 +120,14 @@ REACH_CASES = [
 
 def _recorded_prunes(monkeypatch):
     """Patches cell_grid to record what its prune sees; returns the list
-    of (centers, halves, dropped) it fills, one entry per batch."""
+    of (centers, half, dropped) it fills, one entry per batch."""
     seen = []
     cell_grid = LocalizationFamily.cell_grid
 
     def recording(self, center, halfwidth, resolution, prune=None):
-        def recorded(cs, hs, ls):
-            drop = prune(cs, hs, ls)
-            seen.append((cs, hs, drop))
+        def recorded(cs, half, ls, dists, boundary):
+            drop = prune(cs, half, ls, dists, boundary)
+            seen.append((cs, half, drop))
             return drop
         return cell_grid(self, center, halfwidth, resolution, prune=recorded)
 
@@ -136,7 +136,8 @@ def _recorded_prunes(monkeypatch):
 
 
 def _whole_grid(fam, center, halfwidth, resolution, prune=None):
-    """All batches of ``cell_grid`` concatenated: (centers, areas, scales)."""
+    """All batches of ``cell_grid`` concatenated: (centers, areas, scales,
+    distances, boundary)."""
     batches = fam.cell_grid(np.asarray(center, dtype=float), halfwidth, resolution, prune)
     return tuple(map(np.concatenate, zip(*batches)))
 
@@ -147,8 +148,10 @@ class TestReachPruning:
         fam = LocalizationFamily(geom, l0)
         for x in points:
             # brute force: every cell of the +-0.75 box, exact zeros included
-            centers, ws, ls = _whole_grid(fam, x, 0.75, 12)
+            centers, ws, ls, dists, boundary = _whole_grid(fam, x, 0.75, 12)
             np.testing.assert_array_equal(ls, fam.scale(centers))
+            np.testing.assert_array_equal(dists, geom.distance(centers))
+            np.testing.assert_array_equal(boundary, geom.boundary_distance(centers))
             w = fam.weight(np.array(x), centers)
             full = float(np.sum(w * w / ls ** 2 * ws))
             assert partition_check(x, fam, 12) == pytest.approx(full, rel=1e-14, abs=0.0)
@@ -162,7 +165,7 @@ class TestReachPruning:
             seen.clear()
             partition_check(x, fam, 12)
             cs = np.concatenate([c[drop] for c, _, drop in seen])
-            hs = np.concatenate([h[drop] for _, h, drop in seen])
+            hs = np.concatenate([np.full(np.count_nonzero(drop), h) for _, h, drop in seen])
             assert len(hs) > 100
             # random centers in each dropped cell, and the one nearest x
             us = cs[:, None, :] + hs[:, None, None] * rng.uniform(-1.0, 1.0, (len(hs), 8, 2))
@@ -174,11 +177,11 @@ class TestReachPruning:
 class TestStreamedGrid:
     def test_small_batches_give_the_same_cells(self, monkeypatch):
         fam = LocalizationFamily(disk_geometry(2.0), 0.1)
-        centers, areas, _ = _whole_grid(fam, (0.0, 0.0), 2.6, 2)
+        centers, areas, *_ = _whole_grid(fam, (0.0, 0.0), 2.6, 2)
         monkeypatch.setattr(loc, "_CELL_BATCH", 7)
         batches = list(fam.cell_grid(np.zeros(2), 2.6, 2))
-        assert max(len(a) for _, a, _ in batches) <= 7
-        small_c, small_a, small_l = map(np.concatenate, zip(*batches))
+        assert max(len(a) for _, a, *_ in batches) <= 7
+        small_c, small_a, small_l, *_ = map(np.concatenate, zip(*batches))
         assert len(small_a) == len(areas) > 10_000
         assert math.fsum(small_a) == math.fsum(areas)
         # the same cells, bit for bit, in another order
@@ -203,9 +206,9 @@ class TestStreamedGrid:
         for x in points:
             seen.clear()
             partition_check(x, fam, 16)
-            levels = [np.unique(hs) for _, hs, _ in seen]
-            assert all(level.size == 1 for level in levels)
-            assert np.all(np.diff(np.concatenate(levels)) < 0)
+            levels = [half for _, half, _ in seen]
+            assert all(np.ndim(half) == 0 for half in levels)
+            assert np.all(np.diff(levels) < 0)
 
     def test_memory_bounded(self):
         # the whole grid at l0 = 0.01 holds 662k cells (46 MiB when built at once)
@@ -292,3 +295,188 @@ class TestNeighborhoodIntegrals:
         # the boundary: the bulk integral is 0 and has no log
         with pytest.raises(ArithmeticError, match="bulk integral is 0.0 at l0 = 0.04"):
             neighborhood_integrals(interval_geometry(0.01))
+
+
+def _reference_boundary_distance(geom, pts):
+    """boundary_distance as first written: clip to the box, then measure."""
+    pts = np.asarray(pts, dtype=float)
+    if geom.shape == "box":
+        offsets = np.abs(pts - np.clip(pts, 0.0, geom.parameters))
+        outside = np.hypot.reduce(offsets, axis=-1)
+        return np.where(outside > 0.0, outside, geom.distance(pts))
+    return np.abs(geom.parameters[0] - np.hypot(pts[..., 0], pts[..., 1]))
+
+
+def _reference_cells(fam, center, halfwidth, resolution, prune=None):
+    """cell_grid as first written: a per-cell ``halves`` array, l from
+    ``scale`` and ``prune(centers, halves, scales)``; yields (centers,
+    areas, scales) batches."""
+    quarters = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    parents = loc._CELL_BATCH // 4
+    centers = np.asarray(center, dtype=float)[None, :]
+    halves = np.array([halfwidth])
+    pending = []
+    while True:
+        scales = fam.scale(centers)
+        if prune is not None:
+            keep = ~prune(centers, halves, scales)
+            centers, halves, scales = centers[keep], halves[keep], scales[keep]
+        done = 2.0 * halves <= scales / resolution
+        if done.any():
+            yield centers[done], (2.0 * halves[done]) ** 2, scales[done]
+        if not done.all():
+            pending.append((centers[~done], halves[~done]))
+        if not pending:
+            return
+        centers, halves = pending.pop()
+        if halves.size > parents:
+            pending.append((centers[parents:], halves[parents:]))
+            centers, halves = centers[:parents], halves[:parents]
+        q = 0.5 * halves
+        centers = (centers[:, None, :]
+                   + quarters[None, :, :] * q[:, None, None]).reshape(-1, 2)
+        halves = np.repeat(q, 4)
+
+
+def _reference_scale_grid(fam, resolution, lo=None, hi=None):
+    """scale_grid as first written: each step of the march calls the
+    array ``scale`` on a one-point list."""
+    box_lo, box_hi = fam.geometry.interior_box()
+    u = float(box_lo[0]) - 0.6 if lo is None else lo
+    end = float(box_hi[0]) + 0.6 if hi is None else hi
+    edges = [u]
+    while u < end:
+        u += 4.0 * float(fam.scale([u])) / resolution
+        edges.append(u)
+    us, ws = loc.panel_quad(np.array(edges), 6)
+    return us, ws, fam.scale(us[:, None])
+
+
+def _reference_integrals(fam, batches):
+    """The bulk and collar sums of neighborhood_integrals, with both
+    distances recomputed from the centers."""
+    bulk = collar = 0.0
+    for centers, ws, ls in batches:
+        meets = _reference_boundary_distance(fam.geometry, centers) < ls
+        interior = fam.geometry.distance(centers) > 0.0
+        collar += float(np.sum(ls[meets] ** 0.0 * ws[meets]))
+        keep = interior & ~meets
+        bulk += float(np.sum(ls[keep] ** -2.0 * ws[keep]))
+    return bulk, collar
+
+
+L0_VALUES = (0.04, 0.02, 0.01)
+
+
+class TestReferenceRefinement:
+    """The grids against test-local copies of their first versions: the
+    arithmetic is the same, so cells, weights and sums agree exactly."""
+
+    @pytest.mark.parametrize("geom", GEOMETRIES, ids=["interval", "rectangle", "disk"])
+    def test_distance_fields(self, geom):
+        lo, hi = geom.interior_box()
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(lo - 0.7, hi + 0.7, size=(4000, geom.dim))
+        # points on faces, edges and corners, where a face or gap is 0.0
+        pts[:8] = np.where(rng.random((8, geom.dim)) < 0.5, lo, hi)
+        pts[8:16, 0] = rng.choice([lo[0], hi[0]], 8)
+        pts[16] = (geom.parameters[0], 0.0) if geom.shape == "disk" else lo
+        dists, boundary = geom.distance_fields(pts)
+        np.testing.assert_array_equal(dists, geom.distance(pts))
+        np.testing.assert_array_equal(boundary, _reference_boundary_distance(geom, pts))
+        np.testing.assert_array_equal(geom.boundary_distance(pts), boundary)
+
+    @pytest.mark.parametrize("geom", GEOMETRIES[1:], ids=["rectangle", "disk"])
+    def test_cells_and_integrals(self, geom):
+        def far_exterior(cs, hs, ls):
+            diag = hs * math.sqrt(2.0)
+            exterior = geom.distance(cs) == 0.0
+            no_collar = _reference_boundary_distance(geom, cs) > ls + 1.5 * diag
+            return exterior & no_collar
+
+        lo, hi = geom.interior_box()
+        center, half = 0.5 * (lo + hi), 0.5 * float(np.max(hi - lo)) + 0.6
+        sums = []
+        for l0 in L0_VALUES:
+            fam = LocalizationFamily(geom, l0)
+            new = fam.cell_grid(center, half, 5, prune=lambda cs, h, ls, d, b:
+                                far_exterior(cs, np.full(len(cs), h), ls))
+            ref = list(_reference_cells(fam, center, half, 5, prune=far_exterior))
+            for (c, a, ls, dists, boundary), (rc, ra, rls) in zip(new, ref, strict=True):
+                np.testing.assert_array_equal(c, rc)
+                np.testing.assert_array_equal(a, ra)
+                np.testing.assert_array_equal(ls, rls)
+                np.testing.assert_array_equal(dists, geom.distance(rc))
+                np.testing.assert_array_equal(boundary, _reference_boundary_distance(geom, rc))
+            sums.append(_reference_integrals(fam, ref))
+        rep = neighborhood_integrals(geom, L0_VALUES)
+        assert rep["bulk_values"] == tuple(b for b, _ in sums)
+        assert rep["collar_values"] == tuple(c for _, c in sums)
+
+    @pytest.mark.parametrize("geom, l0, points", REACH_CASES, ids=["disk", "rectangle"])
+    def test_reach_pruned_cells(self, geom, l0, points):
+        fam = LocalizationFamily(geom, l0)
+        for x in points:
+            def out_of_reach(cs, hs, ls):
+                delta = hs * math.sqrt(2.0)
+                dist = np.hypot(cs[:, 0] - x[0], cs[:, 1] - x[1])
+                return dist - delta >= ls + 0.5 * delta
+
+            ref = _reference_cells(fam, x, 0.75, 16, prune=out_of_reach)
+            new = fam.cell_grid(x, 0.75, 16, prune=lambda cs, h, ls, d, b:
+                                out_of_reach(cs, np.full(len(cs), h), ls))
+            for got, want in zip(new, ref, strict=True):
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+
+    def test_interval(self):
+        geom = interval_geometry(4.0)
+        sums = []
+        for l0 in L0_VALUES:
+            fam = LocalizationFamily(geom, l0)
+            for res in (10, 16):
+                # the default range, one past each end of the box, one
+                # crossing its right end and numpy-float bounds
+                for lo, hi in ((None, None), (-3.0, -1.0), (4.3, 6.1), (3.5, 5.0),
+                               (np.float64(0.1) - 0.75, np.float64(0.1) + 0.75)):
+                    got = fam.scale_grid(res, lo, hi)
+                    want = _reference_scale_grid(fam, res, lo, hi)
+                    for g, w in zip(got, want, strict=True):
+                        np.testing.assert_array_equal(g, w)
+            us, ws, ls = _reference_scale_grid(fam, 10)
+            sums.append(_reference_integrals(fam, [(us[:, None], ws, ls)]))
+        rep = neighborhood_integrals(geom, L0_VALUES)
+        assert rep["bulk_values"] == tuple(b for b, _ in sums)
+        assert rep["collar_values"] == tuple(c for _, c in sums)
+
+
+class TestResolutionValidation:
+    """A resolution that cannot refine is refused before any work: below 1
+    the 1-D march walks backwards or divides by zero and the 2-D cells
+    never finish; neighborhood_integrals halves its resolution in 2-D."""
+
+    @pytest.mark.parametrize("resolution", [0, -1, -8])
+    def test_grids(self, resolution):
+        line = LocalizationFamily(interval_geometry(4.0), 0.25)
+        disk = LocalizationFamily(disk_geometry(2.0), 0.25)
+        with pytest.raises(ValueError, match="resolution must be at least 1"):
+            line.scale_grid(resolution)
+        with pytest.raises(ValueError, match="resolution must be at least 1"):
+            disk.cell_grid(np.zeros(2), 0.75, resolution)
+        for fam, x in ((line, [2.0]), (disk, (0.5, 0.5))):
+            with pytest.raises(ValueError, match="resolution must be at least 1"):
+                partition_check(x, fam, resolution)
+
+    @pytest.mark.parametrize("geom, resolution, least", [
+        (interval_geometry(4.0), 0, 1), (interval_geometry(4.0), -1, 1),
+        (disk_geometry(2.0), 1, 2), (disk_geometry(2.0), -1, 2),
+        (rectangle_geometry(3.0, 2.0), 0, 2)])
+    def test_neighborhood_integrals(self, geom, resolution, least):
+        with pytest.raises(ValueError, match=f"resolution must be at least {least}, "):
+            neighborhood_integrals(geom, resolution=resolution)
+
+    def test_smallest_resolutions_run(self):
+        line = LocalizationFamily(interval_geometry(4.0), 0.25)
+        assert partition_check([2.0], line, 1) == pytest.approx(1.0, abs=0.1)
+        rep = neighborhood_integrals(disk_geometry(2.0), (0.2, 0.1), resolution=2)
+        assert all(v > 0 for v in rep["bulk_values"] + rep["collar_values"])
