@@ -15,11 +15,13 @@ into 2^d reflection-parity blocks of about n/2^d sites; ``_ParityHalf``
 describes one parity of one axis, once for every use.  The ordering check
 builds the blocks of the difference straight from the kernel and the sine
 modes (``_parity_block``) and solves each on its own, forming neither
-n x n matrix.  The matrix-free apply of a block (``_parity_operator``)
-is four matrix products with one closed-form mode matrix per axis
-(``_ParityHalf.fourier_modes``), of about the block's side in frequencies
-by half of it in sites, where a convolution of the whole block needs twice
-the side.
+n x n matrix; on a square it and the Lanczos solver solve the two
+mixed-parity blocks, mirror images of each other, once
+(``_distinct_blocks``).  The matrix-free apply of a block
+(``_parity_operator``) is four matrix products with one closed-form mode
+matrix per axis (``_ParityHalf.fourier_modes``), of about the block's side
+in frequencies by half of it in sites, where a convolution of the whole
+block needs twice the side.
 
 Two solvers give spectra.  ``eigenvalues_sym`` is the dense reference: it
 returns the whole spectrum of a matrix and checks it against the matrix's
@@ -27,8 +29,11 @@ trace and Frobenius norm.  ``lowest_spectrum`` never forms an n x n matrix:
 it runs Lanczos (``eigsh``) on each parity block's matrix-free apply for
 the eigenvalues up to a cut, which is all a Riesz mean at
 ``h >= cut^(-1/2s)`` reads.  A partial spectrum has no trace to check, so
-every pair it returns is residual-checked, and a second Lanczos run on the
-block with those pairs deflated checks that none below the cut was missed.
+every pair it returns is residual-checked, and a second Lanczos run for
+the one lowest eigenvalue of the block with those pairs deflated checks
+that none below the cut was missed.  The first run of each block asks for a
+few more pairs than the block's closed-form Dirichlet-power count below the
+cut, which by the ordering D^s >= P M_s P is a lower bound on its own.
 Each ``SpectrumResult`` records the cut up to which it is complete, and
 ``riesz_mean`` refuses an ``h`` that would read beyond it.
 """
@@ -241,17 +246,21 @@ def _stencil_circle(domain: LatticeDomain) -> np.ndarray:
     return circle
 
 
+def _sine_values(c: int) -> np.ndarray:
+    """Eigenvalues w_j = 4 sin^2(pi j / 2(c+1)), j = 1..c, of the c-cell
+    second difference tridiag(-1, 2, -1)."""
+    return 4.0 * np.sin(math.pi / (2 * (c + 1)) * np.arange(1, c + 1)) ** 2
+
+
 def _sine_basis(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors (columns) of the c-cell
-    second difference tridiag(-1, 2, -1): w_j = 4 sin^2(pi j / 2(c+1)),
-    v_kj = sqrt(2/(c+1)) sin(pi j k / (c+1))."""
+    """Eigenvalues (``_sine_values``) and orthonormal eigenvectors (columns)
+    of the c-cell second difference: v_kj = sqrt(2/(c+1)) sin(pi j k / (c+1))."""
     j = np.arange(1, c + 1)
     # j k reduced mod 2(c+1) in integers first: sin of arguments near
     # 800 rad loses about 20x in accuracy
     r = np.outer(j, j) % (2 * (c + 1))
     v = math.sqrt(2.0 / (c + 1)) * np.sin(math.pi / (c + 1) * r)
-    w = 4.0 * np.sin(math.pi / (2 * (c + 1)) * j) ** 2
-    return w, v
+    return _sine_values(c), v
 
 
 def build_dirichlet_power(domain: LatticeDomain, s: float) -> SymmetricOperator:
@@ -344,12 +353,20 @@ class _ParityHalf(NamedTuple):
         e[self.sites, cols] = 1.0 / self.scale
         return e
 
+    def sine_values(self) -> np.ndarray:
+        """Eigenvalues of the c-cell sine modes of this parity, ascending
+        (mode j has parity (-1)^(j+1))."""
+        return _sine_values(self.cells)[self._modes()]
+
     def sine_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and rows in this basis of the c-cell sine modes of
-        this parity (mode j has parity (-1)^(j+1))."""
+        """``sine_values`` and the rows in this basis of those modes."""
         w, v = _sine_basis(self.cells)
-        modes = slice(0 if self.parity > 0 else 1, None, 2)
+        modes = self._modes()
         return w[modes], v[self.sites, modes] * self.scale[:, None]
+
+    def _modes(self) -> slice:
+        """The sine modes of this parity among j = 1..c, as a slice."""
+        return slice(0 if self.parity > 0 else 1, None, 2)
 
     def fourier_modes(self) -> np.ndarray:
         """The (freqs, sites) mode matrix G: scale_i sqrt(v_f / 2c) times
@@ -488,6 +505,40 @@ def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 #: A constant start would be D4-symmetric on a square and so orthogonal to
 #: every antisymmetric mode.
 _LANCZOS_SEED, _DEFLATED_SEED = 0, 1
+#: Eigenpairs the first Lanczos run of a block asks for beyond the block's
+#: Dirichlet-power count below the cut (``_dirichlet_count``).  On every
+#: block of 64^2, 128^2, the 31 x 20 rectangle and the 256-cell interval at
+#: s = .25/.5/.75 the lattice count was 0-2 above that floor.
+_LANCZOS_MARGIN = 6
+
+
+def _distinct_blocks(domain: LatticeDomain):
+    """The nonempty reflection-parity blocks, one half per axis, as
+    ``(halves, mirrored)``.
+
+    On a square the (-1, +1) block is the x <-> y mirror image of the
+    (+1, -1) block, for P M_s P and D^s alike: the same spectrum, with the
+    vectors' site grid transposed.  It is not yielded; ``mirrored`` is
+    True on the (+1, -1) block, which stands for both.
+    """
+    square = domain.dim == 2 and domain.cells[0] == domain.cells[1]
+    for halves in itertools.product(*_parity_halves(domain)):
+        parities = tuple(h.parity for h in halves)
+        if not all(h.sites.size for h in halves) or (square and parities == (-1, 1)):
+            continue
+        yield halves, square and parities == (1, -1)
+
+
+def _dirichlet_count(halves, spacing: float, s: float, cut: float) -> int:
+    """Number of eigenvalues (sum_k w_k / spacing^2)^s <= ``cut`` of the
+    Dirichlet power's block in the basis of ``halves``: the sums of one sine
+    eigenvalue of each half's parity up to cut^(1/s) spacing^2.
+
+    D^s >= P M_s P block by block (A6), so by min-max the block of P M_s P
+    has at least this many eigenvalues at or below ``cut``.
+    """
+    total = functools.reduce(np.add.outer, [h.sine_values() for h in halves])
+    return int(np.count_nonzero(total <= max(cut, 0.0) ** (1.0 / s) * spacing ** 2))
 
 
 def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
@@ -498,21 +549,22 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
     P M_s P commutes with the reflection of each axis, so it is solved on
     its 2^d reflection-parity blocks one at a time, each applied by
     ``_parity_operator`` with its own mode matrix per axis.  On a
-    square the (+1, -1) and (-1, +1) blocks are mirror images under the
-    x <-> y swap: the second reuses the first's eigenvalues, with the
-    vectors transposed.
+    square the (-1, +1) block reuses the eigenvalues of its mirror image,
+    the (+1, -1) block, with the vectors transposed (``_distinct_blocks``).
 
     Per block, Lanczos (``eigsh``, smallest algebraic, tol = 0) starts with
-    24 eigenpairs and doubles the count until the largest is above ``cut``;
+    ``_LANCZOS_MARGIN`` more eigenpairs than the block's Dirichlet-power
+    count below ``cut`` (``_dirichlet_count``, a lower bound on the block's
+    own count) and doubles the count until the largest is above ``cut``;
     a block too small for that (the count would reach its size less one)
     is solved whole by a dense ``eigh`` of ``_parity_block``.
     ArithmeticError unless every pair kept has a residual
     ``||A v - w v|| <= 1e-10 max|mult|`` and, after Lanczos, a second run
-    on the block's ``A + 2 cut V V^T`` (the kept pairs deflated) finds its
-    lowest eigenvalue above ``cut``: an eigenvalue the first run missed,
-    such as a copy of a degenerate one, would be that lowest eigenvalue.
-    The block spectra are merged in ascending order, and the vectors
-    expanded to normalized site vectors of the whole block.
+    for the single lowest eigenvalue of the block's ``A + 2 cut V V^T``
+    (the kept pairs deflated) finds it above ``cut``: an eigenvalue the
+    first run missed, such as a copy of a degenerate one, would be that
+    lowest eigenvalue.  The block spectra are merged in ascending order,
+    and the vectors expanded to normalized site vectors of the whole block.
 
     Returns a ``SpectrumResult`` complete up to ``cut``, whose ``defect`` is
     the largest block residual, or the pair ``(spectrum, eigenvectors)``.
@@ -522,35 +574,28 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
     # -c, so its transform is real
     spectrum = np.fft.rfftn(circle).real
     top = float(np.abs(spectrum).max())
-    square = domain.dim == 2 and domain.cells[0] == domain.cells[1]
-    solved, values, columns, defect = {}, [], [], 0.0
-    for halves in itertools.product(*_parity_halves(domain)):
-        parities = tuple(h.parity for h in halves)
-        if not all(h.sites.size for h in halves):
-            continue
-        if square and parities[::-1] in solved:
-            w, v = solved[parities[::-1]]
-            if vectors:
-                c = domain.cells[0]
-                k = v.shape[1]
-                v = v.reshape(c, c, k).transpose(1, 0, 2).reshape(domain.size, k)
-        else:
-            w, v, residual = _block_spectrum(circle, spectrum, top, halves, cut)
-            defect = max(defect, residual)
-            if vectors:
-                v = _expand(halves, v)
-        solved[parities] = w, v
-        values.append(w)
-        columns.append(v)
+    values, columns, defect = [], [], 0.0
+    for halves, mirrored in _distinct_blocks(domain):
+        floor = _dirichlet_count(halves, domain.spacing, s, cut)
+        w, v, residual = _block_spectrum(circle, spectrum, top, halves, cut, floor)
+        defect = max(defect, residual)
+        values += [w, w] if mirrored else [w]
+        if vectors:
+            v = _expand(halves, v)
+            columns.append(v)
+            if mirrored:
+                c, k = domain.cells[0], v.shape[1]
+                columns.append(v.reshape(c, c, k).transpose(1, 0, 2).reshape(domain.size, k))
     w = np.concatenate(values)
     order = np.argsort(w, kind="stable")
     result = SpectrumResult(w[order], defect, cut)
     return (result, np.concatenate(columns, axis=1)[:, order]) if vectors else result
 
 
-def _block_spectrum(circle, spectrum, top, halves, cut):
-    """Checked eigenpairs ``<= cut`` of one parity block, and their largest
-    residual; see ``lowest_spectrum``."""
+def _block_spectrum(circle, spectrum, top, halves, cut, floor):
+    """Checked eigenpairs ``<= cut`` of one parity block, of which there are
+    at least ``floor`` (``_dirichlet_count``), and their largest residual;
+    see ``lowest_spectrum``."""
     apply = _parity_operator(spectrum, halves)
     n = math.prod(h.sites.size for h in halves)
 
@@ -559,7 +604,7 @@ def _block_spectrum(circle, spectrum, top, halves, cut):
                                                   dtype=float)
 
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
-    k = 24
+    k = floor + _LANCZOS_MARGIN
     while k < n - 1:
         w, v = scipy.sparse.linalg.eigsh(operator(apply), k=k, which="SA", tol=0, v0=v0)
         if w.max() > cut:
@@ -581,11 +626,11 @@ def _block_spectrum(circle, spectrum, top, halves, cut):
     def deflated(x):
         return apply(x) + 2.0 * cut * (v @ (v.T @ x))
 
-    next_w = scipy.sparse.linalg.eigsh(
-        operator(deflated), k=2, which="SA", tol=0, return_eigenvectors=False,
+    (next_w,) = scipy.sparse.linalg.eigsh(
+        operator(deflated), k=1, which="SA", tol=0, return_eigenvectors=False,
         v0=np.random.default_rng(_DEFLATED_SEED).standard_normal(n))
-    if not next_w.min() > cut:
-        raise ArithmeticError(f"eigenvalue {next_w.min()} at or below the cut {cut} "
+    if not next_w > cut:
+        raise ArithmeticError(f"eigenvalue {next_w} at or below the cut {cut} "
                               f"was missed by the {w.size} returned")
     return w, v, residual
 
@@ -653,7 +698,9 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
     definite parity.  In the reflection-parity bases of ``_ParityHalf`` the
     difference is block diagonal, with 2^d blocks of about n/2^d sites, so
     each block is built directly and checked by ``eigenvalues_sym`` on its
-    own; no n x n matrix is formed.  ArithmeticError if the kernel is not
+    own; no n x n matrix is formed.  On a square the (-1, +1) block is the
+    mirror image of the (+1, -1) block and is not solved again
+    (``_distinct_blocks``).  ArithmeticError if the kernel is not
     even along each axis to 1e-12 of its largest entry, since the split
     would then drop a coupling.
 
@@ -664,9 +711,7 @@ def operator_order_check(domain: LatticeDomain, s: float) -> CheckReport:
         raise ValueError("the order check takes a fractional power in (0, 1)")
     circle = _even_circle(domain, s)
     lo, hi = math.inf, -math.inf
-    for halves in itertools.product(*_parity_halves(domain)):
-        if not all(h.sites.size for h in halves):
-            continue
+    for halves, _ in _distinct_blocks(domain):
         ws, us = zip(*(h.sine_modes() for h in halves))
         diff = _basis_power(ws, us, domain.spacing, s) - _parity_block(circle, halves)
         w = eigenvalues_sym(SymmetricOperator(diff)).eigenvalues

@@ -25,7 +25,7 @@ l0 = 0.01 on the disk of radius 2 it has 662k cells, and
 ``neighborhood_integrals`` peaks at about 5 MiB of traced allocations.
 Each cell's distance to the complement and to the boundary is evaluated
 once, by ``DomainGeometry.distance_fields``, and gives its scale, its
-pruning and the integrals.
+pruning, its partition weight and the integrals.
 """
 
 from __future__ import annotations
@@ -102,7 +102,11 @@ class DomainGeometry:
     def grad_distance(self, pts) -> np.ndarray:
         """Gradient of d at interior non-ridge points; zero outside."""
         pts = np.asarray(pts, dtype=float)
-        inside = self.distance(pts) > 0.0
+        return self._grad_at(pts, self.distance(pts))
+
+    def _grad_at(self, pts: np.ndarray, d) -> np.ndarray:
+        """``grad_distance`` at points whose ``distance`` is d."""
+        inside = d > 0.0
         if self.shape == "box":
             # faces x_1, a_1 - x_1, x_2, a_2 - x_2, ... and their gradients
             faces = np.stack([pts, np.asarray(self.parameters) - pts], axis=-1)
@@ -169,9 +173,13 @@ class LocalizationFamily:
         return q / (2.0 * (q + 1.0))
 
     def scale_gradient(self, pts) -> np.ndarray:
-        d = self.geometry.distance(pts)
+        pts = np.asarray(pts, dtype=float)
+        return self._scale_gradient_at(pts, self.geometry.distance(pts))
+
+    def _scale_gradient_at(self, pts: np.ndarray, d) -> np.ndarray:
+        """``scale_gradient`` at points whose distance to the complement is d."""
         q = np.hypot(d, self.l0)
-        return self.geometry.grad_distance(pts) * (d / (2.0 * q * (q + 1.0) ** 2))[..., None]
+        return self.geometry._grad_at(pts, d) * (d / (2.0 * q * (q + 1.0) ** 2))[..., None]
 
     # -- weights ---------------------------------------------------------
 
@@ -190,11 +198,17 @@ class LocalizationFamily:
         over the others, so one point against many centers, many points
         against one center, or a grid of pairs are all one call.
         """
-        xs = np.asarray(xs, dtype=float)
         us = np.asarray(us, dtype=float)
-        y = (xs - us) / self.scale(us)[..., None]
+        d = self.geometry.distance(us)
+        return self._weight_at(xs, us, self._scale_at(d), d)
+
+    def _weight_at(self, xs, us: np.ndarray, ls, d) -> np.ndarray:
+        """``weight`` at centers whose scale is ``ls`` and distance to the
+        complement d, as a center grid yields them."""
+        xs = np.asarray(xs, dtype=float)
+        y = (xs - us) / ls[..., None]
         r2 = np.sum(y * y, axis=-1)
-        jac = 1.0 + np.sum(self.scale_gradient(us) * y, axis=-1)
+        jac = 1.0 + np.sum(self._scale_gradient_at(us, d) * y, axis=-1)
         return self.profile_r2(r2).reshape(r2.shape) * np.sqrt(np.clip(jac, 0.0, None))
 
     # -- center grids ----------------------------------------------------
@@ -301,13 +315,15 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
     In 1-D the scale grid spans x +- 0.75, past the largest scale 1/2; in
     2-D ``cell_grid`` drops, unrefined, every cell whose centers all lie
     out of reach, so the sum is the one over the full grid of the
-    +-0.75 box with its exact zeros left out.  Raises ValueError unless
-    ``resolution >= 1``."""
+    +-0.75 box with its exact zeros left out.  The weights read the scale
+    and the distance each center's grid evaluated.  Raises ValueError
+    unless ``resolution >= 1``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if family.geometry.dim == 1:
         # centers can only reach x from within max scale 1/2
         us, ws, ls = family.scale_grid(resolution, lo=x[0] - 0.75, hi=x[0] + 0.75)
         centers = us[:, None]
+        dists = family.geometry.distance(centers)
     else:
         def out_of_reach(cs, half, ls, dists, boundary):
             # l is 1/2-Lipschitz, so every center u of a cell with center c
@@ -323,8 +339,8 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
             return dist - delta >= ls + 0.5 * delta
 
         batches = family.cell_grid(x, 0.75, resolution, prune=out_of_reach)
-        centers, ws, ls, _, _ = map(np.concatenate, zip(*batches))
-    w = family.weight(x, centers)
+        centers, ws, ls, dists, _ = map(np.concatenate, zip(*batches))
+    w = family._weight_at(x, centers, ls, dists)
     return float(np.sum(w * w / ls ** family.geometry.dim * ws))
 
 

@@ -310,14 +310,51 @@ class TestLowestSpectrum:
         assert abs(swap @ v[:, 2]) == pytest.approx(1.0, rel=1e-12)
 
     def test_doubles_past_the_first_block(self, monkeypatch):
-        # 110 eigenvalues below the cut, 55 in each parity block: per block
-        # 24 -> 48 -> 96 eigenpairs, then the completeness run
+        # 110 eigenvalues below the cut, 55 in each parity block, and as
+        # many Dirichlet-power modes: each block asks for 55 + 6 eigenpairs
+        # once, then one eigenvalue for the completeness run.  A first
+        # solve that hides its pairs above the cut leaves the largest below
+        # it, and the block doubles to 122 before the completeness run.
+        # The counts pin the schedule and change with it.
         dom, s = interval_domain(256), 0.5
         w = np.linalg.eigvalsh(build_restricted_fractional(dom, s).entries)
-        calls = _tamper_first_solve(monkeypatch, lambda *out: out)
-        spec = lowest_spectrum(dom, s, 0.5 * (w[109] + w[110]))
-        assert calls == [24, 48, 96, 2] * 2
-        np.testing.assert_allclose(spec.eigenvalues, w[:110], rtol=1e-10)
+        cut = 0.5 * (w[109] + w[110])
+
+        def below_cut(w, v):
+            keep = w <= cut
+            return w[keep], v[:, keep]
+
+        for tamper, schedule in ((lambda *out: out, [61, 1] * 2),
+                                 (below_cut, [61, 122, 1, 61, 1])):
+            monkeypatch.undo()
+            calls = _tamper_first_solve(monkeypatch, tamper)
+            spec = lowest_spectrum(dom, s, cut)
+            assert calls == schedule
+            np.testing.assert_allclose(spec.eigenvalues, w[:110], rtol=1e-10)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("dom", [square_domain(16), square_domain(32),
+                                     square_domain(64), interval_domain(256),
+                                     LatticeDomain((7, 5), 0.1), square_domain(9),
+                                     LatticeDomain((8, 5), 0.1),
+                                     LatticeDomain((31, 20), 0.05)],
+                             ids=["square16", "square32", "square64", "interval256",
+                                  "rect7x5", "square9", "rect8x5", "rect31x20"])
+    def test_dirichlet_count_is_a_floor(self, dom, s):
+        # on every block, at the cut of test_matches_dense, the Lanczos run's
+        # Dirichlet-power count is at most the block's own dense count; the
+        # block spectra together are the whole spectrum
+        circle = lat._multiplier_kernel(dom, s)
+        blocks = [(halves, np.linalg.eigvalsh(lat._parity_block(circle, halves)))
+                  for halves in itertools.product(*lat._parity_halves(dom))
+                  if all(h.sites.size for h in halves)]
+        w = np.sort(np.concatenate([dense for _, dense in blocks]))
+        assert w.size == dom.size
+        i = 15 + int(np.argmax(np.diff(w[15:25])))
+        cut = 0.5 * (w[i] + w[i + 1])
+        for halves, dense in blocks:
+            floor = lat._dirichlet_count(halves, dom.spacing, s, cut)
+            assert floor <= np.count_nonzero(dense <= cut)
 
     def test_deterministic(self):
         dom, s = square_domain(32), 0.5
@@ -334,6 +371,23 @@ class TestLowestSpectrum:
         _tamper_first_solve(monkeypatch, _withholding(0))
         with pytest.raises(ArithmeticError, match="was missed"):
             lowest_spectrum(square_domain(32), 0.5, 8.1)
+
+    @pytest.mark.parametrize("rank", range(6))
+    def test_withheld_eigenpair_of_several_rejected(self, rank, monkeypatch):
+        # at verify-square's 64^2 cut (4 spacing)^-2s the (+1, +1) block
+        # keeps 6 pairs; the one-eigenvalue completeness run finds any one
+        # of them withheld, not only the lowest
+        dom, s = square_domain(64), 0.5
+        cut = (4.0 * dom.spacing) ** (-2.0 * s)
+        withhold = _withholding(rank)
+
+        def tamper(w, v):
+            assert np.count_nonzero(w <= cut) == 6
+            return withhold(w, v)
+
+        _tamper_first_solve(monkeypatch, tamper)
+        with pytest.raises(ArithmeticError, match="was missed"):
+            lowest_spectrum(dom, s, cut)
 
     def test_shifted_eigenvalue_rejected(self, monkeypatch):
         def shifted(w, v):
@@ -492,6 +546,11 @@ class TestOperatorOrder:
 
         monkeypatch.setattr(lat, "eigenvalues_sym", recording)
         rep = operator_order_check(dom, s)
+        if len(cells) == 2 and cells[0] == cells[1]:
+            # on a square the (+1, -1) block is solved once for itself and
+            # its mirror image, the (-1, +1) block
+            assert len(blocks) == 3
+            blocks.insert(2, blocks[1])
         full = np.linalg.eigvalsh(build_dirichlet_power(dom, s).entries
                                   - build_restricted_fractional(dom, s).entries)
         norm = max(-full[0], full[-1])
