@@ -309,7 +309,7 @@ def cmd_localization_check(args) -> int:
     for i in range(args.points):
         x = lo + (hi - lo) * rng.uniform(*_SAMPLE_RANGE, size=geom.dim)
         if geom.shape == "disk":
-            while geom.distance(x) <= _DISK_MARGIN:
+            while geom.distance_fields(x)[0] <= _DISK_MARGIN:
                 x = lo + (hi - lo) * rng.uniform(*_SAMPLE_RANGE, size=geom.dim)
         val = loc.partition_check(x, fam, args.resolution)
         worst = max(worst, abs(val - 1.0))

@@ -23,16 +23,20 @@ bounded batches of finished cells, and the partition and neighbourhood
 integrals are sums over it, so neither holds the whole grid: at
 l0 = 0.01 on the disk of radius 2 it has 662k cells, and
 ``neighborhood_integrals`` peaks at about 5 MiB of traced allocations.
-Each cell's distance to the complement and to the boundary is evaluated
-once, by ``DomainGeometry.distance_fields``, and gives its scale, its
-pruning, its partition weight and the integrals.
+Each quantity has one form, a function of the distance fields: the scale
+``l(d)``, the gradients ``grad_distance(u, d)`` and ``scale_gradient(u,
+d)`` and the weight ``weight(x, u, l, d)`` read the distance d to the
+complement that ``DomainGeometry.distance_fields`` returns with the
+distance to the boundary.  Both grids evaluate those fields once per
+center and yield them with the center, so the scale, the pruning, the
+partition weight and the integrals all read one evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -73,39 +77,26 @@ class DomainGeometry:
     def dim(self) -> int:
         return len(self.parameters) if self.shape == "box" else 2
 
-    def distance(self, pts) -> np.ndarray:
-        """Distance to the complement of the domain."""
-        pts = np.asarray(pts, dtype=float)
-        if self.shape == "box":
-            faces = np.minimum(pts, np.asarray(self.parameters) - pts)
-            return np.clip(np.min(faces, axis=-1), 0.0, None)
-        r = self.parameters[0]
-        return np.clip(r - np.hypot(pts[..., 0], pts[..., 1]), 0.0, None)
-
-    def boundary_distance(self, pts) -> np.ndarray:
-        """Distance to the boundary, from either side."""
-        return self.distance_fields(pts)[1]
-
     def distance_fields(self, pts):
-        """``(distance(pts), boundary_distance(pts))`` from one pass over
-        the faces of a box or one ``hypot`` on the disk."""
+        """``(d, b)`` at points: the distance d to the complement of the
+        domain and the distance b to the boundary, from either side.  A
+        box takes both from its faces one coordinate column at a time
+        (numpy maps columns several times faster than it reduces over a
+        short last axis); the disk from one ``hypot``."""
         pts = np.asarray(pts, dtype=float)
         if self.shape == "box":
-            faces = np.minimum(pts, np.asarray(self.parameters) - pts)
-            d = np.clip(np.min(faces, axis=-1), 0.0, None)
+            faces = [np.minimum(pts[..., j], a - pts[..., j])
+                     for j, a in enumerate(self.parameters)]
+            d = np.clip(reduce(np.minimum, faces), 0.0, None)
             # a coordinate lies -face outside the box where its face is negative
-            outside = np.hypot.reduce(np.clip(-faces, 0.0, None), axis=-1)
+            outside = reduce(np.hypot, [np.clip(-f, 0.0, None) for f in faces])
             return d, np.where(outside > 0.0, outside, d)
         gap = self.parameters[0] - np.hypot(pts[..., 0], pts[..., 1])
         return np.clip(gap, 0.0, None), np.abs(gap)
 
-    def grad_distance(self, pts) -> np.ndarray:
-        """Gradient of d at interior non-ridge points; zero outside."""
-        pts = np.asarray(pts, dtype=float)
-        return self._grad_at(pts, self.distance(pts))
-
-    def _grad_at(self, pts: np.ndarray, d) -> np.ndarray:
-        """``grad_distance`` at points whose ``distance`` is d."""
+    def grad_distance(self, pts: np.ndarray, d) -> np.ndarray:
+        """Gradient of d at interior non-ridge points whose distance to the
+        complement is d; zero outside."""
         inside = d > 0.0
         if self.shape == "box":
             # faces x_1, a_1 - x_1, x_2, a_2 - x_2, ... and their gradients
@@ -163,23 +154,16 @@ class LocalizationFamily:
 
     # -- scale function ------------------------------------------------
 
-    def scale(self, pts) -> np.ndarray:
-        """l(u) at points u, an array whose last axis holds coordinates."""
-        return self._scale_at(self.geometry.distance(pts))
-
-    def _scale_at(self, d):
-        """l as a function of the distance d(u), for an array or a float."""
+    def scale(self, d):
+        """l as a function of the distance d(u) to the complement, for an
+        array or a float."""
         q = np.hypot(d, self.l0)
         return q / (2.0 * (q + 1.0))
 
-    def scale_gradient(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return self._scale_gradient_at(pts, self.geometry.distance(pts))
-
-    def _scale_gradient_at(self, pts: np.ndarray, d) -> np.ndarray:
-        """``scale_gradient`` at points whose distance to the complement is d."""
+    def scale_gradient(self, pts: np.ndarray, d) -> np.ndarray:
+        """grad l at points whose distance to the complement is d."""
         q = np.hypot(d, self.l0)
-        return self.geometry._grad_at(pts, d) * (d / (2.0 * q * (q + 1.0) ** 2))[..., None]
+        return self.geometry.grad_distance(pts, d) * (d / (2.0 * q * (q + 1.0) ** 2))[..., None]
 
     # -- weights ---------------------------------------------------------
 
@@ -191,24 +175,20 @@ class LocalizationFamily:
         out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
         return _profile_norm(self.geometry.dim) * out
 
-    def weight(self, xs, us) -> np.ndarray:
-        """phi_u(x): profile at the rescaled offset times the Jacobian root.
+    def weight(self, xs, us: np.ndarray, ls, d) -> np.ndarray:
+        """phi_u(x): profile at the rescaled offset times the Jacobian root,
+        at centers u whose scale is ``ls`` and distance to the complement
+        d, as a center grid yields them.
 
         ``xs`` and ``us`` hold coordinates on their last axis and broadcast
-        over the others, so one point against many centers, many points
-        against one center, or a grid of pairs are all one call.
+        over the others (``ls`` and d over all but the last of ``us``), so
+        one point against many centers, many points against one center,
+        or a grid of pairs are all one call.
         """
-        us = np.asarray(us, dtype=float)
-        d = self.geometry.distance(us)
-        return self._weight_at(xs, us, self._scale_at(d), d)
-
-    def _weight_at(self, xs, us: np.ndarray, ls, d) -> np.ndarray:
-        """``weight`` at centers whose scale is ``ls`` and distance to the
-        complement d, as a center grid yields them."""
         xs = np.asarray(xs, dtype=float)
         y = (xs - us) / ls[..., None]
         r2 = np.sum(y * y, axis=-1)
-        jac = 1.0 + np.sum(self._scale_gradient_at(us, d) * y, axis=-1)
+        jac = 1.0 + np.sum(self.scale_gradient(us, d) * y, axis=-1)
         return self.profile_r2(r2).reshape(r2.shape) * np.sqrt(np.clip(jac, 0.0, None))
 
     # -- center grids ----------------------------------------------------
@@ -220,11 +200,13 @@ class LocalizationFamily:
         default range pads the domain by 0.6 on each side, beyond the
         reach 1/2 of the largest ball.  The march takes each edge's l from
         the float distance max(min(u, a - u), 0) to the complement of
-        [0, a], through the formula of ``scale``.
+        [0, a].
 
-        Returns (centers, weights, scales).  Raises ValueError unless
-        ``resolution >= 1``: a smaller one would march backwards or not
-        at all.
+        Returns ``(centers, weights, scales, distances, boundary)``, laid
+        out as one ``cell_grid`` batch: centers of shape (N, 1) and the
+        geometry's ``distance_fields`` at them, evaluated once.  Raises
+        ValueError unless ``resolution >= 1``: a smaller one would march
+        backwards or not at all.
         """
         if self.geometry.dim != 1:
             raise ValueError("scale_grid is 1-D; use cell_grid in 2-D")
@@ -234,10 +216,12 @@ class LocalizationFamily:
         end = length + 0.6 if hi is None else hi
         edges = [u]
         while u < end:
-            u += 4.0 * float(self._scale_at(max(min(u, length - u), 0.0))) / resolution
+            u += 4.0 * float(self.scale(max(min(u, length - u), 0.0))) / resolution
             edges.append(u)
         us, ws = panel_quad(np.array(edges), 6)
-        return us, ws, self.scale(us[:, None])
+        centers = us[:, None]
+        dists, boundary = self.geometry.distance_fields(centers)
+        return centers, ws, self.scale(dists), dists, boundary
 
     def cell_grid(self, center: np.ndarray, halfwidth: float, resolution: int,
                   prune=None):
@@ -273,7 +257,7 @@ class LocalizationFamily:
         pending = []
         while True:
             dists, boundary = self.geometry.distance_fields(centers)
-            scales = self._scale_at(dists)
+            scales = self.scale(dists)
             done = 2.0 * half <= scales / resolution
             keep = True if prune is None else ~prune(centers, half, scales, dists, boundary)
             # index gathers: a boolean mask gathers the (n, 2) centers
@@ -321,9 +305,7 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if family.geometry.dim == 1:
         # centers can only reach x from within max scale 1/2
-        us, ws, ls = family.scale_grid(resolution, lo=x[0] - 0.75, hi=x[0] + 0.75)
-        centers = us[:, None]
-        dists = family.geometry.distance(centers)
+        batches = [family.scale_grid(resolution, lo=x[0] - 0.75, hi=x[0] + 0.75)]
     else:
         def out_of_reach(cs, half, ls, dists, boundary):
             # l is 1/2-Lipschitz, so every center u of a cell with center c
@@ -339,8 +321,8 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
             return dist - delta >= ls + 0.5 * delta
 
         batches = family.cell_grid(x, 0.75, resolution, prune=out_of_reach)
-        centers, ws, ls, dists, _ = map(np.concatenate, zip(*batches))
-    w = family._weight_at(x, centers, ls, dists)
+    centers, ws, ls, dists, _ = map(np.concatenate, zip(*batches))
+    w = family.weight(x, centers, ls, dists)
     return float(np.sum(w * w / ls ** family.geometry.dim * ws))
 
 
@@ -369,8 +351,7 @@ def neighborhood_integrals(geometry: DomainGeometry,
     for l0 in l0_values:
         fam = LocalizationFamily(geometry, l0)
         if geometry.dim == 1:
-            us, ws, ls = fam.scale_grid(resolution)
-            batches = [(us[:, None], ws, ls, *geometry.distance_fields(us[:, None]))]
+            batches = [fam.scale_grid(resolution)]
         else:
             lo, hi = geometry.interior_box()
             center = 0.5 * (lo + hi)

@@ -2,8 +2,9 @@
 and every function the benchmark tracer wraps.  A deleted or renamed
 function fails here in a second instead of in the benchmark self-check.
 No public function of the coefficient or lattice modules takes a model
-beside its order, and every lattice export has a caller outside the
-tests.  No module reaches into another's private names, and no
+beside its order.  Every export of the lattice and localization modules,
+and every public method and property of their classes, has a caller
+outside the tests.  No module reaches into another's private names, and no
 module, script or test imports a name it does not use.  The command-line
 import leaves scipy and the lattice unloaded."""
 
@@ -57,20 +58,34 @@ def test_trace_targets_resolve():
     assert targets and not missing
 
 
-def test_lattice_exports_have_a_caller():
-    # every lattice export is read by the library or a script, or wrapped
-    # by the benchmark tracer: none is reached by tests alone
-    read = set()
+def _public_members(cls):
+    """Names of the public methods and properties a class defines."""
+    return [name for name, obj in vars(cls).items() if not name.startswith("_")
+            and (inspect.isfunction(obj) or isinstance(obj, property))]
+
+
+@pytest.mark.parametrize("module_name", ["fracweyl.lattice", "fracweyl.localization"])
+def test_exports_have_a_caller(module_name):
+    # every export is read by the library or a script, or wrapped by the
+    # benchmark tracer, and every public method and property of a public
+    # class is read through an attribute in the library or a script: none
+    # is reached by tests alone
+    names, attributes = set(), set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    traced = {path for module_name, path, _, _ in _trace_targets()
-              if module_name == "fracweyl.lattice"}
-    lattice = importlib.import_module("fracweyl.lattice")
-    assert not [n for n in lattice.__all__ if n not in read | traced]
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    traced = {path for traced_module, path, _, _ in _trace_targets()
+              if traced_module == module_name}
+    module = importlib.import_module(module_name)
+    unread = [n for n in module.__all__ if n not in names | attributes | traced]
+    for name, obj in vars(module).items():
+        if (inspect.isclass(obj) and obj.__module__ == module_name
+                and not name.startswith("_")):
+            unread += [f"{name}.{m}" for m in _public_members(obj) if m not in attributes]
+    assert not unread
 
 
 @pytest.mark.parametrize("module_name", ["fracweyl.constants", "fracweyl.lattice"])

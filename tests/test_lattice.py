@@ -252,24 +252,43 @@ def _withholding(rank):
     return tamper
 
 
+LOWEST_ORDERS = [0.25, 0.5, 0.75]
+LOWEST_DOMAINS = [square_domain(16), square_domain(32), square_domain(64), interval_domain(256),
+                  LatticeDomain((7, 5), 0.1), square_domain(9), LatticeDomain((8, 5), 0.1),
+                  LatticeDomain((31, 20), 0.05)]
+LOWEST_IDS = ["square16", "square32", "square64", "interval256",
+              "rect7x5", "square9", "rect8x5", "rect31x20"]
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_blocks(dom, s):
+    """Each nonempty parity block's halves and dense eigenvalues, solved
+    once per domain and order for the tests that share them."""
+    circle = lat._multiplier_kernel(dom, s)
+    return [(halves, np.linalg.eigvalsh(lat._parity_block(circle, halves)))
+            for halves in itertools.product(*lat._parity_halves(dom))
+            if all(h.sites.size for h in halves)]
+
+
+def _dense_spectrum(dom, s):
+    """The whole spectrum, as the union of the dense block spectra, and a
+    cut in its widest gap among the 16th to 24th eigenvalues."""
+    w = np.sort(np.concatenate([dense for _, dense in _dense_blocks(dom, s)]))
+    assert w.size == dom.size
+    i = 15 + int(np.argmax(np.diff(w[15:25])))
+    return w, 0.5 * (w[i] + w[i + 1])
+
+
 class TestLowestSpectrum:
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("dom", [square_domain(16), square_domain(32),
-                                     square_domain(64), interval_domain(256),
-                                     LatticeDomain((7, 5), 0.1), square_domain(9),
-                                     LatticeDomain((8, 5), 0.1),
-                                     LatticeDomain((31, 20), 0.05)],
-                             ids=["square16", "square32", "square64", "interval256",
-                                  "rect7x5", "square9", "rect8x5", "rect31x20"])
+    @pytest.mark.parametrize("s", LOWEST_ORDERS)
+    @pytest.mark.parametrize("dom", LOWEST_DOMAINS, ids=LOWEST_IDS)
     def test_matches_dense(self, dom, s):
-        # cut in the widest gap among the 16th to 24th eigenvalues
-        w = np.linalg.eigvalsh(build_restricted_fractional(dom, s).entries)
-        i = 15 + int(np.argmax(np.diff(w[15:25])))
-        cut = 0.5 * (w[i] + w[i + 1])
+        w, cut = _dense_spectrum(dom, s)
         spec = lowest_spectrum(dom, s, cut)
         assert spec.cut == cut
-        assert spec.eigenvalues.size == i + 1
-        np.testing.assert_allclose(spec.eigenvalues, w[:i + 1], rtol=1e-10)
+        below = w[w <= cut]
+        assert spec.eigenvalues.size == below.size
+        np.testing.assert_allclose(spec.eigenvalues, below, rtol=1e-10)
 
     @pytest.mark.parametrize("cells", [(1,), (2,), (3,), (1, 1), (2, 1), (3, 2), (2, 2), (3, 3)])
     def test_tiny_domains(self, cells):
@@ -332,27 +351,13 @@ class TestLowestSpectrum:
             assert calls == schedule
             np.testing.assert_allclose(spec.eigenvalues, w[:110], rtol=1e-10)
 
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("dom", [square_domain(16), square_domain(32),
-                                     square_domain(64), interval_domain(256),
-                                     LatticeDomain((7, 5), 0.1), square_domain(9),
-                                     LatticeDomain((8, 5), 0.1),
-                                     LatticeDomain((31, 20), 0.05)],
-                             ids=["square16", "square32", "square64", "interval256",
-                                  "rect7x5", "square9", "rect8x5", "rect31x20"])
+    @pytest.mark.parametrize("s", LOWEST_ORDERS)
+    @pytest.mark.parametrize("dom", LOWEST_DOMAINS, ids=LOWEST_IDS)
     def test_dirichlet_count_is_a_floor(self, dom, s):
         # on every block, at the cut of test_matches_dense, the Lanczos run's
-        # Dirichlet-power count is at most the block's own dense count; the
-        # block spectra together are the whole spectrum
-        circle = lat._multiplier_kernel(dom, s)
-        blocks = [(halves, np.linalg.eigvalsh(lat._parity_block(circle, halves)))
-                  for halves in itertools.product(*lat._parity_halves(dom))
-                  if all(h.sites.size for h in halves)]
-        w = np.sort(np.concatenate([dense for _, dense in blocks]))
-        assert w.size == dom.size
-        i = 15 + int(np.argmax(np.diff(w[15:25])))
-        cut = 0.5 * (w[i] + w[i + 1])
-        for halves, dense in blocks:
+        # Dirichlet-power count is at most the block's own dense count
+        _, cut = _dense_spectrum(dom, s)
+        for halves, dense in _dense_blocks(dom, s):
             floor = lat._dirichlet_count(halves, dom.spacing, s, cut)
             assert floor <= np.count_nonzero(dense <= cut)
 

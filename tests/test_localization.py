@@ -12,32 +12,46 @@ from fracweyl.localization import (LocalizationFamily, interval_geometry,
                                    partition_check, neighborhood_integrals)
 
 
+def _scale(fam, pts):
+    """l at points, from their distance to the complement."""
+    return fam.scale(fam.geometry.distance_fields(pts)[0])
+
+
+def _weight(fam, xs, us):
+    """phi_u(x) at centers us, with the scale and distance read at them."""
+    us = np.asarray(us, dtype=float)
+    d = fam.geometry.distance_fields(us)[0]
+    return fam.weight(xs, us, fam.scale(d), d)
+
+
 class TestScale:
     def test_boundary_value(self):
         fam = LocalizationFamily(interval_geometry(4.0), 0.5)
-        assert fam.scale([0.0]) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert _scale(fam, [0.0]) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_deep_interior_limit(self):
         fam = LocalizationFamily(interval_geometry(400.0), 0.1)
-        assert fam.scale([200.0]) == pytest.approx(0.5, abs=1e-2)
+        assert _scale(fam, [200.0]) == pytest.approx(0.5, abs=1e-2)
 
     @given(u=st.floats(-1.0, 5.0))
     @settings(max_examples=80, deadline=None)
     def test_two_sided_bounds(self, u):
         geom = interval_geometry(4.0)
         fam = LocalizationFamily(geom, 0.25)
-        d = geom.distance([u])
-        l = fam.scale([u])
+        d, boundary = geom.distance_fields([u])
+        l = fam.scale(d)
         assert l >= max(min(d, 1.0) / 4.0, fam.l0 / 4.0) - 1e-12
         assert l <= 0.5
-        if geom.boundary_distance([u]) < l:
+        if boundary < l:
             assert l <= fam.l0 / math.sqrt(3.0) + 1e-12
 
     @given(u=st.floats(-1.0, 5.0))
     @settings(max_examples=80, deadline=None)
     def test_gradient_bound(self, u):
-        fam = LocalizationFamily(interval_geometry(4.0), 0.25)
-        assert abs(fam.scale_gradient([u])[0]) <= 0.5 + 1e-14
+        geom = interval_geometry(4.0)
+        fam = LocalizationFamily(geom, 0.25)
+        pts = np.array([u])
+        assert abs(fam.scale_gradient(pts, geom.distance_fields(pts)[0])[0]) <= 0.5 + 1e-14
 
     def test_l0_validation(self):
         with pytest.raises(ValueError):
@@ -48,24 +62,26 @@ class TestWeights:
     def test_support(self):
         fam = LocalizationFamily(interval_geometry(4.0), 0.25)
         u = [2.0]
-        l = fam.scale(u)
-        assert fam.weight([2.0 + 1.01 * l], u) == 0.0
-        assert fam.weight([2.0 + 0.5 * l], u) > 0.0
+        l = _scale(fam, u)
+        assert _weight(fam, [2.0 + 1.01 * l], u) == 0.0
+        assert _weight(fam, [2.0 + 0.5 * l], u) > 0.0
 
     def test_flat_region_reduces_to_profile(self):
         geom = interval_geometry(600.0)
         fam = LocalizationFamily(geom, 0.25)
         u = [300.0]
-        l = fam.scale(u)
+        l = _scale(fam, u)
         y = 0.4
-        w = fam.weight([300.0 + y * l], u)
+        w = _weight(fam, [300.0 + y * l], u)
         assert w == pytest.approx(float(fam.profile_r2(y * y)[0]), rel=1e-3)
 
     @given(u=st.floats(-0.5, 4.5), y=st.floats(-0.99, 0.99))
     @settings(max_examples=60, deadline=None)
     def test_jacobian_positive(self, u, y):
-        fam = LocalizationFamily(interval_geometry(4.0), 0.25)
-        jac = 1.0 + fam.scale_gradient([u])[0] * y
+        geom = interval_geometry(4.0)
+        fam = LocalizationFamily(geom, 0.25)
+        pts = np.array([u])
+        jac = 1.0 + fam.scale_gradient(pts, geom.distance_fields(pts)[0])[0] * y
         assert jac >= 0.5 - 1e-12
 
     def test_profile_normalized(self):
@@ -149,10 +165,11 @@ class TestReachPruning:
         for x in points:
             # brute force: every cell of the +-0.75 box, exact zeros included
             centers, ws, ls, dists, boundary = _whole_grid(fam, x, 0.75, 12)
-            np.testing.assert_array_equal(ls, fam.scale(centers))
-            np.testing.assert_array_equal(dists, geom.distance(centers))
-            np.testing.assert_array_equal(boundary, geom.boundary_distance(centers))
-            w = fam.weight(np.array(x), centers)
+            whole_dists, whole_boundary = geom.distance_fields(centers)
+            np.testing.assert_array_equal(ls, fam.scale(whole_dists))
+            np.testing.assert_array_equal(dists, whole_dists)
+            np.testing.assert_array_equal(boundary, whole_boundary)
+            w = fam.weight(np.array(x), centers, ls, dists)
             full = float(np.sum(w * w / ls ** 2 * ws))
             assert partition_check(x, fam, 12) == pytest.approx(full, rel=1e-14, abs=0.0)
 
@@ -171,7 +188,7 @@ class TestReachPruning:
             us = cs[:, None, :] + hs[:, None, None] * rng.uniform(-1.0, 1.0, (len(hs), 8, 2))
             nearest = np.clip(x, cs - hs[:, None], cs + hs[:, None])[:, None, :]
             us = np.concatenate([us, nearest], axis=1)
-            assert np.all(fam.weight(np.array(x), us) == 0.0)
+            assert np.all(_weight(fam, np.array(x), us) == 0.0)
 
 
 class TestStreamedGrid:
@@ -187,7 +204,7 @@ class TestStreamedGrid:
         # the same cells, bit for bit, in another order
         order, small_order = np.lexsort(centers.T), np.lexsort(small_c.T)
         np.testing.assert_array_equal(small_c[small_order], centers[order])
-        np.testing.assert_array_equal(small_l, fam.scale(small_c))
+        np.testing.assert_array_equal(small_l, _scale(fam, small_c))
 
     def test_small_batches_give_the_same_integrals(self, monkeypatch):
         args = (disk_geometry(2.0), (0.2, 0.1))
@@ -226,8 +243,8 @@ class TestComparability:
         fam = LocalizationFamily(interval_geometry(4.0), 0.1)
         us = np.linspace(-0.5, 4.5, 201)[:, None]
         ups = np.linspace(us - 1.5, us + 1.5, 61, axis=1)
-        lu = fam.scale(us)[:, None]
-        lup = fam.scale(ups)
+        lu = _scale(fam, us)[:, None]
+        lup = _scale(fam, ups)
         near = np.abs(us - ups[..., 0]) <= 1.5 * (lu + lup)
         assert np.max(np.where(near, lup / lu, 0.0)) <= 4.0
 
@@ -242,30 +259,38 @@ class TestArrayForms:
         lo, hi = geom.interior_box()
         pts = np.random.default_rng(3).uniform(lo - 0.5, hi + 0.5, size=(50, geom.dim))
         fam = LocalizationFamily(geom, 0.25)
-        for fn in (geom.distance, geom.boundary_distance, geom.grad_distance,
-                   fam.scale, fam.scale_gradient):
-            np.testing.assert_array_equal(fn(pts), np.array([fn(p) for p in pts]))
-        grid = fam.weight(pts[:, None, :], pts[None, :, :])
+        fields = geom.distance_fields(pts)
+        for field, single in zip(fields, zip(*map(geom.distance_fields, pts)), strict=True):
+            np.testing.assert_array_equal(field, np.array(single))
+        d = fields[0]
+        ls = fam.scale(d)
+        np.testing.assert_array_equal(ls, np.array([fam.scale(di) for di in d]))
+        for fn in (geom.grad_distance, fam.scale_gradient):
+            np.testing.assert_array_equal(fn(pts, d),
+                                          np.array([fn(p, di) for p, di in zip(pts, d)]))
+        grid = fam.weight(pts[:, None, :], pts[None, :, :], ls[None, :], d[None, :])
         assert grid.shape == (50, 50)
         for i in (0, 17):
-            np.testing.assert_array_equal(grid[i], fam.weight(pts[i], pts))
-            np.testing.assert_array_equal(grid[:, i], fam.weight(pts, pts[i]))
+            np.testing.assert_array_equal(grid[i], fam.weight(pts[i], pts, ls, d))
+            np.testing.assert_array_equal(grid[:, i], fam.weight(pts, pts[i], ls[i], d[i]))
 
     def test_known_values(self):
         rect, disk = rectangle_geometry(3.0, 2.0), disk_geometry(2.0)
         pts = np.array([[1.5, 1.0], [0.5, 1.0], [1.5, 1.9], [4.0, 3.0]])
-        np.testing.assert_allclose(rect.distance(pts), [1.0, 0.5, 0.1, 0.0], atol=1e-15)
-        np.testing.assert_allclose(rect.boundary_distance(pts),
-                                   [1.0, 0.5, 0.1, math.sqrt(2.0)], atol=1e-15)
-        np.testing.assert_array_equal(rect.grad_distance(pts)[1:],
+        d, boundary = rect.distance_fields(pts)
+        np.testing.assert_allclose(d, [1.0, 0.5, 0.1, 0.0], atol=1e-15)
+        np.testing.assert_allclose(boundary, [1.0, 0.5, 0.1, math.sqrt(2.0)], atol=1e-15)
+        np.testing.assert_array_equal(rect.grad_distance(pts, d)[1:],
                                       [[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
         pts = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 0.0]])
-        np.testing.assert_array_equal(disk.distance(pts), [1.0, 2.0, 0.0])
-        np.testing.assert_array_equal(disk.boundary_distance(pts), [1.0, 2.0, 1.0])
-        np.testing.assert_array_equal(disk.grad_distance(pts),
+        d, boundary = disk.distance_fields(pts)
+        np.testing.assert_array_equal(d, [1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(boundary, [1.0, 2.0, 1.0])
+        np.testing.assert_array_equal(disk.grad_distance(pts, d),
                                       [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         line = interval_geometry(4.0)
-        np.testing.assert_array_equal(line.grad_distance([[1.0], [3.0], [5.0]]),
+        pts = np.array([[1.0], [3.0], [5.0]])
+        np.testing.assert_array_equal(line.grad_distance(pts, line.distance_fields(pts)[0]),
                                       [[1.0], [-1.0], [0.0]])
 
 
@@ -297,27 +322,38 @@ class TestNeighborhoodIntegrals:
             neighborhood_integrals(interval_geometry(0.01))
 
 
+def _reference_distance(geom, pts):
+    """The distance to the complement as first written: the nearest face
+    of a box, reduced over the coordinate axis, or the disk's clipped gap."""
+    pts = np.asarray(pts, dtype=float)
+    if geom.shape == "box":
+        faces = np.minimum(pts, np.asarray(geom.parameters) - pts)
+        return np.clip(np.min(faces, axis=-1), 0.0, None)
+    return np.clip(geom.parameters[0] - np.hypot(pts[..., 0], pts[..., 1]), 0.0, None)
+
+
 def _reference_boundary_distance(geom, pts):
-    """boundary_distance as first written: clip to the box, then measure."""
+    """The distance to the boundary as first written: clip to the box, then
+    measure; inside, the distance to the complement."""
     pts = np.asarray(pts, dtype=float)
     if geom.shape == "box":
         offsets = np.abs(pts - np.clip(pts, 0.0, geom.parameters))
         outside = np.hypot.reduce(offsets, axis=-1)
-        return np.where(outside > 0.0, outside, geom.distance(pts))
+        return np.where(outside > 0.0, outside, _reference_distance(geom, pts))
     return np.abs(geom.parameters[0] - np.hypot(pts[..., 0], pts[..., 1]))
 
 
 def _reference_cells(fam, center, halfwidth, resolution, prune=None):
     """cell_grid as first written: a per-cell ``halves`` array, l from
-    ``scale`` and ``prune(centers, halves, scales)``; yields (centers,
-    areas, scales) batches."""
+    the distance of every cell and ``prune(centers, halves, scales)``;
+    yields (centers, areas, scales) batches."""
     quarters = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
     parents = loc._CELL_BATCH // 4
     centers = np.asarray(center, dtype=float)[None, :]
     halves = np.array([halfwidth])
     pending = []
     while True:
-        scales = fam.scale(centers)
+        scales = fam.scale(_reference_distance(fam.geometry, centers))
         if prune is not None:
             keep = ~prune(centers, halves, scales)
             centers, halves, scales = centers[keep], halves[keep], scales[keep]
@@ -339,17 +375,21 @@ def _reference_cells(fam, center, halfwidth, resolution, prune=None):
 
 
 def _reference_scale_grid(fam, resolution, lo=None, hi=None):
-    """scale_grid as first written: each step of the march calls the
-    array ``scale`` on a one-point list."""
+    """scale_grid as first written: each step of the march reads l at
+    the array distance of a one-point list; the distances are evaluated
+    again for the returned batch."""
     box_lo, box_hi = fam.geometry.interior_box()
     u = float(box_lo[0]) - 0.6 if lo is None else lo
     end = float(box_hi[0]) + 0.6 if hi is None else hi
     edges = [u]
     while u < end:
-        u += 4.0 * float(fam.scale([u])) / resolution
+        u += 4.0 * float(fam.scale(_reference_distance(fam.geometry, [u]))) / resolution
         edges.append(u)
     us, ws = loc.panel_quad(np.array(edges), 6)
-    return us, ws, fam.scale(us[:, None])
+    centers = us[:, None]
+    dists = _reference_distance(fam.geometry, centers)
+    return (centers, ws, fam.scale(dists), dists,
+            _reference_boundary_distance(fam.geometry, centers))
 
 
 def _reference_integrals(fam, batches):
@@ -358,7 +398,7 @@ def _reference_integrals(fam, batches):
     bulk = collar = 0.0
     for centers, ws, ls in batches:
         meets = _reference_boundary_distance(fam.geometry, centers) < ls
-        interior = fam.geometry.distance(centers) > 0.0
+        interior = _reference_distance(fam.geometry, centers) > 0.0
         collar += float(np.sum(ls[meets] ** 0.0 * ws[meets]))
         keep = interior & ~meets
         bulk += float(np.sum(ls[keep] ** -2.0 * ws[keep]))
@@ -382,15 +422,14 @@ class TestReferenceRefinement:
         pts[8:16, 0] = rng.choice([lo[0], hi[0]], 8)
         pts[16] = (geom.parameters[0], 0.0) if geom.shape == "disk" else lo
         dists, boundary = geom.distance_fields(pts)
-        np.testing.assert_array_equal(dists, geom.distance(pts))
+        np.testing.assert_array_equal(dists, _reference_distance(geom, pts))
         np.testing.assert_array_equal(boundary, _reference_boundary_distance(geom, pts))
-        np.testing.assert_array_equal(geom.boundary_distance(pts), boundary)
 
     @pytest.mark.parametrize("geom", GEOMETRIES[1:], ids=["rectangle", "disk"])
     def test_cells_and_integrals(self, geom):
         def far_exterior(cs, hs, ls):
             diag = hs * math.sqrt(2.0)
-            exterior = geom.distance(cs) == 0.0
+            exterior = _reference_distance(geom, cs) == 0.0
             no_collar = _reference_boundary_distance(geom, cs) > ls + 1.5 * diag
             return exterior & no_collar
 
@@ -406,7 +445,7 @@ class TestReferenceRefinement:
                 np.testing.assert_array_equal(c, rc)
                 np.testing.assert_array_equal(a, ra)
                 np.testing.assert_array_equal(ls, rls)
-                np.testing.assert_array_equal(dists, geom.distance(rc))
+                np.testing.assert_array_equal(dists, _reference_distance(geom, rc))
                 np.testing.assert_array_equal(boundary, _reference_boundary_distance(geom, rc))
             sums.append(_reference_integrals(fam, ref))
         rep = neighborhood_integrals(geom, L0_VALUES)
@@ -443,8 +482,8 @@ class TestReferenceRefinement:
                     want = _reference_scale_grid(fam, res, lo, hi)
                     for g, w in zip(got, want, strict=True):
                         np.testing.assert_array_equal(g, w)
-            us, ws, ls = _reference_scale_grid(fam, 10)
-            sums.append(_reference_integrals(fam, [(us[:, None], ws, ls)]))
+            centers, ws, ls, *_ = _reference_scale_grid(fam, 10)
+            sums.append(_reference_integrals(fam, [(centers, ws, ls)]))
         rep = neighborhood_integrals(geom, L0_VALUES)
         assert rep["bulk_values"] == tuple(b for b, _ in sums)
         assert rep["collar_values"] == tuple(c for _, c in sums)
