@@ -99,17 +99,21 @@ class TestSurfaceRoutes:
         assert tilde == pytest.approx(surface_local_exact(2), rel=2e-3)
 
 
-# (L2, its err, L2_tilde, its err) from the per-depth evaluation of the
-# boundary layer that the batched engine replaced; the quadrature nodes
-# and weights are unchanged, so only summation order may move the digits
+# (L2, its err, L2_tilde, its err).  L2, L2_tilde and L2_tilde's err date
+# from the per-depth evaluation of the boundary layer that the batched
+# engine replaced; only summation order has moved them since.  The layer
+# route's err is a power-tail fit to the small difference K(t) at t > 33,
+# so it follows any rounding-level change in the density rows: its four
+# entries are those of the tabled Poisson exponent (_q_table), 8e-12 to
+# 5e-10 relative from the direct kernel's
 GOLDEN_SURFACE = {
-    (0.25, 2): (0.01229685454347272, 1.0274151279852357e-05,
+    (0.25, 2): (0.01229685454347272, 1.0274151284872696e-05,
                 0.02652596158307536, 1.390544214590397e-05),
-    (0.5, 2): (0.025328216744399893, 1.0753531488161757e-05,
+    (0.5, 2): (0.025328216744399893, 1.0753531489011976e-05,
                0.03978894237461304, 2.0858163218855955e-05),
-    (0.75, 2): (0.03895988852598059, 1.5786105624716057e-05,
+    (0.75, 2): (0.03895988852598059, 1.5786105624398392e-05,
                 0.04774673084953565, 2.5029795862627148e-05),
-    (0.5, 3): (0.004659485469817581, 3.204912855288912e-07,
+    (0.5, 3): (0.004659485469817581, 3.204912855315662e-07,
                0.00663151600090153, 8.128973573631816e-07),
 }
 

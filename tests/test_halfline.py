@@ -8,10 +8,12 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.interpolate import PchipInterpolator, PPoly
 
+from fracweyl import halfline
 from fracweyl.quadcore import integrate, panel_quad
 from fracweyl.constants import surface_via_energy_shift, surface_via_layer
 from fracweyl.halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
-                               _THETA_HI, _THETA_LO, _THETA_NODES, _layer_profile,
+                               _Q_DEGREE, _Q_HI, _Q_LO, _Q_PANELS, _THETA_HI,
+                               _THETA_LO, _THETA_NODES, _layer_profile,
                                _pchip_eval, _pchip_fit, _poisson_grid, _uniform_panels,
                                dispersion, spectral_edge)
 
@@ -695,3 +697,60 @@ class TestPoissonGrid:
             [1.2857449384842334e-39, 1.0896942802640372e-37, 1.1576139370315293e-36,
              3.991733586460918e-36, 2.1777730843655566e-26, 6.574772951549647e-32,
              4.420128213315889e-34, 3.873485817595444e-35], rtol=1e-12, atol=0.0)
+
+
+class TestPoissonTable:
+    """The Poisson exponent q of in-range node-column rows comes from a
+    piecewise Chebyshev table in log lam (_q_table); everything else takes
+    the direct kernel _poisson_decay."""
+
+    @pytest.mark.parametrize("s", [0.05, 0.1, 0.25, 0.5, 0.75, 0.95])
+    def test_matches_direct_kernel(self, s):
+        # the direct kernel itself carries 3e-9 to 6e-9 of rounding noise in
+        # q at the top decades, so no table agrees with it more closely
+        m = HalfLineModel(FractionalOrder(s, 2))
+        lams = np.geomspace(_Q_LO, _Q_HI, 500)
+        direct = m._poisson_decay(lams, m._xi_nodes)
+        np.testing.assert_allclose(m._tabled_decay(lams), direct, rtol=0.0, atol=1e-8)
+
+    def test_nodes_return_their_rows(self, model_half):
+        nodes, rows = model_half._q_table
+        assert rows.shape == (_Q_PANELS * _Q_DEGREE + 1, model_half._xi_nodes.size)
+        assert nodes[0] == pytest.approx(math.log(_Q_LO), rel=1e-15)
+        assert nodes[-1] == pytest.approx(math.log(_Q_HI), rel=1e-15)
+        assert_same_bits(model_half._tabled_decay(np.exp(nodes)), rows)
+
+    def test_rows_outside_range_are_direct(self, monkeypatch):
+        # with the range emptied every row takes the direct kernel; rows
+        # below and above the range read the same bits with the table on
+        lams = np.array([1e-12, 0.3 * _Q_LO, 1.5 * _Q_HI, 3e5, 1e9])
+        m = HalfLineModel(FractionalOrder(0.3, 2))
+        xi = m._xi_nodes
+        tabled = m.gamma_values(np.concatenate([[0.5, 40.0], lams]), xi)[2:]
+        monkeypatch.setattr(halfline, "_Q_HI", 0.0)
+        assert_same_bits(tabled, HalfLineModel(m.order).gamma_values(lams, xi))
+
+    def test_mixed_rows_match_single_lam(self):
+        m = HalfLineModel(FractionalOrder(0.3, 2))
+        lams = np.array([1e-9, 0.02, _Q_LO, 3.0, _Q_HI, 2e4, 700.0, 1e7, 0.02])
+        xi, rows = m.gamma_table(lams)
+        for lam, row in zip(lams, rows):
+            np.testing.assert_allclose(row, m.gamma_table(lam)[1], rtol=1e-14, atol=0.0)
+
+    def test_built_once_by_first_in_range_node_call(self, monkeypatch):
+        m = HalfLineModel(FractionalOrder(0.3, 2))
+        xi = m._xi_nodes
+        m.outer_function(2.0, 0.5)
+        m.gamma_values(3.0, xi[1::20])
+        m.gamma_values(np.array([0.5 * _Q_LO, 2.0 * _Q_HI]), xi)
+        assert "_q_table" not in vars(m)
+        sizes = []
+        direct = HalfLineModel._poisson_decay
+        monkeypatch.setattr(HalfLineModel, "_poisson_decay",
+                            lambda self, lams, x: sizes.append(lams.size) or direct(self, lams, x))
+        m.gamma_table(np.array([0.3, 2.0, 700.0]))
+        table = vars(m)["_q_table"]
+        m.gamma_table(np.geomspace(1e-3, 1e3, 40))
+        m.energy_shift(4.0)
+        assert vars(m)["_q_table"] is table
+        assert sizes == [_Q_PANELS * _Q_DEGREE + 1]
