@@ -746,8 +746,12 @@ class TestPoissonTable:
         assert "_q_table" not in vars(m)
         sizes = []
         direct = HalfLineModel._poisson_decay
-        monkeypatch.setattr(HalfLineModel, "_poisson_decay",
-                            lambda self, lams, x: sizes.append(lams.size) or direct(self, lams, x))
+
+        def counting(self, lams, x):
+            sizes.append(lams.size)
+            return direct(self, lams, x)
+
+        monkeypatch.setattr(HalfLineModel, "_poisson_decay", counting)
         m.gamma_table(np.array([0.3, 2.0, 700.0]))
         table = vars(m)["_q_table"]
         m.gamma_table(np.geomspace(1e-3, 1e3, 40))
