@@ -269,9 +269,8 @@ class HalfLineModel:
     Spectral-density tables are pure functions of (order, lam), built on
     demand with one row per lam of a grid.  What they keep is built on
     first use: the table of the Poisson exponent q on the density
-    quadrature's columns for lam in [1e-8, 1e4] (_q_table), and the z grid
-    and Poisson matrix of those columns, from which the direct kernel
-    builds that table and evaluates rows past it.
+    quadrature's columns for lam in [1e-8, 1e4] (_q_table), which the
+    direct kernel fills; rows past that range take the kernel itself.
     """
 
     def __init__(self, order: FractionalOrder):
@@ -366,11 +365,8 @@ class HalfLineModel:
         for 1-D arrays of lam (rows) and of x > 0 (columns).
 
         Every lam shares one geometric z grid from 1e-16 min(1, x) to
-        1e7 max(x, lam, 1) and one Poisson matrix (_poisson_grid); N is
-        contracted against it 64 lam at a time.  Once no lam exceeds
-        max(x), the grid depends on x alone: for the nodes of the model's
-        density quadrature it is built once per model (_xi_poisson), for
-        any other x on each call.
+        1e7 max(x, lam, 1) and one Poisson matrix (_poisson_grid), built on
+        each call; N is contracted against it 64 lam at a time.
 
         This is the direct kernel.  gamma_values reads rows with lam in
         [_Q_LO, _Q_HI] on the node columns from _q_table, which this kernel
@@ -378,11 +374,7 @@ class HalfLineModel:
         that range and for other columns, and outer_function calls it for
         its one (lam, t).
         """
-        lam_max = float(lams.max())
-        if lam_max <= float(x.max()) and np.array_equal(x, self._xi_nodes):
-            z, w, poisson = self._xi_poisson
-        else:
-            z, w, poisson = _poisson_grid(x, lam_max)
+        z, w, poisson = _poisson_grid(x, float(lams.max()))
         out = np.empty((lams.size, x.size))
         for i in range(0, lams.size, 64):
             lam = lams[i:i + 64, None]
@@ -399,12 +391,6 @@ class HalfLineModel:
             n *= w
             out[i:i + 64] = n @ poisson.T
         return out
-
-    @cached_property
-    def _xi_poisson(self):
-        """_poisson_grid of the density quadrature's nodes, valid for every
-        lam up to their largest node."""
-        return _poisson_grid(self._xi_nodes, 0.0)
 
     @cached_property
     def _q_table(self):

@@ -35,18 +35,28 @@ that none below the cut was missed.  The first run of each block asks for a
 few more pairs than the block's closed-form Dirichlet-power count below the
 cut, which by the ordering D^s >= P M_s P is a lower bound on its own.
 Each ``SpectrumResult`` records the cut up to which it is complete, and
-``riesz_mean`` refuses an ``h`` that would read beyond it.
+``riesz_mean`` refuses an ``h`` that would read beyond it.  Each ``eigsh``
+runs with scipy's OpenBLAS pool held to one thread (``_one_blas_thread``).
+ARPACK is the library's only caller of scipy's BLAS and gains nothing from
+a second thread, its vectors being one parity block long (1,024 sites on
+64^2); a worker it wakes keeps spinning after the solve and slows the
+threaded products of numpy's own OpenBLAS, which runs every matvec and
+dense solve and is left alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg.cython_blas
 import scipy.sparse.linalg
 
 from .halfline import FractionalOrder, HalfLineModel
@@ -512,6 +522,48 @@ _LANCZOS_SEED, _DEFLATED_SEED = 0, 1
 _LANCZOS_MARGIN = 6
 
 
+@functools.cache
+def _scipy_blas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS that scipy's
+    BLAS, and so ARPACK, calls, or None where none resolves (MKL,
+    Accelerate).  The library is opened through ``scipy.linalg.cython_blas``,
+    which ``scipy.sparse.linalg`` has already loaded; numpy's own OpenBLAS is
+    another library and is not reached."""
+    try:
+        blas = ctypes.CDLL(scipy.linalg.cython_blas.__file__, mode=os.RTLD_NOLOAD)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            get = getattr(blas, prefix + "_get_num_threads")
+            set_ = getattr(blas, prefix + "_set_num_threads")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS pool (``_scipy_blas_threads``) to one thread
+    and give it back its previous count on exit, by return or by raise;
+    without an OpenBLAS handle, do nothing.  Each ``eigsh`` runs inside it
+    (see the module docstring)."""
+    threads = _scipy_blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _distinct_blocks(domain: LatticeDomain):
     """The nonempty reflection-parity blocks, one half per axis, as
     ``(halves, mirrored)``.
@@ -565,6 +617,10 @@ def lowest_spectrum(domain: LatticeDomain, s: float, cut: float,
     first run missed, such as a copy of a degenerate one, would be that
     lowest eigenvalue.  The block spectra are merged in ascending order,
     and the vectors expanded to normalized site vectors of the whole block.
+    Each Lanczos run holds scipy's OpenBLAS pool, the one ARPACK calls, to
+    one thread and restores its count after, also on a raise
+    (``_one_blas_thread``); ARPACK loses nothing by it, since its vectors
+    are one block long and the matvec runs on numpy's BLAS.
 
     Returns a ``SpectrumResult`` complete up to ``cut``, whose ``defect`` is
     the largest block residual, or the pair ``(spectrum, eigenvectors)``.
@@ -606,7 +662,8 @@ def _block_spectrum(circle, spectrum, top, halves, cut, floor):
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
     k = floor + _LANCZOS_MARGIN
     while k < n - 1:
-        w, v = scipy.sparse.linalg.eigsh(operator(apply), k=k, which="SA", tol=0, v0=v0)
+        with _one_blas_thread():
+            w, v = scipy.sparse.linalg.eigsh(operator(apply), k=k, which="SA", tol=0, v0=v0)
         if w.max() > cut:
             break
         k *= 2
@@ -626,9 +683,10 @@ def _block_spectrum(circle, spectrum, top, halves, cut, floor):
     def deflated(x):
         return apply(x) + 2.0 * cut * (v @ (v.T @ x))
 
-    (next_w,) = scipy.sparse.linalg.eigsh(
-        operator(deflated), k=1, which="SA", tol=0, return_eigenvectors=False,
-        v0=np.random.default_rng(_DEFLATED_SEED).standard_normal(n))
+    with _one_blas_thread():
+        (next_w,) = scipy.sparse.linalg.eigsh(
+            operator(deflated), k=1, which="SA", tol=0, return_eigenvectors=False,
+            v0=np.random.default_rng(_DEFLATED_SEED).standard_normal(n))
     if not next_w > cut:
         raise ArithmeticError(f"eigenvalue {next_w} at or below the cut {cut} "
                               f"was missed by the {w.size} returned")

@@ -14,7 +14,7 @@ from fracweyl.constants import surface_via_energy_shift, surface_via_layer
 from fracweyl.halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
                                _Q_DEGREE, _Q_HI, _Q_LO, _Q_PANELS, _THETA_HI,
                                _THETA_LO, _THETA_NODES, _layer_profile,
-                               _pchip_eval, _pchip_fit, _poisson_grid, _uniform_panels,
+                               _pchip_eval, _pchip_fit, _uniform_panels,
                                dispersion, spectral_edge)
 
 
@@ -652,32 +652,7 @@ class TestDenseGrid:
 
 
 class TestPoissonGrid:
-    S = 0.3  # 17 of the 176 xi_a = 1 + v^(1/s) round to 1.0 at this order
-
-    def test_hoisted_only_for_live_columns(self):
-        # the nodes at 1.0 carry no density and are dropped, so the hoisted
-        # grid is that of every node; other columns and a lam past the
-        # largest node do not build it
-        m = HalfLineModel(FractionalOrder(self.S, 2))
-        xi = m._xi_nodes
-        assert xi.size == 176 - 17 and np.all(xi > 1.0)
-        m.outer_function(2.0, 0.5)
-        m.gamma_values(2.0 * xi.max(), xi)
-        m.gamma_values(3.0, xi[1::20])
-        assert "_xi_poisson" not in vars(m)
-        m.gamma_table(np.array([0.3, 2.0, 700.0]))
-        z, w, poisson = vars(m)["_xi_poisson"]
-        assert poisson.shape == (xi.size, z.size) == (xi.size, w.size)
-
-    def test_hoisted_matches_per_call(self):
-        # up to the largest node the per-call grid of the node columns is,
-        # bit for bit, the hoisted one
-        lams = np.geomspace(1e-3, 1e4, 150)
-        m = HalfLineModel(FractionalOrder(self.S, 2))
-        m.gamma_table(lams)
-        for hoisted, per_call in zip(vars(m)["_xi_poisson"],
-                                     _poisson_grid(m._xi_nodes, float(lams.max()))):
-            assert_same_bits(hoisted, per_call)
+    S = 0.3
 
     def test_per_call_paths_unchanged(self):
         # outer_function and a lam past the largest xi node take the

@@ -2,11 +2,11 @@
 and every function the benchmark tracer wraps.  A deleted or renamed
 function fails here in a second instead of in the benchmark self-check.
 No public function of the coefficient or lattice modules takes a model
-beside its order.  Every export of the lattice and localization modules,
-and every public method and property of their classes, has a caller
-outside the tests.  No module reaches into another's private names, and no
-module, script or test imports a name it does not use.  The command-line
-import leaves scipy and the lattice unloaded."""
+beside its order.  Every export of the lattice, localization and
+quadrature modules, and every public method and property of their classes,
+has a caller outside the tests.  No module reaches into another's private
+names, and no module, script or test imports a name it does not use.  The
+command-line import leaves scipy and the lattice unloaded."""
 
 import ast
 import importlib
@@ -64,7 +64,8 @@ def _public_members(cls):
             and (inspect.isfunction(obj) or isinstance(obj, property))]
 
 
-@pytest.mark.parametrize("module_name", ["fracweyl.lattice", "fracweyl.localization"])
+@pytest.mark.parametrize("module_name", ["fracweyl.lattice", "fracweyl.localization",
+                                         "fracweyl.quadcore"])
 def test_exports_have_a_caller(module_name):
     # every export is read by the library or a script, or wrapped by the
     # benchmark tracer, and every public method and property of a public

@@ -1,10 +1,13 @@
+import ctypes
 import functools
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.cython_blas
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -403,6 +406,121 @@ class TestLowestSpectrum:
         _tamper_first_solve(monkeypatch, shifted)
         with pytest.raises(ArithmeticError):
             lowest_spectrum(square_domain(32), 0.5, 8.1)
+
+
+def _loaded_symbol(path, names):
+    """The first of ``names`` that the already loaded library ``path``
+    exports, or None."""
+    try:
+        library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    except OSError:
+        return None
+    for name in names:
+        if hasattr(library, name):
+            symbol = getattr(library, name)
+            symbol.argtypes, symbol.restype = [], ctypes.c_int
+            return symbol
+    return None
+
+
+# thread counts of scipy's and numpy's OpenBLAS pools, read without the
+# library's own lookup (numpy's is the 64-bit-integer build)
+SCIPY_THREADS = _loaded_symbol(scipy.linalg.cython_blas.__file__,
+                               ("scipy_openblas_get_num_threads", "openblas_get_num_threads"))
+NUMPY_THREADS = _loaded_symbol(np.linalg._umath_linalg.__file__,
+                               ("scipy_openblas_get_num_threads64_",
+                                "openblas_get_num_threads64_", "openblas_get_num_threads"))
+
+
+def _address(symbol):
+    return ctypes.cast(symbol, ctypes.c_void_p).value
+
+
+@pytest.fixture
+def scipy_pool():
+    """scipy's pool at two threads for the test, and its count reader; the
+    count it had is restored after."""
+    threads = lat._scipy_blas_threads()
+    if SCIPY_THREADS is None or threads is None:
+        pytest.skip("scipy's BLAS is not an OpenBLAS whose thread count resolves")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    try:
+        if SCIPY_THREADS() != 2:
+            pytest.skip("scipy's OpenBLAS does not take a second thread here")
+        yield SCIPY_THREADS
+    finally:
+        set_(before)
+
+
+def _watch_matvecs(monkeypatch, reader):
+    """Patch eigsh so that every matvec of its operator records ``reader()``."""
+    exact = scipy.sparse.linalg.eigsh
+    seen = []
+
+    def patched(a, **kwargs):
+        def matvec(x):
+            seen.append(reader())
+            return a.matvec(x)
+
+        return exact(scipy.sparse.linalg.LinearOperator(a.shape, matvec=matvec, dtype=float),
+                     **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", patched)
+    return seen
+
+
+class TestBlasThreadScope:
+    """Each Lanczos solve holds scipy's OpenBLAS pool, the one ARPACK calls,
+    to one thread and gives the pool back its count; numpy's pool, which
+    every other product runs on, is never touched."""
+
+    def test_one_thread_inside_each_solve(self, scipy_pool, monkeypatch):
+        seen = _watch_matvecs(monkeypatch, scipy_pool)
+        lowest_spectrum(square_domain(32), 0.5, 8.1)
+        assert seen and set(seen) == {1}
+        assert scipy_pool() == 2
+
+    def test_count_restored_after_raise(self, scipy_pool, monkeypatch):
+        # a solve that raises inside the scope, and a completeness run that
+        # finds a withheld pair, both give the pool back its two threads
+        def failing(*args, **kwargs):
+            raise ArithmeticError(f"solver failed on {scipy_pool()} thread")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        with pytest.raises(ArithmeticError, match="on 1 thread"):
+            lowest_spectrum(square_domain(32), 0.5, 8.1)
+        assert scipy_pool() == 2
+        monkeypatch.undo()
+        _tamper_first_solve(monkeypatch, _withholding(0))
+        with pytest.raises(ArithmeticError, match="was missed"):
+            lowest_spectrum(square_domain(32), 0.5, 8.1)
+        assert scipy_pool() == 2
+
+    def test_numpy_pool_untouched(self, scipy_pool, monkeypatch):
+        if NUMPY_THREADS is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS whose thread count resolves")
+        if _address(NUMPY_THREADS) == _address(scipy_pool):
+            pytest.skip("numpy and scipy share one OpenBLAS here, so its pool is scipy's")
+        before = NUMPY_THREADS()
+        seen = _watch_matvecs(monkeypatch, NUMPY_THREADS)
+        lowest_spectrum(square_domain(32), 0.5, 8.1)
+        assert seen and set(seen) == {before} and NUMPY_THREADS() == before
+
+    # verify-square's 64^2 cut (4 spacing)^-2s at s = 1/2 is 16
+    @pytest.mark.parametrize("dom, cut", [(square_domain(32), 8.1), (square_domain(64), 16.0)],
+                             ids=["square32", "square64"])
+    def test_same_bits_without_a_handle(self, dom, cut, monkeypatch):
+        # where no OpenBLAS symbol resolves the scope does nothing, and the
+        # solve returns the same pairs bit for bit
+        scoped, v_scoped = lowest_spectrum(dom, 0.5, cut, vectors=True)
+        monkeypatch.setattr(lat, "_scipy_blas_threads", lambda: None)
+        bare, v_bare = lowest_spectrum(dom, 0.5, cut, vectors=True)
+        assert scoped.eigenvalues.size
+        assert np.array_equal(scoped.eigenvalues, bare.eigenvalues)
+        assert scoped.defect == bare.defect
+        assert np.array_equal(v_scoped, v_bare)
 
 
 class TestBlockOperator:
