@@ -6,8 +6,8 @@ quadcore
     Sphere areas and the Gauss-Legendre panel rule, fixed or adaptively
     bisected as the reference quadrature.
 halfline
-    The half-line model operator: phase shift, generalized eigenfunctions,
-    kernels, boundary layer, and energy shift.
+    The half-line model operator: phase shift, spectral density and
+    Laplace tails, kernels, boundary layer, and energy shift.
 constants
     The bulk and surface coefficients of the two-term trace expansion and
     the coefficient conversions between summation conventions.

@@ -32,7 +32,6 @@ __all__ = [
     "surface_via_layer",
     "surface_via_eigenfunctions",
     "surface_via_energy_shift",
-    "surface_local_exact",
     "surface_dirichlet_power",
     "compute_weyl_coefficients",
     "cesaro_riesz_convert",
@@ -149,18 +148,13 @@ def surface_via_energy_shift(order: FractionalOrder):
     return value, max(abs(value - coarse), 1e-7 * abs(value))
 
 
-def surface_local_exact(d: int) -> float:
-    """Closed form of the local (s = 1) surface coefficient."""
-    return sphere_area(d - 2) / (2.0 * (d - 1) * (d + 1) * (2.0 * math.pi) ** (d - 1))
-
-
 def surface_dirichlet_power(order: FractionalOrder):
     """Comparison constant for the fractional power of the Dirichlet
     Laplacian: the local layer integral scaled by s(d+1)/(d-1+2s).
 
     The local layer runs through the generic machinery with sine
-    eigenfunctions rather than the closed form, so this path tests the
-    layer code against surface_local_exact.
+    eigenfunctions rather than its closed form
+    |S^(d-2)| / (2 (d-1) (d+1) (2 pi)^(d-1)), which the tests hold it to.
     """
     s, d = order.s, order.d
     local, err = _layer_t_integral(DirichletLineModel(d).boundary_layer)

@@ -13,7 +13,10 @@ the Fourier-multiplier operator (the additive sign fails by orders of
 magnitude; see the tests).  Everything else here is assembled from those
 two ingredients: the projector and Riesz-mean kernels, the boundary-layer
 profile whose integral is the surface coefficient of the two-term trace
-expansion, and the integrated energy shift.
+expansion, and the integrated energy shift.  Each of them contracts the
+sine and the tail separately; F itself, the closed-form double Laplace
+transform of the density and the projector profile off the diagonal are
+test oracles (tests/halfline_oracles.py).
 
 Numerical core
 --------------
@@ -62,7 +65,6 @@ __all__ = [
     "FractionalOrder",
     "HalfLineModel",
     "DirichletLineModel",
-    "dispersion",
     "spectral_edge",
 ]
 
@@ -79,15 +81,6 @@ class FractionalOrder:
             raise ValueError(f"fractional order must lie in (0,1), got {self.s}")
         if self.d != int(self.d) or self.d < 2:
             raise ValueError(f"ambient dimension must be an integer >= 2, got {self.d}")
-
-
-def dispersion(E, s: float):
-    """Shifted dispersion (E+1)^s - 1; vanishes at E = 0, strictly increasing."""
-    E = np.asarray(E, dtype=float)
-    if np.any(E < 0):
-        raise ValueError("dispersion is defined for E >= 0")
-    out = np.expm1(s * np.log1p(E))
-    return float(out) if out.ndim == 0 else out
 
 
 def _dispersion_prime(E, s: float):
@@ -270,7 +263,8 @@ class HalfLineModel:
     demand with one row per lam of a grid.  What they keep is built on
     first use: the table of the Poisson exponent q on the density
     quadrature's columns for lam in [1e-8, 1e4] (_q_table), which the
-    direct kernel fills; rows past that range take the kernel itself.
+    direct kernel fills; rows past that range, and columns other than the
+    nodes, take the kernel itself.
     """
 
     def __init__(self, order: FractionalOrder):
@@ -370,9 +364,8 @@ class HalfLineModel:
 
         This is the direct kernel.  gamma_values reads rows with lam in
         [_Q_LO, _Q_HI] on the node columns from _q_table, which this kernel
-        fills once per model; it calls the kernel itself for rows outside
-        that range and for other columns, and outer_function calls it for
-        its one (lam, t).
+        fills once per model, and calls the kernel itself for rows outside
+        that range and for other columns.
         """
         z, w, poisson = _poisson_grid(x, float(lams.max()))
         out = np.empty((lams.size, x.size))
@@ -434,7 +427,8 @@ class HalfLineModel:
         The denominator is the modulus squared
         |(xi^2-1)^s e^{i pi s} - (1+lam^2)^s|^2: of the algebraic forms the
         density could take, it is the one whose double Laplace transform
-        reproduces the closed form (see test_reading_selection).
+        reproduces the closed form (tests/halfline_oracles.py; see
+        test_reading_selection).
 
         On the density quadrature's node columns, the Poisson exponent q
         of rows with lam in [_Q_LO, _Q_HI] = [1e-8, 1e4] is read from a
@@ -490,54 +484,12 @@ class HalfLineModel:
         return g
 
     def laplace_tail(self, lam: float, x):
-        """G(lam, x) = int_1^inf exp(-x*xi) gamma(xi) dxi, in [0, 1]."""
+        """G(lam, x) = int_1^inf exp(-x*xi) gamma(xi) dxi, in [0, 1], for
+        one lam.  The kernels contract their tails in _tails; this one-lam
+        form is what the benchmark tracer wraps."""
         x_arr = np.asarray(x, dtype=float)
         vals = self._tails(x_arr.ravel(), self.gamma_table([lam])[1])[:, 0]
         return float(vals[0]) if x_arr.ndim == 0 else vals.reshape(x_arr.shape)
-
-    def eigenfunction(self, lam: float, x):
-        """Generalized eigenfunction F(lam, x) = sin(lam x + phase) - tail;
-        vanishes at x = 0 and is bounded by 2 in modulus."""
-        th = self.phase_vec(lam)
-        x_arr = np.asarray(x, dtype=float)
-        return np.sin(lam * x_arr + th) - self.laplace_tail(lam, x_arr)
-
-    # -- closed-form double Laplace transform --------------------------
-
-    def _log_kappa(self, lam: float) -> float:
-        # kappa = ln(lam^2 psi'(lam^2) / psi(lam^2))
-        s = self.order.s
-        lam2 = lam * lam
-        return (math.log(s) + math.log(lam2) + (s - 1.0) * math.log1p(lam2)
-                - math.log(math.expm1(s * math.log1p(lam2))))
-
-    def outer_function(self, lam: float, t: float) -> float:
-        """Exponential of the Poisson integral of the log spectral ratio.
-
-        Equals 1 at t = 0 and decays like t^(1-s) relative to the free
-        factor; enters the closed-form double Laplace transform.
-        """
-        if not lam > 0:
-            raise ValueError("outer_function requires lam > 0")
-        if t < 0:
-            raise ValueError("outer_function requires t >= 0")
-        if t == 0.0:
-            return 1.0
-        s = self.order.s
-        lam2 = lam * lam
-        c0 = 0.5 * (math.log(s) - (1.0 - s) * math.log1p(lam2) - self._log_kappa(lam))
-        q = float(self._poisson_decay(np.array([lam]), np.array([t]))[0, 0])
-        return (1.0 + t) ** (1.0 - s) * math.exp(c0 + q / math.pi)
-
-    def closed_form_double_laplace(self, lam: float, t: float) -> float:
-        """Closed form of the double Laplace transform of the density."""
-        s = self.order.s
-        lam2 = lam * lam
-        th = self.phase_vec(lam)
-        ratio = _dispersion_prime(lam2, s) / math.expm1(s * math.log1p(lam2))
-        phi = self.outer_function(lam, t)
-        return ((lam * math.cos(th) + t * math.sin(th)) / (lam2 + t * t)
-                - lam2 * math.sqrt(ratio) * phi / (lam2 + t * t))
 
     # -- kernels -------------------------------------------------------
 
@@ -647,24 +599,11 @@ class HalfLineModel:
         (lam,), (w,), _ = self._g_grid([mu], n=64)
         return float(np.dot(w, mu - (1.0 + lam ** 2) ** self.order.s)) / math.pi
 
-    def projector_profile(self, t: float, u: np.ndarray, mu: float) -> np.ndarray:
-        """Kernel e(t, u_j, mu) of the spectral projector below mu over an
-        array of offsets; zero for mu <= 1.
-
-        Single oscillation-resolving grid sized for max(u); the tails at t
-        and at every u_j come from one stacked-table contraction and are
-        interpolated onto that grid in blocks of 2048 offsets.
-        """
-        u = np.asarray(u, dtype=float)
-        if mu <= 1.0:
-            return np.zeros_like(u)
-        return self._projector(t, u, self._edge_tables([mu])[0])
-
     def projector_diagonal(self, t, mu: float) -> np.ndarray:
         """Diagonal e(t_j, t_j, mu) of the spectral projector below mu over
-        an array of depths; zero for mu <= 1.  Each depth is the
-        ``projector_profile(t_j, [t_j], mu)`` value, from one build of the
-        density tables of mu."""
+        an array of depths; zero for mu <= 1.  Each depth is one
+        ``_projector(t_j, [t_j], ...)`` value, from one build of the density
+        tables of mu."""
         t = np.asarray(t, dtype=float)
         if mu <= 1.0:
             return np.zeros_like(t)
@@ -672,7 +611,13 @@ class HalfLineModel:
         return np.array([self._projector(tj, tj[None], grid)[0] for tj in t])
 
     def _projector(self, t: float, u: np.ndarray, grid) -> np.ndarray:
-        """projector_profile for mu > 1, from one entry of _edge_tables."""
+        """Kernel e(t, u_j, mu) of the spectral projector below mu > 1 over
+        an array of offsets, from one entry of _edge_tables.
+
+        Single oscillation-resolving grid sized for max(u); the tails at t
+        and at every u_j come from one stacked-table contraction and are
+        interpolated onto that grid in blocks of 2048 offsets.
+        """
         _, lam_aug, tables = grid
         edge = lam_aug[-1]
         span = abs(t) + float(np.max(u))

@@ -328,13 +328,12 @@ def partition_check(x, family: LocalizationFamily, resolution: int = 8) -> float
 
 def neighborhood_integrals(geometry: DomainGeometry,
                            l0_values=(0.04, 0.02, 0.01),
-                           a_exponent: float = 0.0,
                            resolution: int = 10) -> dict:
     """Empirical scaling in l0 of the bulk and collar integrals.
 
     Bulk: integral of l(u)^-2 over domain points whose ball misses the
-    boundary (expected ~ l0^-1).  Collar: integral of l(u)^a over centers
-    whose ball meets the boundary (expected ~ l0^(a+1)).  Both read the
+    boundary (expected ~ l0^-1).  Collar: measure of the centers whose
+    ball meets the boundary (expected ~ l0).  Both read the
     distance fields the grid has evaluated at each center.  Raises
     ValueError unless ``resolution >= 1`` (``>= 2`` in 2-D, where the
     cells refine to l/(resolution // 2)).
@@ -361,7 +360,7 @@ def neighborhood_integrals(geometry: DomainGeometry,
         for _, ws, ls, dists, boundary in batches:
             meets = boundary < ls
             interior = dists > 0.0
-            collar += float(np.sum(ls[meets] ** a_exponent * ws[meets]))
+            collar += float(np.sum(ws[meets]))
             keep = interior & ~meets
             bulk += float(np.sum(ls[keep] ** -2.0 * ws[keep]))
         for name, val in (("bulk", bulk), ("collar", collar)):
@@ -374,11 +373,8 @@ def neighborhood_integrals(geometry: DomainGeometry,
     bulk_exp = float(np.polyfit(logl0, np.log(bulk_vals), 1)[0])
     collar_exp = float(np.polyfit(logl0, np.log(collar_vals), 1)[0])
     return {
-        "l0_values": tuple(l0_values),
         "bulk_values": tuple(bulk_vals),
         "collar_values": tuple(collar_vals),
         "bulk_exponent": bulk_exp,
         "collar_exponent": collar_exp,
-        "expected_bulk_exponent": -1.0,
-        "expected_collar_exponent": a_exponent + 1.0,
     }

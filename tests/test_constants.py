@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from fracweyl.halfline import FractionalOrder, DirichletLineModel
 from fracweyl.constants import (bulk_coefficient, bulk_coefficient_quadrature,
                                 surface_via_layer, surface_via_eigenfunctions,
-                                surface_via_energy_shift, surface_local_exact,
+                                surface_via_energy_shift,
                                 surface_dirichlet_power, _layer_t_integral, _power_tail,
                                 cesaro_riesz_convert, cesaro_riesz_invert,
                                 eigenvalue_sum_coefficients)
+from halfline_oracles import surface_local_exact
 
 
 class TestBulkCoefficient:

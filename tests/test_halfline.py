@@ -15,24 +15,15 @@ from fracweyl.halfline import (FractionalOrder, HalfLineModel, DirichletLineMode
                                _Q_DEGREE, _Q_HI, _Q_LO, _Q_PANELS, _THETA_HI,
                                _THETA_LO, _THETA_NODES, _layer_profile,
                                _pchip_eval, _pchip_fit, _uniform_panels,
-                               dispersion, spectral_edge)
+                               spectral_edge)
+from halfline_oracles import (closed_form_double_laplace, eigenfunction,
+                              outer_function, projector_profile)
 
 
 def assert_same_bits(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     assert a.shape == b.shape
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-class TestDispersion:
-    def test_examples(self):
-        assert dispersion(0.0, 0.5) == 0.0
-        assert dispersion(3.0, 0.5) == pytest.approx(1.0, rel=1e-14)
-        assert dispersion(1.0, 0.25) == pytest.approx(2.0 ** 0.25 - 1.0, rel=1e-14)
-
-    def test_monotone(self):
-        e = np.linspace(0.0, 30.0, 200)
-        assert np.all(np.diff(dispersion(e, 0.7)) > 0)
 
 
 class TestFractionalOrder:
@@ -138,7 +129,7 @@ class TestSpectralDensity:
         cos_pi_s, sin_pi_s = math.cos(math.pi * s), math.sin(math.pi * s)
 
         def denominators(lam, xi):
-            psi = dispersion(lam * lam, s)
+            psi = np.expm1(s * np.log1p(lam * lam))
             xi2m1 = (xi - 1.0) * (xi + 1.0)
             pow_s = xi2m1 ** s
             shift_s = (1.0 + lam * lam) ** s
@@ -154,7 +145,7 @@ class TestSpectralDensity:
         for lam, t in ((1.0, 1.0), (2.0, 0.7)):
             xi, c = model_half.gamma_table(lam)
             dens = denominators(lam, xi)
-            g_ref = model_half.closed_form_double_laplace(lam, t)
+            g_ref = closed_form_double_laplace(model_half, lam, t)
             for reading, den in dens.items():
                 cr = c * dens["shifted_modulus"] / den
 
@@ -180,7 +171,7 @@ class TestSpectralDensity:
         g_num = integrate(
             lambda u: np.exp(-t * u) * (np.exp(-np.multiply.outer(u, xi)) @ c),
             0.0, math.inf, rel_tol=1e-9).value
-        assert g_num == pytest.approx(model_half.closed_form_double_laplace(lam, t),
+        assert g_num == pytest.approx(closed_form_double_laplace(model_half, lam, t),
                                       rel=1e-5)
 
     def test_stacked_rows_match_single_lam(self, model_half):
@@ -233,11 +224,11 @@ class TestClosedFormDoubleLaplace:
         th = model_half.phase_vec(lam)
         lim = math.cos(th) / lam - math.sqrt(
             s * (1 + lam ** 2) ** (s - 1.0) / ((1 + lam ** 2) ** s - 1.0))
-        assert model_half.closed_form_double_laplace(lam, 1e-9) == pytest.approx(
+        assert closed_form_double_laplace(model_half, lam, 1e-9) == pytest.approx(
             lim, abs=1e-8)
 
     def test_decay(self, model_half):
-        assert abs(model_half.closed_form_double_laplace(1.0, 1e3)) < 1e-2
+        assert abs(closed_form_double_laplace(model_half, 1.0, 1e3)) < 1e-2
 
     def test_cross_check_low_order(self):
         m = HalfLineModel(FractionalOrder(0.3, 2))
@@ -246,22 +237,22 @@ class TestClosedFormDoubleLaplace:
         g_num = integrate(
             lambda u: np.exp(-t * u) * (np.exp(-np.multiply.outer(u, xi)) @ c),
             0.0, math.inf, rel_tol=1e-9).value
-        assert g_num == pytest.approx(m.closed_form_double_laplace(lam, t), rel=1e-5)
+        assert g_num == pytest.approx(closed_form_double_laplace(m, lam, t), rel=1e-5)
 
 
 class TestOuterFunction:
     def test_at_zero(self, model_half):
-        assert model_half.outer_function(2.0, 0.0) == 1.0
+        assert outer_function(model_half, 2.0, 0.0) == 1.0
 
     def test_derivative_vanishes_large_lambda(self, model_half):
-        fd = (model_half.outer_function(1e3, 1e-4) - 1.0) / 1e-4
+        fd = (outer_function(model_half, 1e3, 1e-4) - 1.0) / 1e-4
         assert abs(fd) < 0.05
 
     def test_derivative_small_lambda_matches_phase_slope(self, model_half):
         ref = integrate(
             lambda z: np.log(0.5 * z * z / (np.sqrt(1.0 + z * z) - 1.0)) / z ** 2,
             0.0, math.inf).value / math.pi
-        fd = (model_half.outer_function(1e-3, 1e-6) - 1.0) / 1e-6
+        fd = (outer_function(model_half, 1e-3, 1e-6) - 1.0) / 1e-6
         assert fd == pytest.approx(ref, abs=5e-3)
 
 
@@ -270,17 +261,17 @@ class TestEigenfunction:
         lams = np.geomspace(0.1, 20.0, 10)
         ts = np.linspace(0.0, 12.0, 10)
         for lam in lams:
-            vals = model_half.eigenfunction(lam, ts)
+            vals = eigenfunction(model_half, lam, ts)
             assert np.all(np.abs(vals) <= 2.0 + 1e-9)
 
     def test_boundary_value_vanishes(self, model_half):
         for lam in (0.4, 1.0, 5.0):
-            assert abs(model_half.eigenfunction(lam, 0.0)) < 5e-7
+            assert abs(eigenfunction(model_half, lam, 0.0)) < 5e-7
 
     def test_sine_asymptotics(self, model_half):
         lam, x = 1.0, 100.0
         th = model_half.phase_vec(lam)
-        assert model_half.eigenfunction(lam, x) == pytest.approx(
+        assert eigenfunction(model_half, lam, x) == pytest.approx(
             math.sin(lam * x + th), abs=1e-8)
 
     def test_weak_eigenfunction_pairing(self, model_half):
@@ -298,7 +289,7 @@ class TestEigenfunction:
         a_chi = np.fft.ifft((1.0 + k * k) ** s * np.fft.fft(chi)).real
         pos = x >= 0
         for lam in (0.7, 2.0):
-            f = np.asarray(model_half.eigenfunction(lam, x[pos]))
+            f = np.asarray(eigenfunction(model_half, lam, x[pos]))
             lhs = float(np.sum(f * a_chi[pos])) * dx
             rhs = (1.0 + lam ** 2) ** s * float(np.sum(f * chi[pos])) * dx
             assert lhs == pytest.approx(rhs, rel=2e-4)
@@ -306,7 +297,7 @@ class TestEigenfunction:
 
 class TestKernels:
     def test_spectral_window_zero(self, model_half):
-        assert model_half.projector_profile(1.0, [2.0], 0.5)[0] == 0.0
+        assert model_half.projector_diagonal([1.0], 0.5)[0] == 0.0
         assert model_half.riesz_kernel_line(1.0) - model_half.kernel_gap(1.0, 1.0) == 0.0
         assert model_half.riesz_kernel_line(0.7) == 0.0
         assert model_half.kernel_gap(1.0, 1.0) == 0.0
@@ -374,17 +365,17 @@ class TestKernels:
         bound = 8.0 / math.pi * math.sqrt(mu ** 2 - 1.0)
         for t in (0.2, 1.0, 3.0):
             for u in (0.5, 2.0):
-                assert abs(model_half.projector_profile(t, [u], mu)[0]) <= bound
+                assert abs(projector_profile(model_half, t, [u], mu)[0]) <= bound
 
     def test_projector_idempotence(self, model_half):
         # integral of e(t,.)e(.,u) over a long truncated window, period
         # averaged and Richardson extrapolated, reproduces e(t,u)
         t_, u_, mu = 1.0, 2.0, 4.0
-        ref = model_half.projector_profile(t_, [u_], mu)[0]
+        ref = projector_profile(model_half, t_, [u_], mu)[0]
         dw = 0.02
         ws = np.arange(dw / 2.0, 240.0, dw)
-        prod = (model_half.projector_profile(t_, ws, mu)
-                * model_half.projector_profile(u_, ws, mu))
+        prod = (projector_profile(model_half, t_, ws, mu)
+                * projector_profile(model_half, u_, ws, mu))
         cum = np.cumsum(prod) * dw
         per = math.pi / math.sqrt(mu ** 2 - 1.0)
 
@@ -401,7 +392,7 @@ class TestKernels:
         ws = np.arange(0.01, 240.0, 0.02)
         tracemalloc.start()
         try:
-            model_half.projector_profile(1.0, ws, 4.0)
+            projector_profile(model_half, 1.0, ws, 4.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -655,12 +646,13 @@ class TestPoissonGrid:
     S = 0.3
 
     def test_per_call_paths_unchanged(self):
-        # outer_function and a lam past the largest xi node take the
-        # per-call grid; their values are pinned, at nodes given by value
+        # outer_function (the direct kernel at one off-node column t) and a
+        # lam past the largest xi node take the per-call grid; their values
+        # are pinned, at nodes given by value
         m = HalfLineModel(FractionalOrder(self.S, 2))
         np.testing.assert_allclose(
-            [m.outer_function(2.0, 0.5), m.outer_function(0.3, 7.0),
-             m.outer_function(50.0, 1e-3)],
+            [outer_function(m, 2.0, 0.5), outer_function(m, 0.3, 7.0),
+             outer_function(m, 50.0, 1e-3)],
             [1.150225017263073, 2.8927351760112683, 1.0000612719193667], rtol=1e-12)
         xi = m._xi_nodes
         nodes = np.array([1.0000000000004612, 1.0000012332258348, 1.0032449082009955,
@@ -715,7 +707,7 @@ class TestPoissonTable:
     def test_built_once_by_first_in_range_node_call(self, monkeypatch):
         m = HalfLineModel(FractionalOrder(0.3, 2))
         xi = m._xi_nodes
-        m.outer_function(2.0, 0.5)
+        outer_function(m, 2.0, 0.5)
         m.gamma_values(3.0, xi[1::20])
         m.gamma_values(np.array([0.5 * _Q_LO, 2.0 * _Q_HI]), xi)
         assert "_q_table" not in vars(m)

@@ -2,11 +2,11 @@
 and every function the benchmark tracer wraps.  A deleted or renamed
 function fails here in a second instead of in the benchmark self-check.
 No public function of the coefficient or lattice modules takes a model
-beside its order.  Every export of the lattice, localization and
-quadrature modules, and every public method and property of their classes,
-has a caller outside the tests.  No module reaches into another's private
-names, and no module, script or test imports a name it does not use.  The
-command-line import leaves scipy and the lattice unloaded."""
+beside its order.  Every export of every module of the package, and every
+public method and property of its classes, has a caller outside the tests
+or is wrapped by the benchmark tracer.  No module reaches into another's
+private names, and no module, script or test imports a name it does not
+use.  The command-line import leaves scipy and the lattice unloaded."""
 
 import ast
 import importlib
@@ -64,13 +64,12 @@ def _public_members(cls):
             and (inspect.isfunction(obj) or isinstance(obj, property))]
 
 
-@pytest.mark.parametrize("module_name", ["fracweyl.lattice", "fracweyl.localization",
-                                         "fracweyl.quadcore"])
+@pytest.mark.parametrize("module_name", MODULES)
 def test_exports_have_a_caller(module_name):
-    # every export is read by the library or a script, or wrapped by the
-    # benchmark tracer, and every public method and property of a public
-    # class is read through an attribute in the library or a script: none
-    # is reached by tests alone
+    # every export, and every public method and property of a public
+    # class, is read by the library or a script (a member through an
+    # attribute), or wrapped by the benchmark tracer: none is reached by
+    # tests alone
     names, attributes = set(), set()
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -81,11 +80,13 @@ def test_exports_have_a_caller(module_name):
     traced = {path for traced_module, path, _, _ in _trace_targets()
               if traced_module == module_name}
     module = importlib.import_module(module_name)
-    unread = [n for n in module.__all__ if n not in names | attributes | traced]
+    unread = [n for n in getattr(module, "__all__", ())
+              if n not in names | attributes | traced]
     for name, obj in vars(module).items():
         if (inspect.isclass(obj) and obj.__module__ == module_name
                 and not name.startswith("_")):
-            unread += [f"{name}.{m}" for m in _public_members(obj) if m not in attributes]
+            unread += [f"{name}.{m}" for m in _public_members(obj)
+                       if m not in attributes and f"{name}.{m}" not in traced]
     assert not unread
 
 

@@ -300,10 +300,6 @@ class TestNeighborhoodIntegrals:
         assert abs(rep["bulk_exponent"] + 1.0) < 0.2
         assert abs(rep["collar_exponent"] - 1.0) < 0.2
 
-    def test_first_moment_scaling(self):
-        rep = neighborhood_integrals(interval_geometry(4.0), a_exponent=1.0)
-        assert abs(rep["collar_exponent"] - 2.0) < 0.2
-
     def test_halving_roughly_doubles_bulk(self):
         rep = neighborhood_integrals(interval_geometry(4.0))
         v = rep["bulk_values"]
