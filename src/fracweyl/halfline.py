@@ -116,9 +116,17 @@ def _geometric_edges(lo: float, hi: float, ratio: float = 3.0):
 
 
 def _osc_panels(total_phase, base: int = 6, cap: int = 600):
-    """Panel count that resolves a given phase sweep; elementwise on arrays."""
-    sweeps = np.asarray(total_phase, dtype=float) / (2.0 * math.pi) * 1.6
-    return np.minimum(cap, base + sweeps.astype(int))
+    """Panel count that resolves a given phase sweep; elementwise on arrays.
+
+    ArithmeticError where a sweep needs more than ``cap`` panels: a grid
+    cut to the cap would return a wrong number."""
+    phase = np.asarray(total_phase, dtype=float)
+    sweeps = phase / (2.0 * math.pi) * 1.6
+    # base + int(sweeps) <= cap, compared before the cast so nan refuses too
+    if not np.all(sweeps < cap - base + 1):
+        raise ArithmeticError(f"a phase sweep of {np.max(phase):.4g} rad needs more "
+                              f"than the cap of {cap} quadrature panels")
+    return base + sweeps.astype(int)
 
 
 def _pchip_end_slope(h0, h1, m0, m1):

@@ -449,9 +449,9 @@ def _parity_operator(spectrum: np.ndarray, halves):
     matrix of axis k's half (``_ParityHalf.fourier_modes``), the block is
     (G_1 x G_2)^T diag(mult) (G_1 x G_2), so a block vector X, shaped
     (sites_1, sites_2), maps to G_1^T (mult * (G_1 X G_2^T)) G_2: four
-    matrix products (``_tiled_matmul``), 12 (c/2)^3 multiply-adds on a
-    c x c square (G_1^T (mult * G_1 x) in 1-D).  The returned function
-    takes a block vector, shape (n,), or a block of them, shape (n, k).
+    matrix products, 12 (c/2)^3 multiply-adds on a c x c square
+    (G_1^T (mult * G_1 x) in 1-D).  The returned function takes a block
+    vector, shape (n,), or a block of them, shape (n, k).
     """
     shape = tuple(h.sites.size for h in halves)
     n = math.prod(shape)
@@ -465,50 +465,15 @@ def _parity_operator(spectrum: np.ndarray, halves):
         # axes is multiplied from the left, the last from the right
         y = x.T.reshape((k,) + shape)
         for g in modes[:-1]:
-            y = _tiled_matmul(g, y)
-        y = _tiled_matmul(y, modes[-1].T)
+            y = np.matmul(g, y)
+        y = np.matmul(y, modes[-1].T)
         y *= mult
         for g in modes[:-1]:
-            y = _tiled_matmul(g.T, y)
-        y = _tiled_matmul(y, modes[-1])
+            y = np.matmul(g.T, y)
+        y = np.matmul(y, modes[-1])
         return y.reshape(k, n).T.reshape(x.shape)
 
     return apply
-
-
-#: Multiply-adds of the largest product ``_tiled_matmul`` hands to BLAS in
-#: one piece.  OpenBLAS keeps a product this small on the calling thread
-#: (OpenBLAS 0.3.31 with 2 threads: every product of 2^18 tried stayed on
-#: one, some of 2^19 woke the second).  A matvec that wakes a second
-#: thread on every Lanczos step slows the whole run, ARPACK's own vector
-#: BLAS included.
-_PRODUCT_MADDS = 1 << 17
-
-
-def _divisor(n: int, at_most: int) -> int:
-    """The largest divisor of n that is at most ``at_most`` (at least 1)."""
-    d = max(1, min(n, at_most))
-    while n % d:
-        d -= 1
-    return d
-
-
-def _tiled_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` (stacked and broadcast as by ``np.matmul``) in one
-    ``np.matmul`` call that gives BLAS tiles of the output, r x w, of at
-    most ``_PRODUCT_MADDS`` multiply-adds each, r and w dividing the
-    output's sides.  Every tile is a strided view, so nothing is copied."""
-    (m, p), q = a.shape[-2:], b.shape[-1]
-    if m * p * q <= _PRODUCT_MADDS:
-        return np.matmul(a, b)
-    w = _divisor(q, math.isqrt(_PRODUCT_MADDS // p))
-    r = _divisor(m, _PRODUCT_MADDS // (p * w))
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    out = np.empty(lead + (m, q))
-    np.matmul(a.reshape(a.shape[:-2] + (m // r, 1, r, p)),
-              b.reshape(b.shape[:-2] + (1, p, q // w, w)).swapaxes(-3, -2),
-              out=out.reshape(lead + (m // r, r, q // w, w)).swapaxes(-3, -2))
-    return out
 
 
 #: Lanczos start vectors: fixed seeds keep the partial solves deterministic.

@@ -270,11 +270,21 @@ class TestKernelsCommand:
                 projector_profile(model, t, [t], mu)[0], rel=1e-12, abs=0.0)
 
     def test_spectral_edge_past_rounding_edge(self, capsys):
-        # spectral edge 1e8: the density rows there are finite and positive
+        # spectral edge 1e8: the cosine sweep of 2e8 rad is refused, with no
+        # warning on the way (the density rows there are checked in
+        # TestSpectralDensity::test_edge_grid_rows_at_edge_1e8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["kernels", "--s", "0.25", "--mu", "1e4", "--t", "1"]) == EXIT_OK
-        assert capsys.readouterr().err == ""
+            code = run(["kernels", "--s", "0.25", "--mu", "1e4", "--t", "1"])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    def test_unresolved_sweep_exits_numerical(self, capsys):
+        # kernel_gap(10, 1000) sweeps 2e4 rad, past its cap of 600 panels
+        assert run(["kernels", "--s", "0.5", "--mu", "1000", "--t", "10"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err and "cap of 600" in captured.err
 
 
 class TestLayerCommand:

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -195,6 +196,17 @@ class TestSpectralDensity:
         assert peaks[2] / peaks[1] == pytest.approx(0.1, rel=0.1)
         assert m.laplace_tail(1e8, 1.0) > 0.0
 
+    def test_edge_grid_rows_at_edge_1e8(self):
+        # the density rows of the edge grid of mu = 1e4 at s = 0.25, whose
+        # spectral edge is 1e8, are finite and positive and raise no warning
+        m = HalfLineModel(FractionalOrder(0.25, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, _, edge = m._g_grid([1e4])
+            _, rows = m.gamma_table(np.append(lam[0], edge[0]))
+        assert edge[0, 0] == pytest.approx(1e8, rel=1e-12)
+        assert np.all(np.isfinite(rows)) and np.all(rows > 0.0)
+
     def test_table_matches_adaptive_laplace(self, model_half):
         # the fixed density table reproduces an adaptive transform
         lam = 1.3
@@ -322,6 +334,12 @@ class TestKernels:
         # depths straddle the x = 12 switch between interpolated and
         # edge-grid tail terms; mu <= 1 lies below the spectrum
         xs = np.array([0.0, 0.05, 1.0, 7.5, 11.99, 12.0, 12.01, 20.0, 45.0])
+        if mu == 40.0:
+            # the cosine sweep of depth 45 needs 922 panels, past the cap
+            for x in (45.0, xs):
+                with pytest.raises(ArithmeticError, match="cap of 600"):
+                    model_half.kernel_gap(x, mu)
+            xs = xs[:-1]
         arr = model_half.kernel_gap(xs, mu)
         ref = np.array([model_half.kernel_gap(float(x), mu) for x in xs])
         assert arr.shape == xs.shape
@@ -330,9 +348,26 @@ class TestKernels:
             assert np.all(arr == 0.0) and np.all(ref == 0.0)
         np.testing.assert_allclose(arr, ref, rtol=1e-12,
                                    atol=1e-13 * np.max(np.abs(ref)))
-        grid = model_half.kernel_gap(xs.reshape(3, 3), mu)
-        assert grid.shape == (3, 3)
-        np.testing.assert_array_equal(grid.ravel(), arr)
+        grid = model_half.kernel_gap(xs[:8].reshape(2, 4), mu)
+        assert grid.shape == (2, 4)
+        np.testing.assert_array_equal(grid.ravel(), arr[:8])
+
+    def test_unresolved_sweep_refused(self, model_half):
+        # sweeps of 2e4 and 2e5 rad need more panels than the caps of 600
+        # and 1600; grids cut to the caps read -31.4 and 3183.0001 against
+        # the resolved -1.4e-4 and 3183.088
+        with pytest.raises(ArithmeticError, match="cap of 600"):
+            model_half.kernel_gap(10.0, 1000.0)
+        with pytest.raises(ArithmeticError, match="cap of 1600"):
+            model_half.projector_diagonal([10.0], 1e4)
+
+    def test_panel_count_reaches_the_cap(self):
+        # base + sweeps == cap is resolved; one panel more, or nan, refuses
+        per_panel = 2.0 * math.pi / 1.6
+        assert halfline._osc_panels((600 - 6 + 0.5) * per_panel) == 600
+        for phase in ((600 - 6 + 1.5) * per_panel, math.nan):
+            with pytest.raises(ArithmeticError):
+                halfline._osc_panels(np.array([1.0, phase]))
 
     def test_local_gap_array_matches_closed_form(self):
         # the series branch u < 1e-3 and the closed form in one array,

@@ -567,24 +567,6 @@ class TestBlockOperator:
         assert g.shape == (h.freqs.size, h.sites.size)
         assert np.abs(g.T @ g - np.eye(h.sites.size)).max(initial=0.0) <= 1e-14
 
-    @pytest.mark.parametrize("a, b", [
-        ((256, 128), (3, 128, 96)),   # tiles 32 x 32, broadcast over b's stack
-        ((2, 130, 66), (66, 130)),    # sides with odd factors: tiles 65 x 26
-        ((67, 256), (256, 128)),      # a prime side: tiles of one row
-        ((64, 32), (32, 64)),         # one piece
-    ])
-    def test_tiled_matmul(self, a, b):
-        # C-ordered operands and transposed views of F-ordered copies, as
-        # the apply passes G and G^T
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal(a), rng.standard_normal(b)
-        a_t, b_t = (np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2) for x in (a, b))
-        want = np.matmul(a, b)
-        for x, y in ((a, b), (a_t, b), (a, b_t)):
-            got = lat._tiled_matmul(x, y)
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
 
 class TestRieszMean:
     @pytest.fixture(scope="class")
