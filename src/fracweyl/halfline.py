@@ -48,6 +48,18 @@ within 7e-11 of the direct kernel below lam = 1e2 and within 7e-9 above,
 where the direct kernel itself carries 3e-9 to 6e-9 of rounding noise in
 q.  Rows outside the range, and columns other than the nodes, take the
 direct kernel.
+
+The kernel deficit's cosine sweep cos(2 x lam + 2 phase) and sine term
+sin(x lam + phase) run over uniform Gauss panels of width h, whose nodes
+are lam = h (k + tau_m) plus the grid's rounding.  They are built by
+angle addition, e^(i x lam) = e^(i x h k) e^(i x h tau_m), from one
+complex exponential per depth (raised to each k by a running product)
+and 8 per depth (one per Gauss offset), with the rounding of each node
+carried to first order in the cosine sweep; no sine or cosine is taken
+per (depth, node).  Summed this way the sweep sits closer to its value
+at the grid's own nodes than per-node sines and cosines of rounded
+angles do (tests/halfline_oracles.py carries the angles past their
+rounding).
 """
 
 from __future__ import annotations
@@ -129,6 +141,37 @@ def _osc_panels(total_phase, base: int = 6, cap: int = 600):
     return base + sweeps.astype(int)
 
 
+def _product_error(a, b, p):
+    """a b - p for p = a * b rounded, exactly (Dekker's two-product),
+    elementwise."""
+    def split(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+    ah, al = split(a)
+    bh, bl = split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _node_slip(edge: float, counts, lam):
+    """lam - h (k + tau_m) at each node of _uniform_panels(edge, counts),
+    node m of panel k of a grid of count p with h = edge / p (rounded):
+    how far the rounding of the grid moved each node off its exact place.
+    Exact up to its own rounding, and to 2^-100 lam where it nearly
+    vanishes: Sterbenz's lemma makes both differences exact, and
+    _product_error gives what h k and h tau_m rounded off."""
+    h = edge / counts
+    htau = np.multiply.outer(h, _PANEL_TAU)
+    htau_cut = _product_error(h[:, None], _PANEL_TAU, htau)
+    h = np.repeat(h, counts)
+    k = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    hk = h * k
+    slip = lam.reshape(-1, 8) - hk[:, None]
+    slip -= np.repeat(htau, counts, axis=0)
+    slip -= np.repeat(htau_cut, counts, axis=0) + _product_error(h, k, hk)[:, None]
+    return slip.ravel()
+
+
 def _pchip_end_slope(h0, h1, m0, m1):
     """One-sided three-point end slope of PCHIP, kept shape-preserving."""
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
@@ -145,21 +188,33 @@ def _pchip_fit(x, y):
     if not np.all(np.isfinite(y)):
         raise ValueError("PCHIP data must be finite")
     h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    m = (y[1:] - y[:-1]) / h
+    m = y[1:] - y[:-1]
+    m /= h
     # interior slopes: weighted harmonic mean of the neighbouring secants,
     # zero where they differ in sign or one vanishes
     sign = np.sign(m)
-    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    live = sign[1:] == sign[:-1]
+    live &= sign[1:] != 0
     w1 = 2.0 * h[1:] + h[:-1]
     w2 = h[1:] + 2.0 * h[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        whmean = w1 / m[:-1]
+        whmean += w2 / m[1:]
+        whmean /= w1 + w2
     dk = np.zeros_like(y)
-    dk[1:-1][~flat] = 1.0 / whmean[~flat]
-    dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (dk[:-1] + dk[1:] - 2.0 * m) / h
-    return np.stack((t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]))
+    np.divide(1.0, whmean, out=dk[1:-1], where=live)
+    dk[[0, -1]] = _pchip_end_slope(h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]])
+    c = np.empty((4,) + m.shape)
+    t = np.add(dk[:-1], dk[1:], out=c[2])
+    t -= 2.0 * m
+    t /= h
+    np.divide(t, h, out=c[0])
+    np.subtract(m, dk[:-1], out=c[1])
+    c[1] /= h
+    c[1] -= t
+    c[2] = dk[:-1]
+    c[3] = y[:-1]
+    return c
 
 
 def _pchip_eval(c, breaks, x):
@@ -168,20 +223,31 @@ def _pchip_eval(c, breaks, x):
     x in [breaks[i], breaks[i+1]) uses interval i (the last one also at and
     past the last break, the first before the first), and the powers of
     d = x - breaks[i] are summed as ((c3 + c2 d) + c1 d^2) + c0 (d^2 d)."""
+    return _pchip_sum(c, *_pchip_locate(breaks, x))
+
+
+def _pchip_locate(breaks, x):
+    """_pchip_eval's interval index i of each x of a 1-D array and the
+    powers d, d^2, d^3 of its offset d = x - breaks[i]."""
     i = np.searchsorted(breaks[1:-1], x, side="right")
-    d = (x - breaks[i]).reshape(x.shape + (1,) * (c.ndim - 2))
+    d = x - breaks[i]
+    d2 = d * d
+    return i, d, d2, d2 * d
+
+
+def _pchip_sum(c, i, d, d2, d3):
+    """_pchip_eval from _pchip_locate's intervals and powers."""
+    shape = d.shape + (1,) * (c.ndim - 2)
     out = (c[3] + 0.0)[i]  # PPoly's sum starts from 0.0
     term = c[2][i]
-    term *= d
+    term *= d.reshape(shape)
     out += term
-    dpow = d * d
     # mode="clip" (i is in range anyway) lets take write into term unbuffered
     np.take(c[1], i, axis=0, out=term, mode="clip")
-    term *= dpow
+    term *= d2.reshape(shape)
     out += term
-    dpow *= d
     np.take(c[0], i, axis=0, out=term, mode="clip")
-    term *= dpow
+    term *= d3.reshape(shape)
     out += term
     return out
 
@@ -217,9 +283,14 @@ def _poisson_grid(x: np.ndarray, lam_max: float):
     return z, w, x[:, None] / (x[:, None] ** 2 + z[None, :] ** 2)
 
 
+# exp(-y) is exactly 0 in double precision for y past 745.14
+_EXP_ZERO = 745.2
+
 # tangential-frequency nodes r in (0, 1) of the boundary-layer integral
 _LAYER_R, _LAYER_W = panel_quad(np.array([0.0, 0.02, 0.06, 0.15, 0.3,
                                            0.5, 0.7, 0.85, 0.95, 1.0]), 8)
+# Gauss offsets tau in (0, 1) of the 8 nodes of a panel of _uniform_panels
+_PANEL_TAU = panel_quad(np.array([0.0, 1.0]), 8)[0]
 
 # z nodes in (0, 1) of the phase's direct form: decades from 1e-18 to 0.5
 # (the (0, 1e-18) sliver skipped), then three panels up to 1
@@ -484,11 +555,22 @@ class HalfLineModel:
     def _tails(self, x: np.ndarray, tables: np.ndarray) -> np.ndarray:
         """G(lam, x) for every depth of the 1-D array x (rows) and every
         row of the stacked tables (columns): exp(-x xi) @ tables.T.
-        Blocks of 64 depths keep the exp(-x xi) matrix small."""
-        g = np.empty((x.size, tables.shape[0]))
+        Blocks of 64 depths keep the exp(-x xi) matrix small.  With the xi
+        in increasing order, each block leaves out those past
+        _EXP_ZERO / (its smallest x), where exp(-x xi) is exactly 0 for
+        all its depths (depths in increasing order make that most of the
+        columns past x ~ 1)."""
+        order = np.argsort(self._xi_nodes)
+        xi = self._xi_nodes[order]
+        tables = tables.T[order]
+        g = np.empty((x.size, tables.shape[1]))
         for i in range(0, x.size, 64):
-            e = np.multiply.outer(-x[i:i + 64], self._xi_nodes)
-            g[i:i + 64] = np.exp(e, out=e) @ tables.T
+            block = x[i:i + 64]
+            low = block.min()
+            # a depth <= 0, or nan, keeps every column
+            n = np.searchsorted(xi, _EXP_ZERO / low, side="right") if low > 0.0 else xi.size
+            e = np.multiply.outer(-block, xi[:n])
+            g[i:i + 64] = np.exp(e, out=e) @ tables[:n]
         return g
 
     def laplace_tail(self, lam: float, x):
@@ -504,7 +586,7 @@ class HalfLineModel:
     def _g_grid(self, mus, n: int = 32):
         """Edge-substituted lam grids on the spectral windows, with weights
         and edges: one row per mu of a 1-D sequence."""
-        edge = np.array([[spectral_edge(m, self.order.s)] for m in mus])
+        edge = np.array([spectral_edge(m, self.order.s) for m in mus])[:, None]
         phi, w = panel_quad(np.array([0.0, math.pi / 2.0]), n)
         lam = edge * np.sin(phi)
         return lam, edge * np.cos(phi) * w, edge
@@ -543,62 +625,128 @@ class HalfLineModel:
 
     def _kernel_gap_flat(self, x: np.ndarray, mu: float, grid) -> np.ndarray:
         """kernel_gap at a 1-D array of depths for mu > 1, from one entry
-        of _edge_tables.  The tails of all depths x <= 12 share one PCHIP
-        fit over lam_aug; each panel group evaluates its own columns of it.
-        The dense grids of all panel groups are laid in one pass
-        (_uniform_panels), with one phase lookup and one weight power for
-        all their nodes; each group then reads its slice."""
+        of _edge_tables.
+
+        The depths are taken in increasing order, so that the depths whose
+        sweeps need one panel count form one slice, those at x <= 12 (the
+        near depths) first.  The dense grids of all counts are laid in one
+        pass (_uniform_panels) and their node side in one more
+        (_dense_rows).  Node m of panel k of the grid of count p sits at
+        lam = h (k + tau_m) + slip, with h = edge / p, tau_m a Gauss offset
+        in (0, 1) and slip the rounding of the grid (_node_slip).  So
+        e^(i x lam) = E_k F_m (1 + i x slip) to first order, with
+        E_k = e^(i x h k), a running product over k from one exponential
+        per depth, and F_m = e^(i x h tau_m): no sine or cosine is taken
+        per (depth, dense node).
+
+        - Cosine sweep, every depth: per count, one product of the panels'
+          rows with F_m^2 and 2i x F_m^2, multiplied into E_k^2, then one
+          sum over k for all depths.  Left out, the slip would move the gap at
+          s = 0.25, mu = 30, x = 1 by 1.6e-12 of the largest (the sweep's
+          terms there sum to 2500 times the gap).
+        - Near depths: the tails of all of them share one PCHIP fit over
+          lam_aug, whose intervals and powers are located once for all
+          dense nodes; G on each count's nodes is bit for bit scipy's.
+          The sine term 4 sin(x lam + phase) G - 2 G^2 takes E_k F_m; its
+          slip moves no gap by more than 1e-15 of the largest (s from 0.1
+          to 0.9, mu up to 100) and is left out.
+        - Far depths: the tail terms on the 32-node edge grid.
+
+        The products are real BLAS calls on complex data read as pairs of
+        floats: numpy's complex matmul would call OpenBLAS's zgemm, which
+        raised the peak resident memory of a process running this route
+        by 0.6-0.8 MB."""
         s = self.order.s
         w_g, lam_aug, tables = grid
         lam_g, edge = lam_aug[1:-1], lam_aug[-1]
         out = np.zeros(x.size)
-        g = self._tails(x, tables)
-        far = x > 12.0
-        if far.any():
+        if x.size == 0:
+            return out
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        panels = _osc_panels(2.0 * xs * edge)
+        counts, starts, sizes = np.unique(panels, return_index=True, return_counts=True)
+        n_near = int(np.searchsorted(xs, 12.0, side="right"))
+        gap = np.zeros(xs.size)
+        g = self._tails(xs, tables)
+        if n_near < xs.size:
             th_g = self.phase_vec(lam_g)
             wt_g = mu - (1.0 + lam_g ** 2) ** s
-            gf = g[far, :-1]
-            sf = np.sin(np.multiply.outer(x[far], lam_g) + th_g)
-            out[far] = (wt_g * (4.0 * sf * gf - 2.0 * gf * gf)) @ w_g
-        near = ~far
-        if near.any():
+            gf = g[n_near:, :-1]
+            sf = np.sin(np.multiply.outer(xs[n_near:], lam_g) + th_g)
+            gap[n_near:] = (wt_g * (4.0 * sf * gf - 2.0 * gf * gf)) @ w_g
+        if n_near:
             # the tails vanish at lam_aug[0] = 0
-            coef = _pchip_fit(lam_aug, np.pad(g[near], ((0, 0), (1, 0))).T)
-            col = np.cumsum(near) - 1  # column of each near depth in coef
-        panels = _osc_panels(2.0 * x * edge)
-        counts = np.unique(panels)
-        lam_all, w_all = _uniform_panels(edge, counts)
-        th_all = self.phase_vec(lam_all)
-        th2_all = 2.0 * th_all
-        wt_all = mu - (1.0 + lam_all ** 2) ** s
-        stop = 0
-        for p in counts:
-            start, stop = stop, stop + 8 * p
-            lam_d, w_d, wt_d = lam_all[start:stop], w_all[start:stop], wt_all[start:stop]
-            sel = np.nonzero(panels == p)[0]
-            arg = np.multiply.outer(x[sel], lam_d)
-            # wt * cos(2 arg + 2 phase), in place
-            osc = arg * 2.0
-            osc += th2_all[start:stop]
-            np.cos(osc, out=osc)
-            osc *= wt_d
-            out[sel] += osc @ w_d
-            near_sel = near[sel]
-            if near_sel.any():
-                rows = sel[near_sel]
-                gd = _pchip_eval(coef[:, :, col[rows]], lam_aug, lam_d).T
-                # wt * (4 sin(arg + phase) G - 2 G^2), in place
-                term = arg[near_sel]
-                term += th_all[start:stop]
-                np.sin(term, out=term)
-                term *= 4.0
-                term *= gd
-                square = gd * 2.0
-                square *= gd
-                term -= square
-                term *= wt_d
-                out[rows] += term @ w_d
+            coef = _pchip_fit(lam_aug, np.concatenate((np.zeros((1, n_near)), g[:n_near].T)))
+        del g
+        near_nodes = 8 * int(counts[starts < n_near].sum())
+        sweep, sine, ww, lam = self._dense_rows(mu, edge, counts, near_nodes)
+        # E_k (row k) and F_m (row m) of every depth; E_k = 0 from k = p on
+        phase_x = xs * (edge / panels)  # x h
+        e = np.empty((counts[-1], xs.size), dtype=complex)
+        e[0] = 1.0
+        e[1:] = np.exp(1j * phase_x)
+        e[1:] *= np.arange(1, counts[-1])[:, None] < panels
+        np.multiply.accumulate(e, axis=0, out=e)
+        f = np.exp(1j * np.multiply.outer(_PANEL_TAU, phase_x))
+        if n_near:
+            at = _pchip_locate(lam_aug, lam)
+            first = 0  # the count's first panel
+            for p, a, n in zip(counts, starts, sizes):
+                if a >= n_near:
+                    break
+                b = min(a + n, n_near)
+                nodes = slice(8 * first, 8 * (first + p))
+                # G and E_k F_m, both (node, depth)
+                gd = _pchip_sum(coef[:, :, a:b], *(v[nodes] for v in at))
+                wave = (e[:p, None, a:b] * f[:, a:b]).reshape(8 * p, b - a)
+                # ww (4 sin(x lam + phase) G - 2 G^2): the imaginary part of
+                # 4 ww e^(i phase) E_k F_m G from the rows of its real and
+                # imaginary parts
+                wave *= gd
+                r = sine[:, nodes] @ wave.view(float)
+                gd *= gd
+                gap[a:b] += r[0, 1::2] + r[1, ::2] - 2.0 * (ww[nodes] @ gd)
+                first += p
+            del coef, at  # let the sweeps below reuse this memory
+        # e^(2i x lam) = E_k^2 F_m^2 (1 + 2i x slip) to first order.  F_m^2
+        # and 2i x F_m^2 as the real matrix of the complex one: a sweep row
+        # read as floats times its columns (2d, 2d + 1) gives the real and
+        # imaginary parts of its sum for depth d
+        f2 = f * f
+        f2 = np.concatenate((f2, f2 * (2j * xs)))
+        f2_real = np.empty((f2.shape[0], 2, xs.size, 2))
+        f2_real[:, 0, :, 0] = f2_real[:, 1, :, 1] = f2.real
+        f2_real[:, 0, :, 1] = f2.imag
+        f2_real[:, 1, :, 0] = -f2.imag
+        f2_real = f2_real.reshape(2 * f2.shape[0], -1)
+        sweep = sweep.view(float)
+        e *= e
+        first = 0
+        for p, a, n in zip(counts, starts, sizes):
+            # row k: E_k^2 times the sum over panel k's nodes
+            sums = sweep[first:first + p] @ f2_real[:, 2 * a:2 * (a + n)]
+            e[:p, a:a + n] *= sums.view(complex)
+            first += p
+        gap += e.sum(axis=0).real
+        out[order] = gap
         return out / math.pi
+
+    def _dense_rows(self, mu: float, edge: float, counts, n: int):
+        """The node side of _kernel_gap_flat's dense grids,
+        _uniform_panels(edge, counts), with ww = (mu - (1 + lam^2)^s) w:
+        per panel, one row of its 8 nodes' ww e^(2i phase) and then the
+        same times their slips (_node_slip); and for the first n nodes,
+        the real and imaginary parts of 4 ww e^(i phase) as two rows, ww
+        and lam."""
+        lam, w = _uniform_panels(edge, counts)
+        ww = (mu - (1.0 + lam ** 2) ** self.order.s) * w
+        rot = np.exp(1j * self.phase_vec(lam))
+        slip = _node_slip(edge, counts, lam)
+        sweep = (ww * rot * rot).reshape(-1, 8)
+        sweep = np.concatenate((sweep, sweep * slip.reshape(-1, 8)), axis=1)
+        sine = 4.0 * ww[:n] * rot[:n]
+        return sweep, np.stack((sine.real, sine.imag)), ww[:n], lam[:n]
 
     def riesz_kernel_line(self, mu: float) -> float:
         """Diagonal of the whole-line Riesz-mean kernel (t-independent)."""
@@ -616,7 +764,8 @@ class HalfLineModel:
         if mu <= 1.0:
             return np.zeros_like(t)
         grid = self._edge_tables([mu])[0]
-        return np.array([self._projector(tj, tj[None], grid)[0] for tj in t])
+        out = [self._projector(tj, tj[None], grid)[0] for tj in t.ravel()]
+        return np.array(out, dtype=float).reshape(t.shape)
 
     def _projector(self, t: float, u: np.ndarray, grid) -> np.ndarray:
         """Kernel e(t, u_j, mu) of the spectral projector below mu > 1 over
@@ -702,8 +851,9 @@ class HalfLineModel:
         lam = np.asarray(lam, dtype=float)
         th = np.ravel(self.phase_vec(lam))
         flat = lam.ravel()
-        sine, square = np.concatenate([self._moments(flat[i:i + 256], th[i:i + 256])
-                                       for i in range(0, flat.size, 256)], axis=1)
+        sine, square = np.empty((2, flat.size))
+        for i in range(0, flat.size, 256):
+            sine[i:i + 256], square[i:i + 256] = self._moments(flat[i:i + 256], th[i:i + 256])
         out = -np.sin(2.0 * th) / (2.0 * flat) + 4.0 * sine - 2.0 * square
         return float(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 

@@ -104,17 +104,18 @@ class TestSurfaceRoutes:
 # from the per-depth evaluation of the boundary layer that the batched
 # engine replaced; only summation order has moved them since.  The layer
 # route's err is a power-tail fit to the small difference K(t) at t > 33,
-# so it follows any rounding-level change in the density rows: its four
-# entries are those of the tabled Poisson exponent (_q_table), 8e-12 to
-# 5e-10 relative from the direct kernel's
+# so it follows any rounding-level change in K: its four entries are those
+# of the dense sweeps by angle addition, whose angles carry the grid
+# nodes' rounding to first order, 9e-13 to 2.7e-11 relative from the
+# per-node sines and cosines of rounded angles
 GOLDEN_SURFACE = {
-    (0.25, 2): (0.01229685454347272, 1.0274151284872696e-05,
+    (0.25, 2): (0.01229685454347272, 1.0274151285018697e-05,
                 0.02652596158307536, 1.390544214590397e-05),
-    (0.5, 2): (0.025328216744399893, 1.0753531489011976e-05,
+    (0.5, 2): (0.025328216744399893, 1.0753531488989137e-05,
                0.03978894237461304, 2.0858163218855955e-05),
-    (0.75, 2): (0.03895988852598059, 1.5786105624398392e-05,
+    (0.75, 2): (0.03895988852598059, 1.5786105624412602e-05,
                 0.04774673084953565, 2.5029795862627148e-05),
-    (0.5, 3): (0.004659485469817581, 3.204912855315662e-07,
+    (0.5, 3): (0.004659485469817581, 3.2049128552288417e-07,
                0.00663151600090153, 8.128973573631816e-07),
 }
 

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from fracweyl.quadcore import integrate, panel_quad
 from fracweyl.constants import surface_via_energy_shift, surface_via_layer
 from fracweyl.halfline import (FractionalOrder, HalfLineModel, DirichletLineModel,
                                _Q_DEGREE, _Q_HI, _Q_LO, _Q_PANELS, _THETA_HI,
-                               _THETA_LO, _THETA_NODES, _layer_profile,
-                               _pchip_eval, _pchip_fit, _uniform_panels,
+                               _THETA_LO, _THETA_NODES, _layer_profile, _node_slip,
+                               _pchip_eval, _pchip_fit, _product_error, _uniform_panels,
                                spectral_edge)
 from halfline_oracles import (closed_form_double_laplace, eigenfunction,
-                              outer_function, projector_profile)
+                              kernel_gap_direct, outer_function, projector_profile)
 
 
 def assert_same_bits(a, b):
@@ -352,6 +353,58 @@ class TestKernels:
         assert grid.shape == (2, 4)
         np.testing.assert_array_equal(grid.ravel(), arr[:8])
 
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_gap_matches_per_node_sweep(self, s):
+        # the sweeps by angle addition against a sine and a cosine at every
+        # dense node, on the same grids; depths straddle the x = 12 switch,
+        # and (depth, mu) pairs past the cap of 600 panels are left out.
+        # At s = 0.25 and mu = 30 the terms of the sweep at x = 1 sum to
+        # 2500 times the gap
+        m = HalfLineModel(FractionalOrder(s, 2))
+        for mu in (1.3, 4.0, 30.0):
+            xs, ref = [], []
+            for x in (0.05, 1.0, 7.5, 11.99, 12.01, 20.0, 44.0):
+                try:
+                    ref.append(kernel_gap_direct(m, x, mu))
+                except ArithmeticError:
+                    continue
+                xs.append(x)
+            ref = np.array(ref)
+            np.testing.assert_allclose(m.kernel_gap(np.array(xs), mu), ref, rtol=0.0,
+                                       atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_dense_sweeps_take_no_trig_per_node(self, model_half, monkeypatch):
+        # sin, cos and the complex exp see arrays per depth, per node, or
+        # of 8 offsets or 32 edge nodes per depth, never one value per
+        # (depth, dense node): 64 depths share each panel count here
+        shapes = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def _record(self, f, x, *args, **kwargs):
+                if f is not np.exp or np.iscomplexobj(x):
+                    shapes.append(np.shape(x))
+                return f(x, *args, **kwargs)
+
+            def sin(self, x, *args, **kwargs):
+                return self._record(np.sin, x, *args, **kwargs)
+
+            def cos(self, x, *args, **kwargs):
+                return self._record(np.cos, x, *args, **kwargs)
+
+            def exp(self, x, *args, **kwargs):
+                return self._record(np.exp, x, *args, **kwargs)
+
+        xs = np.concatenate([np.linspace(1.0, 1.001, 64), np.linspace(20.0, 20.001, 64)])
+        ref = model_half.kernel_gap(xs, 4.0)
+        monkeypatch.setattr(halfline, "np", Spy())
+        assert_same_bits(model_half.kernel_gap(xs, 4.0), ref)
+        assert any(len(shape) == 2 for shape in shapes)
+        assert all(min(shape) <= 32 for shape in shapes if len(shape) == 2)
+        assert all(len(shape) <= 2 for shape in shapes)
+
     def test_unresolved_sweep_refused(self, model_half):
         # sweeps of 2e4 and 2e5 rad need more panels than the caps of 600
         # and 1600; grids cut to the caps read -31.4 and 3183.0001 against
@@ -595,6 +648,22 @@ class TestModelHygiene:
             gc.enable()
 
 
+class TestEmptyInput:
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    @pytest.mark.parametrize("call", [
+        lambda m, t: m.kernel_gap(t, 2.0),
+        lambda m, t: m.boundary_layer(t),
+        lambda m, t: m.energy_shift(t),
+        lambda m, t: m.t_integrated_gap_density(t),
+        lambda m, t: m.projector_diagonal(t, 2.0),
+        lambda m, t: DirichletLineModel(2).boundary_layer(t),
+    ], ids=["kernel_gap", "boundary_layer", "energy_shift", "t_integrated_gap_density",
+            "projector_diagonal", "dirichlet_boundary_layer"])
+    def test_empty_array_gives_empty_array(self, model_half, call, shape):
+        out = call(model_half, np.empty(shape))
+        assert isinstance(out, np.ndarray) and out.shape == shape
+
+
 class TestNumpyPchip:
     """The half-line engine's PCHIP must reproduce scipy's bit for bit: the
     golden layer pins (rtol 1e-12) and the byte-identical CLI output rest
@@ -675,6 +744,34 @@ class TestDenseGrid:
         ref = [panel_quad(np.linspace(0.0, edge, p + 1), 8) for p in counts]
         assert_same_bits(nodes, np.concatenate([r[0] for r in ref]))
         assert_same_bits(weights, np.concatenate([r[1] for r in ref]))
+
+    def test_product_error_is_exact(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-1e3, 1e3, 300)
+        b = rng.uniform(-1.0, 1.0, 300) * 10.0 ** rng.integers(-8, 8, 300)
+        p = a * b
+        cut = _product_error(a, b, p)
+        assert all(Fraction(x) * Fraction(y) - Fraction(z) == Fraction(c)
+                   for x, y, z, c in zip(a, b, p, cut))
+
+    @pytest.mark.parametrize("edge", [0.1, math.sqrt(15.0), spectral_edge(40.0, 0.75),
+                                      1234.567])
+    def test_node_slip_is_exact(self, edge):
+        # lam - h (k + tau_m) in rationals, with h = edge / p rounded as the
+        # grid rounds it: to the slip's own rounding, and to 2^-100 lam
+        # where the slip nearly vanishes (the two rounding cuts it adds up
+        # are each below 2^-53 lam)
+        counts = np.array([6, 13, 36, 600])
+        lam, _ = _uniform_panels(edge, counts)
+        slip = _node_slip(edge, counts, lam)
+        taus = [Fraction(t) for t in halfline._PANEL_TAU]
+        places = [Fraction(edge / p) * (k + tau)
+                  for p in counts for k in range(p) for tau in taus]
+        assert len(places) == lam.size
+        exact = [Fraction(v) - x for v, x in zip(lam, places)]
+        assert any(x != 0 for x in exact)
+        assert all(abs(Fraction(v) - x) <= abs(x) * Fraction(2.0 ** -52)
+                   + Fraction(y * 2.0 ** -100) for v, x, y in zip(slip, exact, lam))
 
 
 class TestPoissonGrid:
